@@ -58,16 +58,13 @@ class BoundaryData:
 
     evaluator takes an array of shape (..., n-1) and returns values of shape
     (...).  growth_exponent is the smallest g with |f(y)| <= C (1+|y|)^g;
-    decaying data may declare -inf.  integrability_M records the declared
-    modification order from the data author (informational; the operators
-    check admissibility from the growth exponent directly).
+    decaying data may declare -inf.
     """
 
     n: int
     evaluator: Callable[[np.ndarray], np.ndarray]
     growth_exponent: float
     support: Support
-    integrability_M: int | None = None
     name: str = ""
     amplitude: float = 1.0
 
@@ -117,7 +114,6 @@ def constant(n: int, value: float = 1.0) -> BoundaryData:
         evaluator=evaluator,
         growth_exponent=0.0,
         support=Support("global"),
-        integrability_M=0,
         name=f"constant({value})",
         amplitude=abs(value),
     )
@@ -169,7 +165,6 @@ def bump(n: int, center=None, radius: float = 1.0, height: float = 1.0,
             radial_edges=(max(0.0, cnorm - radius), cnorm + radius),
             balls=((center, radius),),
         ),
-        integrability_M=0,
         name=f"bump(r={radius})",
         amplitude=abs(height),
     )
@@ -215,7 +210,6 @@ def shell_bump(n: int, r_in: float, r_out: float, height: float = 1.0,
             inner_radius=r_in,
             radial_edges=(r_in, mid, r_out),
         ),
-        integrability_M=0,
         name=f"shell({r_in},{r_out})",
         amplitude=abs(height),
     )
@@ -253,7 +247,6 @@ def bump_train(n: int, radii=(4.0, 16.0, 64.0), width: float = 0.5,
             inner_radius=radii[0] - width,
             radial_edges=tuple(edges),
         ),
-        integrability_M=None,
         name=f"bump_train(g={growth})",
         amplitude=max(amps),
     )
@@ -272,7 +265,6 @@ def exp_decay(n: int, rate: float = 1.0) -> BoundaryData:
         evaluator=evaluator,
         growth_exponent=-np.inf,
         support=Support("global"),
-        integrability_M=None,
         name=f"exp_decay({rate})",
         amplitude=1.0,
     )
@@ -290,7 +282,6 @@ def poly_growth(n: int, exponent: float = 1.0) -> BoundaryData:
         evaluator=evaluator,
         growth_exponent=float(exponent),
         support=Support("global"),
-        integrability_M=None,
         name=f"poly_growth({exponent})",
         amplitude=1.0,
     )

@@ -53,19 +53,6 @@ def value(lam: float, m: int, t):
     return _maybe_scalar(c)
 
 
-def sequence(lam: float, m_max: int, t) -> np.ndarray:
-    """Stack C_0^lam(t) .. C_{m_max}^lam(t) from a single recurrence pass."""
-    _check_lambda(lam)
-    t = np.asarray(t, dtype=float)
-    out = np.empty((m_max + 1,) + t.shape)
-    out[0] = 1.0
-    if m_max >= 1:
-        out[1] = 2.0 * lam * t
-    for k in range(2, m_max + 1):
-        out[k] = (2.0 * (k + lam - 1.0) * t * out[k - 1] - (k + 2.0 * lam - 2.0) * out[k - 2]) / k
-    return out
-
-
 def weighted_sum(lam: float, terms: int, t, z) -> np.ndarray:
     """Partial sum over m < terms of z^m C_m^lam(t), broadcasting t and z.
 

@@ -7,9 +7,13 @@ refinement near kernel peaks) and a sphere rule in the angular variables
 control is by whole-grid refinement comparison; evaluations never sample
 randomly, so results are reproducible bit for bit.
 
-Near the boundary the Dirichlet map switches to a singularity-subtracted
-form: the data value at the projection point is split off against the
-kernel's exact normalization, and only the difference is integrated.
+D, N, D_M, N_M, F and F~ are each a prefactor times the integral of f
+times a kernel, and all run through one driver, `_solve`; `_regions` builds
+the regions for it and for `integrate_weighted`.  Near the boundary it
+integrates over one ball about the projection point, by one of two schemes:
+"subtract" (Dirichlet maps) splits off the data value at the projection
+point against the kernel's exact normalization and integrates only the
+difference; "ball" (Neumann maps) integrates the peaked kernel directly.
 """
 
 from __future__ import annotations
@@ -262,15 +266,18 @@ def _annulus_region(x, support: Support, lo: float, hi: float, spec) -> _Region 
 
 
 def _ball_region(x, center: np.ndarray, radius: float, spec,
-                 support: Support | None = None) -> _Region:
+                 support: Support | None = None, r_lo: float = 0.0) -> _Region:
+    """Ball-local region; the support's kink circles about the origin, and
+    the clip circle |y'| = r_lo, become panel edges when the ball is centred
+    at the origin and per-ray cuts otherwise."""
     center = np.asarray(center, dtype=float)
     edges = list(np.linspace(0.0, radius, max(4, spec.radial_panels // 4) + 1))
     cuts = []
     if support is not None:
         cnorm = float(np.linalg.norm(center))
         origin = np.zeros_like(center)
-        for e in support.radial_edges:
-            if abs(e - cnorm) < radius - 1e-12:
+        for e in (*support.radial_edges, r_lo):
+            if e > 0.0 and abs(e - cnorm) < radius - 1e-12:
                 if cnorm < 1e-12:
                     edges.append(float(e))
                 else:
@@ -301,6 +308,38 @@ def _ball_region(x, center: np.ndarray, radius: float, spec,
         pole = np.eye(center.size)[0]
     return _Region(center, 0.0, radius, tuple(_dedupe(edges, 0.0, radius)), pole,
                    pole_angles, tuple(cuts))
+
+
+def _regions(data: BoundaryData, x, spec, r_lo: float, decay) -> list:
+    """Regions covering the support of data outside the disk |y'| <= r_lo.
+
+    Union-of-balls supports are integrated ball by ball; other supports as
+    an annulus out to the support or truncation radius, plus a ball about
+    the origin when the support reaches it.  `decay(R)` bounds the weight's
+    magnitude at radius R, for truncation of global data.
+    """
+    sup = data.support
+    if sup.balls:
+        return [_ball_region(x, c, rad, spec, sup, r_lo) for c, rad in sup.balls
+                if float(np.linalg.norm(np.asarray(c))) + rad > r_lo]
+    hi = _data_reach(data, decay, spec, x)
+    lo = max(r_lo, sup.inner_radius)
+    regions = []
+    if lo == 0.0:
+        regions.append(_ball_region(x, np.zeros(data.n - 1), min(1.0, hi), spec, sup))
+        lo = min(1.0, hi)
+    regions.append(_annulus_region(x, sup, lo, hi, spec))
+    return regions
+
+
+def _near_ball(data: BoundaryData, x: HalfSpacePoint, spec) -> _Region:
+    """Ball about the projection point covering the support with unit margin."""
+    y, sup = x.y, data.support
+    if sup.balls:
+        reach = max(float(np.linalg.norm(y - c)) + rad for c, rad in sup.balls)
+    else:
+        reach = float(np.linalg.norm(y)) + sup.outer_radius
+    return _ball_region(x, y, reach + 1.0, spec, sup)
 
 
 def _angular_order(n: int, spec: QuadratureSpec, level: int) -> int:
@@ -393,29 +432,16 @@ def _integrate_regions(g, n: int, regions, spec: QuadratureSpec, max_levels: int
 # truncation of global supports
 
 
-def _auto_truncation(data: BoundaryData, magnitude, spec: QuadratureSpec,
-                     start: float) -> float:
-    """Double the radius until the probed tail magnitude clears the budget.
-
-    `magnitude(R)` should bound |f * kernel| * surface measure * one decay
-    length at radius R.
-    """
-    if spec.truncation_radius is not None:
-        return spec.truncation_radius
-    target = 0.1 * spec.abs_tol
-    radius = start
-    for _ in range(80):
-        if magnitude(radius) < target:
-            return radius
-        radius *= 2.0
-    raise AccuracyError("could not find a truncation radius meeting the tail budget")
-
-
-def _data_reach(data: BoundaryData, kernel_decay, spec, x: HalfSpacePoint,
-                extra_growth: float = 0.0) -> float:
-    """Outer radius for integration: support bound or solved truncation."""
+def _data_reach(data: BoundaryData, decay, spec: QuadratureSpec,
+                x: HalfSpacePoint | None) -> float:
+    """Outer radius for integration: the support bound, the requested
+    truncation radius, or the first doubling of a start radius at which the
+    probed tail |f| * decay * surface measure * one decay length falls below
+    a tenth of abs_tol."""
     if data.support.kind == "compact":
         return data.support.outer_radius
+    if spec.truncation_radius is not None:
+        return spec.truncation_radius
     n = data.n
     area = sphere_surface_area(n - 2)
 
@@ -425,11 +451,29 @@ def _data_reach(data: BoundaryData, kernel_decay, spec, x: HalfSpacePoint,
         fval = abs(float(data(probe[None, :])[0])) + data.amplitude * (1.0 + radius) ** min(
             data.growth_exponent, 0.0
         )
-        return fval * radius**extra_growth * kernel_decay(radius) * area * radius ** (n - 2) * radius
+        return fval * decay(radius) * area * radius ** (n - 2) * radius
 
-    start = max(4.0, 4.0 * x.r if x is not None else 4.0,
-                2.0 * (data.support.inner_radius + 1.0))
-    return _auto_truncation(data, magnitude, spec, start)
+    radius = max(4.0, 4.0 * x.r if x is not None else 4.0,
+                 2.0 * (data.support.inner_radius + 1.0))
+    for _ in range(80):
+        if magnitude(radius) < 0.1 * spec.abs_tol:
+            return radius
+        radius *= 2.0
+    raise AccuracyError("could not find a truncation radius meeting the tail budget")
+
+
+def _kernel_decay(params: KernelParams, x: HalfSpacePoint):
+    """Bound on |kernel| at radius R, as the decay for `_data_reach`."""
+    lam, big_m = params.lam, params.big_m
+    sec = x.sec_theta ** (2.0 * lam)
+    if params.kind == "first":
+        return lambda radius: (min(1.0, x.r / radius) ** big_m * sec
+                               * max(x.r, radius) ** (-2.0 * lam))
+    # the subtracted tail of the second kind grows like |y'|^(M-1)
+    return lambda radius: max(
+        radius ** (-2.0 * lam),
+        radius ** (big_m - 1.0) * x.r ** -(big_m + 2.0 * lam - 1.0),
+    ) * sec
 
 
 # ---------------------------------------------------------------------------
@@ -495,158 +539,7 @@ def _replace_support(data: BoundaryData, support: Support) -> BoundaryData:
 
 
 # ---------------------------------------------------------------------------
-# generic weighted integral (moment integrals for the expansions)
-
-
-def integrate_weighted(data: BoundaryData, weight, spec: QuadratureSpec | None = None,
-                       *, r_lo: float = 0.0, weight_growth: float = 0.0,
-                       x: HalfSpacePoint | None = None, return_estimate: bool = False):
-    """Integral of data * weight over its support intersected with |y'| > r_lo.
-
-    `weight` is a vectorized function of boundary points; `weight_growth`
-    bounds its growth for truncation of global data.
-    """
-    spec = spec or QuadratureSpec()
-    sup = data.support
-
-    def g(pts):
-        return data(pts) * weight(pts)
-
-    regions = []
-    if sup.balls:
-        for center, radius in sup.balls:
-            regions.append(_ball_region(x, center, radius, spec, sup))
-    else:
-        hi = _data_reach(data, lambda r: 1.0, spec, x, extra_growth=weight_growth)
-        lo = max(r_lo, sup.inner_radius)
-        if lo == 0.0:
-            regions.append(_ball_region(x, np.zeros(data.n - 1), min(1.0, hi), spec, sup))
-            lo = min(1.0, hi)
-        regions.append(_annulus_region(x, sup, lo, hi, spec))
-    value, est = _integrate_regions(g, data.n, regions, spec)
-    return (value, est) if return_estimate else value
-
-
-# ---------------------------------------------------------------------------
-# the F-integrals and solution maps
-
-
-def _check_first_kind(data: BoundaryData, lam: float, big_m: int):
-    if not data.first_kind_admissible(lam, big_m):
-        raise DomainError(
-            f"data growth {data.growth_exponent} violates the moment condition "
-            f"for lam={lam}, M={big_m}"
-        )
-
-
-def _first_kind_regions(data, x, lam, big_m, spec, r_lo):
-    sup = data.support
-    if sup.balls:
-        regions = []
-        origin = np.zeros(data.n - 1)
-        for c, rad in sup.balls:
-            cnorm = float(np.linalg.norm(np.asarray(c)))
-            if cnorm + rad <= r_lo:
-                continue  # entirely inside the excluded disk
-            region = _ball_region(x, c, rad, spec, sup)
-            if cnorm - rad < r_lo - 1e-12 < cnorm + rad:
-                # ball crosses the region boundary; clip along each ray
-                # (the caller masks the integrand below r_lo)
-                region.cuts = region.cuts + ((origin, float(r_lo)),)
-            regions.append(region)
-        return regions
-
-    def kernel_decay(radius):
-        if radius <= x.r:
-            return x.sec_theta ** (2.0 * lam) * max(x.r, radius) ** (-2.0 * lam)
-        return (
-            (x.r / radius) ** big_m
-            * x.sec_theta ** (2.0 * lam)
-            * radius ** (-2.0 * lam)
-        )
-
-    hi = _data_reach(data, kernel_decay, spec, x) if sup.kind == "global" else sup.outer_radius
-    lo = max(r_lo, sup.inner_radius)
-    regions = []
-    if lo == 0.0:
-        # origin-inclusive supports only occur for the unmodified kernel
-        regions.append(_ball_region(x, np.zeros(data.n - 1), min(1.0, hi), spec, sup))
-        lo = min(1.0, hi)
-    regions.append(_annulus_region(x, sup, lo, hi, spec))
-    return regions
-
-
-def integral_F(params: KernelParams, data: BoundaryData, x: HalfSpacePoint,
-               spec: QuadratureSpec | None = None, *, return_estimate: bool = False):
-    """F[f](x): integral of f * K_M over the exterior of the unit ball."""
-    if params.kind != "first":
-        raise DomainError("integral_F takes first-kind kernel parameters")
-    spec = spec or QuadratureSpec()
-    _check_first_kind(data, params.lam, params.big_m)
-
-    def g(pts):
-        norms = np.linalg.norm(pts, axis=-1)
-        out = np.zeros(norms.shape)
-        mask = norms > 1.0
-        if np.any(mask):
-            out[mask] = data(pts[mask]) * kernel_KM_direct(params, x, pts[mask])
-        return out
-
-    regions = _first_kind_regions(data, x, params.lam, params.big_m, spec, r_lo=1.0)
-    value, est = _integrate_regions(g, data.n, regions, spec)
-    return (value, est) if return_estimate else value
-
-
-def integral_F_second(params: KernelParams, data: BoundaryData, x: HalfSpacePoint,
-                      spec: QuadratureSpec | None = None, *,
-                      return_estimate: bool = False):
-    """F~[f](x): integral of f * K~_M over the whole boundary hyperplane."""
-    if params.kind != "second":
-        raise DomainError("integral_F_second takes second-kind kernel parameters")
-    spec = spec or QuadratureSpec()
-    if not data.second_kind_admissible(params.big_m):
-        raise DomainError(
-            f"data growth {data.growth_exponent} violates the decay condition for M={params.big_m}"
-        )
-
-    def g(pts):
-        return data(pts) * kernel_KM_second(params, x, pts)
-
-    sup = data.support
-    regions = []
-    if sup.balls:
-        regions = [_ball_region(x, c, rad, spec, sup) for c, rad in sup.balls]
-    else:
-        # the subtracted tail grows like |y'|^(M-1), fold that into truncation
-        def kernel_decay(radius):
-            return max(
-                radius ** (-2.0 * params.lam),
-                radius ** (params.big_m - 1.0) * x.r ** -(params.big_m + 2.0 * params.lam - 1.0),
-            ) * x.sec_theta ** (2.0 * params.lam)
-
-        hi = _data_reach(data, kernel_decay, spec, x) if sup.kind == "global" else sup.outer_radius
-        lo = sup.inner_radius
-        if lo == 0.0:
-            regions.append(_ball_region(x, np.zeros(data.n - 1), min(1.0, hi), spec, sup))
-            lo = min(1.0, hi)
-        regions.append(_annulus_region(x, sup, lo, hi, spec))
-    value, est = _integrate_regions(g, data.n, regions, spec)
-    return (value, est) if return_estimate else value
-
-
-def _near_boundary(data: BoundaryData, x: HalfSpacePoint) -> bool:
-    if data.support.kind != "compact":
-        return False
-    scale = max(1.0, data.support.outer_radius)
-    ynorm = x.r * x.sin_theta
-    return x.x_n < 0.02 * scale and ynorm <= data.support.outer_radius + 2.0
-
-
-def _covering_radius(data: BoundaryData, y: np.ndarray) -> float:
-    sup = data.support
-    if sup.balls:
-        return max(float(np.linalg.norm(y - c)) + rad for c, rad in sup.balls)
-    return float(np.linalg.norm(y)) + sup.outer_radius
+# the boundary-integral driver
 
 
 def _kernel_mass_within(n: int, x_n: float, radius: float) -> float:
@@ -661,62 +554,81 @@ def _kernel_mass_within(n: int, x_n: float, radius: float) -> float:
     return alpha_n(n) * x_n * sphere_surface_area(n - 2) * val
 
 
-def _dirichlet_near(data: BoundaryData, x: HalfSpacePoint, spec: QuadratureSpec) -> float:
-    n = x.n
-    y = x.y
-    f_at_y = float(data(y[None, :])[0])
-    radius = _covering_radius(data, y) + 1.0
+def _subtracted(params: KernelParams, data: BoundaryData, x: HalfSpacePoint,
+                spec: QuadratureSpec, prefactor: float):
+    """The "subtract" near-boundary scheme, for Dirichlet kernels.
+
+    f at the projection point is split off against the base kernel's exact
+    mass and only the difference is integrated; for M >= 1 the Gegenbauer
+    tail of K_M is integrated termwise as regular moments (the data vanish
+    near the origin).  The estimate is abs_tol, not a measured one.
+    """
+    n, lam = x.n, params.lam
+    f_at_y = float(data(x.y[None, :])[0])
+    region = _near_ball(data, x, spec)
 
     def g(pts):
-        return (data(pts) - f_at_y) * kernel_K(n / 2.0, x, pts)
+        return (data(pts) - f_at_y) * kernel_K(lam, x, pts)
 
-    region = _ball_region(x, y, radius, spec, data.support)
     value, _ = _integrate_regions(g, n, [region], spec)
-    return alpha_n(n) * x.x_n * value + f_at_y * _kernel_mass_within(n, x.x_n, radius)
+    value = prefactor * value + f_at_y * _kernel_mass_within(n, x.x_n, region.r_hi)
+    correction = 0.0
+    for m in range(params.big_m):
+        def weight(pts, m=m):
+            tb = x.sin_theta * cos_theta_prime_array(x, pts)
+            return np.linalg.norm(pts, axis=-1) ** -(m + n) * gegenbauer.value(lam, m, tb)
+
+        correction += x.r**m * integrate_weighted(data, weight, spec,
+                                                  weight_growth=-(m + n), x=x)
+    return value - prefactor * correction, spec.abs_tol
 
 
-def dirichlet_D(data: BoundaryData, x: HalfSpacePoint,
-                spec: QuadratureSpec | None = None, *, return_estimate: bool = False):
-    """Classical half-space Dirichlet integral alpha_n x_n int f K(n/2)."""
-    spec = spec or QuadratureSpec()
-    lam = x.n / 2.0
-    _check_first_kind(data, lam, 0)
-    if _near_boundary(data, x):
-        value = _dirichlet_near(data, x, spec)
-        return (value, spec.abs_tol) if return_estimate else value
+def _solve(params: KernelParams, data: BoundaryData, x: HalfSpacePoint,
+           spec: QuadratureSpec, prefactor: float, r_lo: float = 0.0,
+           near: str | None = None):
+    """(prefactor * integral of f * kernel over |y'| > r_lo, prefactor * estimate).
 
-    def g(pts):
-        return data(pts) * kernel_K(lam, x, pts)
-
-    regions = _first_kind_regions(data, x, lam, 0, spec, r_lo=0.0)
-    value, est = _integrate_regions(g, data.n, regions, spec)
-    value *= alpha_n(x.n) * x.x_n
-    return (value, est) if return_estimate else value
-
-
-def neumann_N(data: BoundaryData, x: HalfSpacePoint,
-              spec: QuadratureSpec | None = None, *, return_estimate: bool = False):
-    """Classical half-space Neumann integral; needs ambient dimension >= 3."""
-    if x.n < 3:
-        raise DomainError("the planar Neumann problem has a logarithmic kernel "
-                          "and is not supported")
-    spec = spec or QuadratureSpec()
-    lam = (x.n - 2) / 2.0
-    _check_first_kind(data, lam, 0)
+    The kernel is K_M of the first kind (the base kernel at M = 0) or K~_M
+    of the second.  `near` picks a near-boundary scheme: "subtract" (see
+    `_subtracted`) or "ball", one region centred at the projection point,
+    where the kernel peaks.
+    """
+    if near == "subtract":
+        return _subtracted(params, data, x, spec, prefactor)
+    kernel = kernel_KM_direct if params.kind == "first" else kernel_KM_second
+    masked = r_lo > data.support.inner_radius
 
     def g(pts):
-        return data(pts) * kernel_K(lam, x, pts)
+        if not masked:
+            return data(pts) * kernel(params, x, pts)
+        out = np.zeros(pts.shape[:-1])
+        keep = np.linalg.norm(pts, axis=-1) > r_lo
+        if np.any(keep):
+            out[keep] = data(pts[keep]) * kernel(params, x, pts[keep])
+        return out
 
-    regions = _first_kind_regions(data, x, lam, 0, spec, r_lo=0.0)
-    if _near_boundary(data, x):
-        # integrable kernel spike at the projection point: integrate in
-        # projection-centered coordinates instead
-        y = x.y
-        radius = _covering_radius(data, y) + 1.0
-        regions = [_ball_region(x, y, radius, spec, data.support)]
+    if near == "ball":
+        regions = [_near_ball(data, x, spec)]
+    else:
+        regions = _regions(data, x, spec, r_lo, _kernel_decay(params, x))
     value, est = _integrate_regions(g, data.n, regions, spec)
-    value *= alpha_n(x.n) / (x.n - 2.0)
-    return (value, est) if return_estimate else value
+    return prefactor * value, prefactor * est
+
+
+def _near_boundary(data: BoundaryData, x: HalfSpacePoint) -> bool:
+    if data.support.kind != "compact":
+        return False
+    scale = max(1.0, data.support.outer_radius)
+    ynorm = x.r * x.sin_theta
+    return x.x_n < 0.02 * scale and ynorm <= data.support.outer_radius + 2.0
+
+
+def _check_first_kind(data: BoundaryData, lam: float, big_m: int):
+    if not data.first_kind_admissible(lam, big_m):
+        raise DomainError(
+            f"data growth {data.growth_exponent} violates the moment condition "
+            f"for lam={lam}, M={big_m}"
+        )
 
 
 def _check_origin_clearance(data: BoundaryData, big_m: int, allow_origin: bool):
@@ -728,41 +640,70 @@ def _check_origin_clearance(data: BoundaryData, big_m: int, allow_origin: bool):
         )
 
 
+# ---------------------------------------------------------------------------
+# public maps
+
+
+def integrate_weighted(data: BoundaryData, weight, spec: QuadratureSpec | None = None,
+                       *, weight_growth: float = 0.0, x: HalfSpacePoint | None = None):
+    """Integral of data * weight over the support of data.
+
+    `weight` is a vectorized function of boundary points; `weight_growth`
+    bounds its growth for truncation of global data.
+    """
+    spec = spec or QuadratureSpec()
+    regions = _regions(data, x, spec, 0.0, lambda radius: radius**weight_growth)
+    return _integrate_regions(lambda pts: data(pts) * weight(pts), data.n, regions, spec)[0]
+
+
+def integral_F(params: KernelParams, data: BoundaryData, x: HalfSpacePoint,
+               spec: QuadratureSpec | None = None, *, return_estimate: bool = False):
+    """F[f](x): integral of f * K_M over the exterior of the unit ball."""
+    if params.kind != "first":
+        raise DomainError("integral_F takes first-kind kernel parameters")
+    _check_first_kind(data, params.lam, params.big_m)
+    out = _solve(params, data, x, spec or QuadratureSpec(), 1.0, r_lo=1.0)
+    return out if return_estimate else out[0]
+
+
+def integral_F_second(params: KernelParams, data: BoundaryData, x: HalfSpacePoint,
+                      spec: QuadratureSpec | None = None, *,
+                      return_estimate: bool = False):
+    """F~[f](x): integral of f * K~_M over the whole boundary hyperplane."""
+    if params.kind != "second":
+        raise DomainError("integral_F_second takes second-kind kernel parameters")
+    if not data.second_kind_admissible(params.big_m):
+        raise DomainError(
+            f"data growth {data.growth_exponent} violates the decay condition for M={params.big_m}"
+        )
+    out = _solve(params, data, x, spec or QuadratureSpec(), 1.0)
+    return out if return_estimate else out[0]
+
+
+def dirichlet_D(data: BoundaryData, x: HalfSpacePoint,
+                spec: QuadratureSpec | None = None, *, return_estimate: bool = False):
+    """Classical half-space Dirichlet integral alpha_n x_n int f K(n/2)."""
+    return dirichlet_DM(0, data, x, spec, return_estimate=return_estimate)
+
+
+def neumann_N(data: BoundaryData, x: HalfSpacePoint,
+              spec: QuadratureSpec | None = None, *, return_estimate: bool = False):
+    """Classical half-space Neumann integral; needs ambient dimension >= 3."""
+    return neumann_NM(0, data, x, spec, return_estimate=return_estimate)
+
+
 def dirichlet_DM(big_m: int, data: BoundaryData, x: HalfSpacePoint,
                  spec: QuadratureSpec | None = None, *, allow_origin: bool = False,
                  return_estimate: bool = False):
     """Modified Dirichlet integral alpha_n x_n int f K_M(n/2)."""
-    spec = spec or QuadratureSpec()
     lam = x.n / 2.0
     _check_first_kind(data, lam, big_m)
     _check_origin_clearance(data, big_m, allow_origin)
-    if big_m == 0:
-        return dirichlet_D(data, x, spec, return_estimate=return_estimate)
-    if _near_boundary(data, x) and data.growth_exponent < 1.0:
-        # K_M = K minus its Gegenbauer tail, integrated termwise: the base
-        # part uses the subtracted near-boundary scheme, the tail moments
-        # are regular integrals (data vanishes near the origin)
-        base = _dirichlet_near(data, x, spec)
-        correction = 0.0
-        for m in range(big_m):
-            def weight(pts, m=m):
-                norms = np.linalg.norm(pts, axis=-1)
-                tb = x.sin_theta * cos_theta_prime_array(x, pts)
-                return norms ** -(m + x.n) * gegenbauer.value(lam, m, tb)
-
-            moment = integrate_weighted(data, weight, spec, weight_growth=-(m + x.n), x=x)
-            correction += x.r**m * moment
-        value = base - alpha_n(x.n) * x.x_n * correction
-        return (value, spec.abs_tol) if return_estimate else value
-    params = KernelParams(lam, big_m)
-
-    def g(pts):
-        return data(pts) * kernel_KM_direct(params, x, pts)
-
-    regions = _first_kind_regions(data, x, lam, big_m, spec, r_lo=data.support.inner_radius)
-    value, est = _integrate_regions(g, data.n, regions, spec)
-    value *= alpha_n(x.n) * x.x_n
-    return (value, est) if return_estimate else value
+    subtract = _near_boundary(data, x) and (big_m == 0 or data.growth_exponent < 1.0)
+    out = _solve(KernelParams(lam, big_m), data, x, spec or QuadratureSpec(),
+                 alpha_n(x.n) * x.x_n, r_lo=data.support.inner_radius,
+                 near="subtract" if subtract else None)
+    return out if return_estimate else out[0]
 
 
 def neumann_NM(big_m: int, data: BoundaryData, x: HalfSpacePoint,
@@ -770,49 +711,35 @@ def neumann_NM(big_m: int, data: BoundaryData, x: HalfSpacePoint,
                return_estimate: bool = False):
     """Modified Neumann integral (alpha_n / (n-2)) int f K_M((n-2)/2)."""
     if x.n < 3:
-        raise DomainError("the planar Neumann problem is not supported")
-    spec = spec or QuadratureSpec()
+        raise DomainError("the planar Neumann problem has a logarithmic kernel "
+                          "and is not supported")
     lam = (x.n - 2) / 2.0
     _check_first_kind(data, lam, big_m)
     _check_origin_clearance(data, big_m, allow_origin)
-    if big_m == 0:
-        return neumann_N(data, x, spec, return_estimate=return_estimate)
-    params = KernelParams(lam, big_m)
+    out = _solve(KernelParams(lam, big_m), data, x, spec or QuadratureSpec(),
+                 alpha_n(x.n) / (x.n - 2.0), r_lo=data.support.inner_radius,
+                 near="ball" if _near_boundary(data, x) else None)
+    return out if return_estimate else out[0]
 
-    def g(pts):
-        return data(pts) * kernel_KM_direct(params, x, pts)
 
-    regions = _first_kind_regions(data, x, lam, big_m, spec, r_lo=data.support.inner_radius)
-    if _near_boundary(data, x):
-        y = x.y
-        radius = _covering_radius(data, y) + 1.0
-        regions = [_ball_region(x, y, radius, spec, data.support)]
-    value, est = _integrate_regions(g, data.n, regions, spec)
-    value *= alpha_n(x.n) / (x.n - 2.0)
-    return (value, est) if return_estimate else value
+def _assemble(solve, data: BoundaryData, big_m: int, x: HalfSpacePoint,
+              spec: QuadratureSpec | None) -> float:
+    """solve(M, w f) + solve(0, (1 - w) f) over the cutoff split."""
+    spec = spec or QuadratureSpec()
+    total = 0.0
+    for m, part in zip((big_m, 0), apply_cutoff(data)):
+        if part is not None:
+            total += solve(m, part, x, spec)
+    return total
 
 
 def solution_u(data: BoundaryData, big_m: int, x: HalfSpacePoint,
                spec: QuadratureSpec | None = None) -> float:
     """Assembled Dirichlet solution D_M[w f] + D[(1 - w) f]."""
-    spec = spec or QuadratureSpec()
-    far, near = apply_cutoff(data)
-    total = 0.0
-    if far is not None:
-        total += dirichlet_DM(big_m, far, x, spec)
-    if near is not None:
-        total += dirichlet_D(near, x, spec)
-    return total
+    return _assemble(dirichlet_DM, data, big_m, x, spec)
 
 
 def solution_v(data: BoundaryData, big_m: int, x: HalfSpacePoint,
                spec: QuadratureSpec | None = None) -> float:
     """Assembled Neumann solution N_M[w f] + N[(1 - w) f]."""
-    spec = spec or QuadratureSpec()
-    far, near = apply_cutoff(data)
-    total = 0.0
-    if far is not None:
-        total += neumann_NM(big_m, far, x, spec)
-    if near is not None:
-        total += neumann_N(near, x, spec)
-    return total
+    return _assemble(neumann_NM, data, big_m, x, spec)

@@ -23,7 +23,7 @@ from .data import BoundaryData, Support
 from .errors import ConstructionError, DomainError
 from .geometry import HalfSpacePoint, cos_theta_prime_array
 from .kernels import KernelParams, kernel_K, kernel_KM_direct
-from .quadrature import QuadratureSpec, integral_F
+from .quadrature import QuadratureSpec, integral_F, integrate_weighted
 
 __all__ = [
     "SharpnessConstants",
@@ -358,7 +358,6 @@ def data_half_balls(n: int, psi_values, centers, lam: float, big_m: int) -> Boun
             radial_edges=tuple(edges),
             balls=ball_list,
         ),
-        integrability_M=big_m,
         name=f"half_balls(M={big_m})",
         amplitude=max(abs(a) for a in amps),
     )
@@ -427,7 +426,6 @@ def data_balls_super_extension(n: int, a_values, b_values, amplitudes,
             radial_edges=tuple(edges),
             balls=tuple(balls),
         ),
-        integrability_M=big_m,
         name=f"super_balls(M={big_m})",
         amplitude=max(abs(f) for f in amplitudes) * max(1.0, abs(refl)),
     )
@@ -469,14 +467,8 @@ def balanced_sign_integral(data: BoundaryData, lam: float, big_m: int,
     neg = RegionSpec("cone_far_neg", big_m, constants, x)
     params = KernelParams(lam, big_m)
 
-    def g(pts):
+    def masked_kernel(pts):
         mask = _region_mask(pos, pts) | _region_mask(neg, pts)
-        vals = data(pts) * kernel_KM_direct(params, x, pts)
-        return np.where(mask, vals, 0.0)
+        return np.where(mask, kernel_KM_direct(params, x, pts), 0.0)
 
-    from .quadrature import _ball_region, _integrate_regions
-
-    regions = [_ball_region(x, c, rad, spec, data.support)
-               for c, rad in data.support.balls]
-    value, _ = _integrate_regions(g, data.n, regions, spec)
-    return value
+    return integrate_weighted(data, masked_kernel, spec, x=x)

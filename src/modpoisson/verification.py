@@ -24,7 +24,6 @@ from .geometry import HalfSpacePoint
 from .kernels import KernelParams, kernel_KM_direct, kernel_with_convention
 from .quadrature import (
     QuadratureSpec,
-    dirichlet_D,
     dirichlet_DM,
     neumann_NM,
     solution_u,
@@ -314,12 +313,6 @@ def check_kernel_identity(identity: str, lam: float, big_m: int, x: HalfSpacePoi
 # representations of the modified Neumann integral
 
 
-def _dm_convention(m: int, data, x, spec):
-    if m <= 0:
-        return dirichlet_D(data, x, spec)
-    return dirichlet_DM(m, data, x, spec)
-
-
 def _directional_data(data: BoundaryData, vec: np.ndarray) -> BoundaryData:
     vec = np.asarray(vec, dtype=float)
     return data.scaled_by(lambda pts: pts @ vec, name_suffix="*dir", growth_shift=1.0)
@@ -349,20 +342,21 @@ def check_neumann_representation(representation: str, data: BoundaryData, big_m:
         mid = 0.5 * (b + a)
         return half * sum(w * fn(mid + half * t) for t, w in zip(glx, glw))
 
+    # orders below zero mean the unmodified kernel, K_m = K for m <= 0
+    m1, m2 = max(big_m - 1, 0), max(big_m - 2, 0)
     f_dir = _directional_data(data, x.y_hat)
     if representation == "i":
         contrib = outer(anchor, x.theta,
-                        lambda t: _dm_convention(big_m - 1, f_dir,
-                                                 _point(x.r, t, x.y_hat, n), spec))
+                        lambda t: dirichlet_DM(m1, f_dir, _point(x.r, t, x.y_hat, n), spec))
         base = neumann_NM(big_m, data, _point(x.r, anchor, x.y_hat, n), spec)
     elif representation == "ii":
         tan, sec = math.tan(x.theta), 1.0 / math.cos(x.theta)
         term1 = tan * outer(anchor, x.r,
-                            lambda t: _dm_convention(big_m - 1, f_dir,
-                                                     _point(t, x.theta, x.y_hat, n), spec) / t)
+                            lambda t: dirichlet_DM(m1, f_dir,
+                                                   _point(t, x.theta, x.y_hat, n), spec) / t)
         term2 = sec * outer(anchor, x.r,
-                            lambda t: _dm_convention(big_m - 2, data,
-                                                     _point(t, x.theta, x.y_hat, n), spec))
+                            lambda t: dirichlet_DM(m2, data,
+                                                   _point(t, x.theta, x.y_hat, n), spec))
         contrib = term1 - term2
         base = neumann_NM(big_m, data, _point(anchor, x.theta, x.y_hat, n), spec)
     elif representation == "iii":
@@ -377,9 +371,9 @@ def check_neumann_representation(representation: str, data: BoundaryData, big_m:
         e_i[axis] = 1.0
         f_i = _directional_data(data, e_i)
         term1 = outer(anchor, cart[axis],
-                      lambda t: _dm_convention(big_m - 1, f_i, at(t), spec)) / x.x_n
+                      lambda t: dirichlet_DM(m1, f_i, at(t), spec)) / x.x_n
         term2 = outer(anchor, cart[axis],
-                      lambda t: _dm_convention(big_m - 2, data, at(t), spec) * t) / x.x_n
+                      lambda t: dirichlet_DM(m2, data, at(t), spec) * t) / x.x_n
         contrib = term1 - term2
         base = neumann_NM(big_m, data, at(anchor), spec)
     elif representation == "iv":
@@ -388,9 +382,9 @@ def check_neumann_representation(representation: str, data: BoundaryData, big_m:
 
         ynorm = x.r * x.sin_theta
         term1 = outer(anchor, ynorm,
-                      lambda t: _dm_convention(big_m - 1, f_dir, at(t), spec)) / x.x_n
+                      lambda t: dirichlet_DM(m1, f_dir, at(t), spec)) / x.x_n
         term2 = outer(anchor, ynorm,
-                      lambda t: _dm_convention(big_m - 2, data, at(t), spec) * t) / x.x_n
+                      lambda t: dirichlet_DM(m2, data, at(t), spec) * t) / x.x_n
         contrib = term1 - term2
         base = neumann_NM(big_m, data, at(anchor), spec)
     elif representation == "v":
@@ -400,7 +394,7 @@ def check_neumann_representation(representation: str, data: BoundaryData, big_m:
             return HalfSpacePoint.from_cartesian(np.append(y, t))
 
         contrib = -outer(anchor, x.x_n,
-                         lambda t: _dm_convention(big_m - 2, data, at(t), spec))
+                         lambda t: dirichlet_DM(m2, data, at(t), spec))
         base = neumann_NM(big_m, data, at(anchor), spec)
     else:
         raise DomainError(f"unknown representation {representation!r}")

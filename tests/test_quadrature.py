@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,23 @@ class TestDirichlet:
             assert gap < tol
 
 
+    def test_origin_centred_ball_is_one_grid_per_level(self):
+        # no kink circle crosses the ball, so each refinement level is one
+        # vectorised grid rather than one data call per angular ray
+        base = bump(3, radius=3.0)
+        calls = []
+
+        def counted(pts):
+            calls.append(len(pts))
+            return base.evaluator(pts)
+
+        f = dataclasses.replace(base, evaluator=counted)
+        x = HalfSpacePoint.from_cartesian([0.5, 0.3, 0.8])
+        value = dirichlet_D(f, x, QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10))
+        assert len(calls) <= 2 * 5  # at most two calls per level, five levels
+        assert value == pytest.approx(0.41702072804119356, rel=2e-15)
+
+
 class TestNeumann:
     def test_rejects_n2(self):
         with pytest.raises(DomainError):
@@ -344,6 +363,16 @@ class TestToleranceHonesty:
         v1, e1 = dirichlet_D(f, x, loose, return_estimate=True)
         v2 = dirichlet_D(f, x, tight)
         assert abs(v1 - v2) <= max(e1, 1e-6)
+
+    def test_estimate_in_value_units(self):
+        # N is alpha_3 / (3 - 2) times the integral of f K(1/2), which is F
+        # with lam = 1/2, M = 0 over |y'| > 1 for data supported beyond 2
+        f = shell_bump(3, 2.0, 3.0)
+        x = HalfSpacePoint.from_cartesian([1.0, -0.7, 0.9])
+        value, est = neumann_N(f, x, SPEC, return_estimate=True)
+        f_value, f_est = integral_F(KernelParams(0.5, 0), f, x, SPEC, return_estimate=True)
+        assert value == alpha_n(3) * f_value
+        assert est == alpha_n(3) * f_est
 
     def test_truncation_soundness(self):
         f = exp_decay(3)
