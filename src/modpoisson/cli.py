@@ -264,15 +264,18 @@ def build_parser() -> _Parser:
                                  "expansion, and certification")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--n", type=int, default=3, help="ambient dimension (2-5)")
+    def output(p):
         p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.add_argument("--config", default=None, help=argparse.SUPPRESS)
+
+    def common(p):
+        output(p)
+        p.add_argument("--n", type=int, default=3, help="ambient dimension (2-5)")
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
         p.add_argument("--abs-tol", dest="abs_tol", type=float, default=1e-9)
         p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-9)
         p.add_argument("--truncation-radius", dest="truncation_radius",
                        type=float, default=None)
-        p.add_argument("--config", default=None, help=argparse.SUPPRESS)
 
     p_eval = sub.add_parser("eval", help="evaluate kernels or solution integrals on a grid")
     common(p_eval)
@@ -303,8 +306,9 @@ def build_parser() -> _Parser:
     p_exp.add_argument("--r", dest="radii_single", type=float, default=10.0)
     p_exp.add_argument("--theta-at", dest="theta_single", type=float, default=0.0)
 
+    # the suites fix their own dimensions, tolerances and output format
     p_ver = sub.add_parser("verify", help="run a certification suite")
-    common(p_ver)
+    output(p_ver)
     p_ver.add_argument("--suite", choices=suite_names(), default="all")
     p_ver.add_argument("--seed", type=int, default=42)
     p_ver.add_argument("--jobs", type=int,

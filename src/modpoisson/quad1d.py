@@ -13,8 +13,11 @@ __all__ = ["gauss_legendre", "fixed_panels", "adaptive"]
 
 @functools.lru_cache(maxsize=None)
 def gauss_legendre(npts: int):
-    """Nodes and weights on [-1, 1] (cached)."""
+    """Nodes and weights on [-1, 1], cached and shared by every caller, so
+    both arrays are read-only."""
     x, w = np.polynomial.legendre.leggauss(npts)
+    x.setflags(write=False)
+    w.setflags(write=False)
     return x, w
 
 

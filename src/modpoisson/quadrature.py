@@ -7,6 +7,14 @@ refinement near kernel peaks) and a sphere rule in the angular variables
 control is by whole-grid refinement comparison; evaluations never sample
 randomly, so results are reproducible bit for bit.
 
+A ball crossed by a kink circle it is not centred on (a "cut" region, such
+as an off-centre data ball crossed by the cutoff's circles |y'| = 1, 2) gets
+radial panel edges per angular ray where the ray crosses the circle; the
+rays are evaluated in blocks, one data call per block.  Its angular pole
+points at the circle's centre, and the cones of rays where a crossing
+leaves the ball or two crossings merge are angular panel edges, so the
+angular integrand is smooth on every panel.
+
 D, N, D_M, N_M, F and F~ are each a prefactor times the integral of f
 times a kernel, and all run through one driver, `_solve`; `_regions` builds
 the regions for it and for `integrate_weighted`.  Near the boundary it
@@ -111,8 +119,12 @@ def sphere_rule(dim_ambient: int, order: int, pole=None, pole_angles=()):
     """Quadrature points (unit vectors) and weights on the sphere S^(d-1)
     sitting in R^d, where d = dim_ambient - 1 is the boundary dimension.
 
-    pole_angles are graded panel edges (angles from the pole) used to
-    resolve integrands concentrated near the pole direction.
+    pole_angles are angular panel edges (angles from the pole), mirrored
+    about the pole for d = 2 and latitudes for d >= 3: graded toward the
+    pole for integrands concentrated there, or where an integrand has a
+    kink.  No panel gets fewer points than a pi/4 panel's share of the
+    order, so narrow panels gain points as the order rises and refinement
+    levels compare different rules on them.
     """
     d = dim_ambient - 1
     if pole is None:
@@ -130,7 +142,7 @@ def sphere_rule(dim_ambient: int, order: int, pole=None, pole_angles=()):
                        | {2.0 * math.pi - a for a in angles})
         nodes, weights = [], []
         for a, b in zip(edges[:-1], edges[1:]):
-            npts = max(6, int(order * (b - a) / (2.0 * math.pi)) + 1)
+            npts = max(6, order // 8, int(order * (b - a) / (2.0 * math.pi)) + 1)
             xs, ws = _gl_on(a, b, npts)
             nodes.append(xs)
             weights.append(ws)
@@ -146,7 +158,7 @@ def sphere_rule(dim_ambient: int, order: int, pole=None, pole_angles=()):
     phi_nodes, phi_weights = [], []
     polar_order = max(10, order // 2)
     for a, b in zip(phi_edges[:-1], phi_edges[1:]):
-        npts = max(6, int(polar_order * (b - a) / math.pi) + 1)
+        npts = max(6, polar_order // 4, int(polar_order * (b - a) / math.pi) + 1)
         xs, ws = _gl_on(a, b, npts)
         phi_nodes.append(xs)
         phi_weights.append(ws)
@@ -269,7 +281,13 @@ def _ball_region(x, center: np.ndarray, radius: float, spec,
                  support: Support | None = None, r_lo: float = 0.0) -> _Region:
     """Ball-local region; the support's kink circles about the origin, and
     the clip circle |y'| = r_lo, become panel edges when the ball is centred
-    at the origin and per-ray cuts otherwise."""
+    at the origin and per-ray cuts otherwise.
+
+    The angular pole follows the kernel peak when the field point is close
+    (with graded angles toward it); otherwise, in a region with cuts, it
+    points at the first cut's centre and the cuts' kink cones on that axis
+    become angular edges (`_cut_pole`).
+    """
     center = np.asarray(center, dtype=float)
     edges = list(np.linspace(0.0, radius, max(4, spec.radial_panels // 4) + 1))
     cuts = []
@@ -303,11 +321,45 @@ def _ball_region(x, center: np.ndarray, radius: float, spec,
                 while w < math.pi / 2:
                     pole_angles += (w,)
                     w *= 4.0
+    if pole is None and cuts and center.size > 1:
+        pole, pole_angles = _cut_pole(center, radius, cuts)
     if pole is None and abs(center[0]) < radius and center.size > 1:
         # data may kink across the first-coordinate hyperplane; align the pole
         pole = np.eye(center.size)[0]
     return _Region(center, 0.0, radius, tuple(_dedupe(edges, 0.0, radius)), pole,
                    pole_angles, tuple(cuts))
+
+
+def _cut_pole(center: np.ndarray, radius: float, cuts) -> tuple:
+    """Pole toward the first cut's centre, with the kink cones of the cuts
+    centred on that axis as polar angles.
+
+    Each ray gets radial panel edges where it crosses a kink circle, so its
+    integral is smooth in the ray's direction except where the crossings
+    change: where one leaves the ball, at the rays through the points where
+    the circle meets the sphere |y' - center| = R, cos a = (R^2 + d^2 -
+    rho^2) / (2 R d) for a circle of radius rho centred at distance d; and
+    where the two merge, at the tangent rays, sin a = rho / d, when the
+    tangent point lies inside the ball.  For a circle centred on the pole's
+    axis both sets are cones about the pole (the cosine changes sign when
+    the centre lies behind), which `sphere_rule` takes as angular panel
+    edges; circles centred off the axis stay unaligned.
+    """
+    pole = cuts[0][0] - center
+    pole = pole / np.linalg.norm(pole)
+    angles = ()
+    for q, rad_q in cuts:
+        off = q - center
+        d = float(np.linalg.norm(off))
+        along = float(off @ pole)
+        if np.linalg.norm(off - along * pole) > 1e-12 * max(1.0, d):
+            continue
+        cos_a = math.copysign((radius**2 + d * d - rad_q**2) / (2.0 * radius * d), along)
+        if -1.0 < cos_a < 1.0:
+            angles += (math.acos(cos_a),)
+        if rad_q < d and d * d - rad_q**2 < radius**2:
+            angles += (math.acos(math.copysign(math.sqrt(d * d - rad_q**2) / d, along)),)
+    return pole, angles
 
 
 def _regions(data: BoundaryData, x, spec, r_lo: float, decay) -> list:
@@ -351,6 +403,10 @@ def _angular_order(n: int, spec: QuadratureSpec, level: int) -> int:
     return int(base * 1.5**level)
 
 
+# nodes per data call in a cut region; bounds the memory of one ray block
+_CUT_BLOCK_POINTS = 2**13
+
+
 def _eval_region(g, n: int, region: _Region, spec, level: int) -> float:
     if region.cuts:
         return _eval_region_cut(g, n, region, spec, level)
@@ -375,35 +431,45 @@ def _eval_region(g, n: int, region: _Region, spec, level: int) -> float:
 def _eval_region_cut(g, n: int, region: _Region, spec, level: int) -> float:
     """Ball-local evaluation with per-ray radial panel edges placed exactly
     where foreign kink circles cross each angular ray; restores spectral
-    panel convergence for integrands cut by unaligned circles."""
-    base_edges = _split_panels(region.edges, level)
+    panel convergence for integrands cut by unaligned circles.
+
+    Rays are taken in blocks of at most _CUT_BLOCK_POINTS nodes.  Within a
+    block every cut's two roots are computed for all rays at once; a root
+    that is absent or outside the ball becomes the edge r_lo, a zero-width
+    panel whose nodes are skipped.  The edges are sorted per ray, the
+    12-point Gauss-Legendre rule is broadcast over every panel, and the
+    data are called once per block.
+    """
+    base = np.asarray(_split_panels(region.edges, level))
     pts_ang, w_ang = sphere_rule(
         n, _angular_order(n, spec, level), pole=region.pole, pole_angles=region.pole_angles
     )
-    center = region.center
-    xs12, ws12 = quad1d.gauss_legendre(12)
+    center, lo, hi = region.center, region.r_lo, region.r_hi
+    x12, w12 = quad1d.gauss_legendre(12)
+    per_ray = 12 * (base.size - 1 + 2 * len(region.cuts))
+    rows = max(1, _CUT_BLOCK_POINTS // per_ray)
     total = 0.0
-    for u, wq in zip(pts_ang, w_ang):
-        extra = []
+    for start in range(0, len(w_ang), rows):
+        u = pts_ang[start:start + rows]
+        cols = [np.broadcast_to(base, (len(u), base.size))]
         for q, rad_q in region.cuts:
             delta = center - q
-            b = float(np.dot(u, delta))
-            disc = b * b + rad_q * rad_q - float(np.dot(delta, delta))
-            if disc > 0.0:
-                sq = math.sqrt(disc)
-                for root in (-b + sq, -b - sq):
-                    if 1e-13 < root < region.r_hi - 1e-13:
-                        extra.append(root)
-        edges = _dedupe(list(base_edges) + extra, region.r_lo, region.r_hi)
-        rho_parts, w_parts = [], []
-        for a, bnd in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (bnd - a)
-            rho_parts.append(a + half * (xs12 + 1.0))
-            w_parts.append(half * ws12)
-        rho = np.concatenate(rho_parts)
-        wr = np.concatenate(w_parts)
-        pts = center + rho[:, None] * u[None, :]
-        total += wq * float(np.dot(wr * rho ** (n - 2), g(pts)))
+            b = u @ delta
+            disc = b * b + rad_q * rad_q - float(delta @ delta)
+            sq = np.sqrt(np.maximum(disc, 0.0))
+            for root in (-b + sq, -b - sq):
+                inside = (disc > 0.0) & (root > lo + 1e-13) & (root < hi - 1e-13)
+                cols.append(np.where(inside, root, lo)[:, None])
+        edges = np.sort(np.concatenate(cols, axis=1), axis=1)
+        half = 0.5 * np.diff(edges, axis=1)[:, :, None]
+        rho = (edges[:, :-1, None] + half * (x12 + 1.0)).reshape(len(u), -1)
+        wr = (half * w12).reshape(len(u), -1) * rho ** (n - 2)
+        live = np.repeat(half[:, :, 0] > 0.0, 12, axis=1)
+        pts = (center + rho[:, :, None] * u[:, None, :])[live]
+        vals = np.zeros(rho.shape)
+        vals[live] = np.concatenate([g(pts[i:i + _CUT_BLOCK_POINTS])
+                                     for i in range(0, len(pts), _CUT_BLOCK_POINTS)])
+        total += float(w_ang[start:start + rows] @ np.einsum("ij,ij->i", wr, vals))
     return total
 
 

@@ -152,6 +152,16 @@ class TestVerify:
             run_cli(["verify", "--suite", "nonsense"])
         assert err.value.code == 64
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--n", "4"), ("--format", "jsonl"), ("--abs-tol", "1e-6"),
+        ("--rel-tol", "1e-6"), ("--truncation-radius", "50"),
+    ])
+    def test_rejects_flags_the_suites_ignore(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["verify", "--suite", "gegenbauer", flag, value])
+        assert err.value.code == 64
+        assert flag in capsys.readouterr().err
+
     def test_exit_codes_for_failure_and_inconclusive(self, monkeypatch, capsys):
         from modpoisson import suites
         from modpoisson.verification import CheckReport

@@ -1,8 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from modpoisson import quad1d
+from modpoisson import quadrature as quad
 from modpoisson.data import bump, bump_train, constant, exp_decay, poly_growth, shell_bump
 from modpoisson.errors import DomainError
 from modpoisson.geometry import BoundaryPoint, HalfSpacePoint
@@ -386,3 +389,103 @@ class TestToleranceHonesty:
         x = HalfSpacePoint.from_cartesian([0.4, 0.4, 1.3])
         assert dirichlet_D(f, x, SPEC) >= 0
         assert neumann_N(f, x, SPEC) >= 0
+
+
+class TestGaussLegendreCache:
+    def test_cached_arrays_are_read_only(self):
+        nodes, weights = quad1d.gauss_legendre(12)
+        for arr in (nodes, weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert quad1d.gauss_legendre(12)[0][0] == pytest.approx(-0.9815606342467192)
+
+
+def _per_ray_cut_integral(g, n, region, level):
+    """One ray at a time: radial edges merged with each cut's crossings.
+    The rays' contributions are summed exactly: a running float sum over
+    some 2000 rays drifts by 1e-14 relative, more than the tolerance."""
+    base = quad._split_panels(region.edges, level)
+    dirs, w_dirs = sphere_rule(n, quad._angular_order(n, SPEC, level),
+                               pole=region.pole, pole_angles=region.pole_angles)
+    x12, w12 = np.polynomial.legendre.leggauss(12)
+    rays = []
+    for u, w_u in zip(dirs, w_dirs):
+        edges = list(base)
+        for q, rad_q in region.cuts:
+            delta = region.center - q
+            b = float(u @ delta)
+            disc = b * b + rad_q**2 - float(delta @ delta)
+            if disc > 0.0:
+                edges += [r for r in (-b + disc**0.5, -b - disc**0.5)
+                          if 1e-13 < r < region.r_hi - 1e-13]
+        edges = np.array(sorted(edges))
+        half = 0.5 * np.diff(edges)[:, None]
+        rho = (edges[:-1, None] + half * (x12 + 1.0)).ravel()
+        w_rho = (half * w12).ravel() * rho ** (n - 2)
+        rays.append(w_u * float(w_rho @ g(region.center + rho[:, None] * u)))
+    return math.fsum(rays)
+
+
+def _kink_cut_region(n):
+    """The harmonicity bump's far part, cut by the cutoff's circle |y| = 2,
+    with the pole of an unaligned rule (first axis, no angular edges)."""
+    far, _ = apply_cutoff(bump(n, center=[2.0] + [0.0] * (n - 2), radius=1.0))
+    region = quad._ball_region(None, far.support.balls[0][0], 1.0, SPEC, far.support)
+    assert [rad for _, rad in region.cuts] == [2.0]
+    return far, dataclasses.replace(region, pole=None, pole_angles=())
+
+
+class TestCutRegions:
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_blocked_rays_match_per_ray_loop(self, n, level):
+        far, region = _kink_cut_region(n)
+        blocked = quad._eval_region_cut(far, n, region, SPEC, level)
+        assert blocked == pytest.approx(_per_ray_cut_integral(far, n, region, level),
+                                        rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_data_calls_stay_within_block(self, n):
+        far, region = _kink_cut_region(n)
+        sizes = []
+
+        def counted(pts):
+            sizes.append(len(pts))
+            return far(pts)
+
+        quad._eval_region_cut(counted, n, region, SPEC, 2)
+        assert len(sizes) > 1
+        assert max(sizes) <= quad._CUT_BLOCK_POINTS
+
+    def test_kink_cut_solution_at_tight_tolerance(self):
+        f = bump(3, center=[2.0, 0.0], radius=1.0)
+        x = HalfSpacePoint.from_cartesian([0.5, 0.3, 0.8])
+        tight = solution_u(f, 2, x, QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12))
+        loose = solution_u(f, 2, x, QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10))
+        assert tight == pytest.approx(loose, abs=1e-10)
+
+    def test_narrow_angular_panels_are_refined(self):
+        # a kink cone close to the rule's fixed edge at pi/2 leaves a narrow
+        # angular panel; unless its point count grows with the order, two
+        # levels agree on it and the solve stops 4.7e-12 away from the value
+        # found at four times the resolution
+        f = bump(3, center=[2.0, 0.0], radius=1.0)
+        x = HalfSpacePoint.from_cartesian([3.987599419973859, 0.2709439358735061,
+                                           1.0231569532099145])
+        value = solution_v(f, 2, x, QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12))
+        assert value == pytest.approx(-0.11106040328978051, abs=1e-12)
+
+    def test_ball_crossing_the_clip_circle_converges(self):
+        f = bump(3, center=[0.5, 0.2], radius=1.0)
+        x = HalfSpacePoint.from_cartesian([1.0, -0.7, 0.9])
+        params = KernelParams(1.5, 2)
+        fine = QuadratureSpec(radial_panels=48, angular_order=96, abs_tol=1e-11, rel_tol=1e-11)
+        assert integral_F(params, f, x, SPEC) == pytest.approx(
+            integral_F(params, f, x, fine), abs=1e-9)
+
+    def test_near_boundary_ball_aligned_to_tangent_rays(self):
+        # the near-boundary ball about (0.88, 0.54) holds the kink circle
+        # |y| = 1 and its tangent rays from the centre; their cone is an edge
+        f = shell_bump(3, 1.0, 3.0)
+        x = HalfSpacePoint.from_cartesian([0.8796383107645006, 0.5386140776619773, 1e-3])
+        assert dirichlet_DM(2, f, x, SPEC) == pytest.approx(7.616283496882084e-4, abs=1e-9)
