@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConstructionError, DomainError
+from .geometry import row_norms
 
 __all__ = [
     "Support",
@@ -99,10 +100,6 @@ class BoundaryData:
         )
 
 
-def _norms(pts):
-    return np.linalg.norm(np.asarray(pts, dtype=float), axis=-1)
-
-
 def constant(n: int, value: float = 1.0) -> BoundaryData:
     """f = value everywhere (harmonic-measure normalization tests)."""
 
@@ -151,7 +148,7 @@ def bump(n: int, center=None, radius: float = 1.0, height: float = 1.0,
     cnorm = float(np.linalg.norm(center))
 
     def evaluator(pts):
-        d = np.linalg.norm(np.asarray(pts, dtype=float) - center, axis=-1)
+        d = row_norms(np.asarray(pts, dtype=float) - center)
         return height * _smooth_profile(d, radius)
 
     return BoundaryData(
@@ -197,7 +194,7 @@ def shell_bump(n: int, r_in: float, r_out: float, height: float = 1.0,
         height = height / float(mass)
 
     def evaluator(pts):
-        rho = _norms(pts)
+        rho = row_norms(pts)
         return height * _smooth_profile(np.abs(rho - mid), half)
 
     return BoundaryData(
@@ -228,7 +225,7 @@ def bump_train(n: int, radii=(4.0, 16.0, 64.0), width: float = 0.5,
     amps = [r**growth for r in radii]
 
     def evaluator(pts):
-        rho = _norms(pts)
+        rho = row_norms(pts)
         out = np.zeros_like(rho)
         for r, a in zip(radii, amps):
             out += a * _smooth_profile(np.abs(rho - r), width)
@@ -258,7 +255,7 @@ def exp_decay(n: int, rate: float = 1.0) -> BoundaryData:
         raise ConstructionError("decay rate must be positive")
 
     def evaluator(pts):
-        return np.exp(-rate * _norms(pts))
+        return np.exp(-rate * row_norms(pts))
 
     return BoundaryData(
         n=n,
@@ -274,7 +271,7 @@ def poly_growth(n: int, exponent: float = 1.0) -> BoundaryData:
     """f(y) = (1 + |y|^2)^(exponent/2), a smooth global growth class."""
 
     def evaluator(pts):
-        rho = _norms(pts)
+        rho = row_norms(pts)
         return (1.0 + rho * rho) ** (exponent / 2.0)
 
     return BoundaryData(

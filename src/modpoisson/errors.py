@@ -24,11 +24,13 @@ class ConstructionError(ModPoissonError, ValueError):
 class AccuracyError(ModPoissonError, RuntimeError):
     """A quadrature failed to reach the requested tolerance.
 
-    Carries the best value obtained and the achieved error estimate.
+    Carries the best value obtained, the achieved error estimate and, for
+    refinement-level quadrature, the number of levels used.
     """
 
-    def __init__(self, message, value=None, estimate=None, tolerance=None):
+    def __init__(self, message, value=None, estimate=None, tolerance=None, levels=None):
         super().__init__(message)
         self.value = value
         self.estimate = estimate
         self.tolerance = tolerance
+        self.levels = levels

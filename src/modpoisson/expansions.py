@@ -20,7 +20,7 @@ from scipy.special import gammaln
 from . import gegenbauer
 from .data import BoundaryData
 from .errors import DomainError
-from .geometry import HalfSpacePoint, cos_theta_prime_array
+from .geometry import HalfSpacePoint, cos_theta_prime_array, row_norms
 from .quadrature import (
     QuadratureSpec,
     alpha_n,
@@ -108,8 +108,8 @@ def _direction(n: int, theta: float, y_hat) -> HalfSpacePoint:
 
 def _moment_weight(xdir: HalfSpacePoint, lam: float, m: int):
     def weight(pts):
-        norms = np.linalg.norm(pts, axis=-1)
-        tb = xdir.sin_theta * cos_theta_prime_array(xdir, pts)
+        norms = row_norms(pts)
+        tb = xdir.sin_theta * cos_theta_prime_array(xdir, pts, norms=norms)
         return norms**m * gegenbauer.value(lam, m, tb)
 
     return weight
@@ -253,8 +253,8 @@ def addition_separation(n: int, m: int, theta: float, y_hat, data: BoundaryData,
         gamma = gamma_addition(n, m, ell, theta)
 
         def delta_weight(pts, order=m - 2 * ell):
-            norms = np.linalg.norm(pts, axis=-1)
-            cosp = cos_theta_prime_array(xdir, pts)
+            norms = row_norms(pts)
+            cosp = cos_theta_prime_array(xdir, pts, norms=norms)
             return norms**m * gegenbauer.value((n - 1) / 2.0, order, cosp)
 
         delta = integrate_weighted(data, delta_weight, spec, weight_growth=m, x=None)

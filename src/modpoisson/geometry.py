@@ -28,6 +28,7 @@ __all__ = [
     "theta_prime",
     "big_theta",
     "reflect_across_first_axis",
+    "row_norms",
 ]
 
 
@@ -155,14 +156,27 @@ def _coords(yp) -> np.ndarray:
     return np.atleast_1d(np.asarray(yp, dtype=float))
 
 
-def cos_theta_prime_array(x: HalfSpacePoint, pts: np.ndarray) -> np.ndarray:
+def row_norms(pts) -> np.ndarray:
+    """Euclidean norms along the last axis.
+
+    Bit-identical to np.linalg.norm(pts, axis=-1) (the same squares summed
+    in the same order) and several times faster on the short rows of
+    boundary points.
+    """
+    pts = np.asarray(pts, dtype=float)
+    return np.sqrt(sum(pts[..., k] * pts[..., k] for k in range(pts.shape[-1])))
+
+
+def cos_theta_prime_array(x: HalfSpacePoint, pts: np.ndarray, norms=None) -> np.ndarray:
     """cos(theta') for an array of boundary points, with the conventions above.
 
     pts has shape (..., n-1); zero vectors (either y or y') give 0, matching
-    the theta' = pi/2 convention.
+    the theta' = pi/2 convention.  norms, when given, are the points'
+    row_norms, so a caller that already has them does not recompute them.
     """
     pts = np.asarray(pts, dtype=float)
-    norms = np.linalg.norm(pts, axis=-1)
+    if norms is None:
+        norms = row_norms(pts)
     if x.theta == 0.0:
         return np.zeros_like(norms)
     dots = pts @ x.y_hat

@@ -17,7 +17,7 @@ from scipy.special import gammaln
 
 from . import gegenbauer, quad1d
 from .errors import DomainError, SingularityError
-from .geometry import HalfSpacePoint, cos_theta_prime_array
+from .geometry import HalfSpacePoint, cos_theta_prime_array, row_norms
 
 __all__ = [
     "KernelParams",
@@ -55,8 +55,8 @@ def _prepare(x: HalfSpacePoint, yp):
     pts = np.asarray(yp, dtype=float)
     scalar = pts.ndim == 1
     pts2 = pts.reshape(-1, x.n - 1) if scalar else pts
-    norms = np.linalg.norm(pts2, axis=-1)
-    cosp = cos_theta_prime_array(x, pts2)
+    norms = row_norms(pts2)
+    cosp = cos_theta_prime_array(x, pts2, norms=norms)
     return norms, cosp, scalar
 
 

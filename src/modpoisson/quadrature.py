@@ -3,9 +3,11 @@
 The integration scheme is a product of radial panels (Gauss-Legendre, with
 panel edges aligned to data kinks, the kernel window around |x|, and graded
 refinement near kernel peaks) and a sphere rule in the angular variables
-(two points for boundary dimension one, panelled Gauss rules above).  Error
-control is by whole-grid refinement comparison; evaluations never sample
-randomly, so results are reproducible bit for bit.
+(two points for boundary dimension one, panelled Gauss rules above).  The
+grid goes to the integrand in cache-sized blocks of whole radial rows, each
+reduced against the angular weights at once, so memory stays O(block).
+Error control is by whole-grid refinement comparison; evaluations never
+sample randomly, so results are reproducible bit for bit.
 
 A ball crossed by a kink circle it is not centred on (a "cut" region, such
 as an off-centre data ball crossed by the cutoff's circles |y'| = 1, 2) gets
@@ -34,7 +36,7 @@ import numpy as np
 from . import gegenbauer, quad1d
 from .data import BoundaryData, Support
 from .errors import AccuracyError, DomainError
-from .geometry import HalfSpacePoint, cos_theta_prime_array
+from .geometry import HalfSpacePoint, cos_theta_prime_array, row_norms
 from .kernels import KernelParams, kernel_K, kernel_KM_direct, kernel_KM_second
 
 __all__ = [
@@ -405,9 +407,19 @@ def _angular_order(n: int, spec: QuadratureSpec, level: int) -> int:
 
 # nodes per data call in a cut region; bounds the memory of one ray block
 _CUT_BLOCK_POINTS = 2**13
+# nodes per data call in an uncut region; keeps a block's arrays in cache
+_GRID_BLOCK_POINTS = 2**15
 
 
 def _eval_region(g, n: int, region: _Region, spec, level: int) -> float:
+    """Integral of g over a region's product grid of radial Gauss panels and
+    a sphere rule.
+
+    The grid is fed to g in blocks of whole radial rows, at most
+    _GRID_BLOCK_POINTS nodes each (one row when the sphere rule is larger);
+    each block is reduced against the angular weights at once, so memory is
+    O(block), not O(grid).  Regions with cuts go to `_eval_region_cut`.
+    """
     if region.cuts:
         return _eval_region_cut(g, n, region, spec, level)
     edges = _split_panels(region.edges, level)
@@ -421,11 +433,14 @@ def _eval_region(g, n: int, region: _Region, spec, level: int) -> float:
     pts_ang, w_ang = sphere_rule(
         n, _angular_order(n, spec, level), pole=region.pole, pole_angles=region.pole_angles
     )
-    pts = rho[:, None, None] * pts_ang[None, :, :]
-    if region.center is not None:
-        pts = pts + region.center
-    vals = g(pts.reshape(-1, n - 1)).reshape(rho.size, -1)
-    return float(np.dot(wr * rho ** (n - 2), vals @ w_ang))
+    rows = max(1, _GRID_BLOCK_POINTS // len(w_ang))
+    ray = np.empty(rho.size)
+    for start in range(0, rho.size, rows):
+        pts = rho[start:start + rows, None, None] * pts_ang[None, :, :]
+        if region.center is not None:
+            pts = pts + region.center
+        ray[start:start + rows] = g(pts.reshape(-1, n - 1)).reshape(-1, len(w_ang)) @ w_ang
+    return float(np.dot(wr * rho ** (n - 2), ray))
 
 
 def _eval_region_cut(g, n: int, region: _Region, spec, level: int) -> float:
@@ -487,10 +502,11 @@ def _integrate_regions(g, n: int, regions, spec: QuadratureSpec, max_levels: int
                 return cur, est
         prev = cur
     raise AccuracyError(
-        f"boundary quadrature stalled with estimate {est:.3e}",
+        f"boundary quadrature stalled with estimate {est:.3e} after {max_levels} levels",
         value=prev,
         estimate=est,
         tolerance=max(spec.abs_tol, spec.rel_tol * abs(prev)),
+        levels=max_levels,
     )
 
 
@@ -553,7 +569,7 @@ def cutoff_w(y) -> float | np.ndarray:
     fixes ours.
     """
     y = np.asarray(y, dtype=float)
-    rho = np.linalg.norm(np.atleast_1d(y), axis=-1) if y.ndim else np.abs(y)
+    rho = row_norms(np.atleast_1d(y)) if y.ndim else np.abs(y)
     t = np.clip(rho - 1.0, 0.0, 1.0)
     out = 3.0 * t * t - 2.0 * t**3
     return float(out) if np.ndim(out) == 0 else out
@@ -641,8 +657,9 @@ def _subtracted(params: KernelParams, data: BoundaryData, x: HalfSpacePoint,
     correction = 0.0
     for m in range(params.big_m):
         def weight(pts, m=m):
-            tb = x.sin_theta * cos_theta_prime_array(x, pts)
-            return np.linalg.norm(pts, axis=-1) ** -(m + n) * gegenbauer.value(lam, m, tb)
+            norms = row_norms(pts)
+            tb = x.sin_theta * cos_theta_prime_array(x, pts, norms=norms)
+            return norms ** -(m + n) * gegenbauer.value(lam, m, tb)
 
         correction += x.r**m * integrate_weighted(data, weight, spec,
                                                   weight_growth=-(m + n), x=x)
@@ -668,7 +685,7 @@ def _solve(params: KernelParams, data: BoundaryData, x: HalfSpacePoint,
         if not masked:
             return data(pts) * kernel(params, x, pts)
         out = np.zeros(pts.shape[:-1])
-        keep = np.linalg.norm(pts, axis=-1) > r_lo
+        keep = row_norms(pts) > r_lo
         if np.any(keep):
             out[keep] = data(pts[keep]) * kernel(params, x, pts[keep])
         return out

@@ -21,7 +21,7 @@ import numpy as np
 from . import gegenbauer
 from .data import BoundaryData, Support
 from .errors import ConstructionError, DomainError
-from .geometry import HalfSpacePoint, cos_theta_prime_array
+from .geometry import HalfSpacePoint, cos_theta_prime_array, row_norms
 from .kernels import KernelParams, kernel_K, kernel_KM_direct
 from .quadrature import QuadratureSpec, integral_F, integrate_weighted
 
@@ -184,14 +184,15 @@ def region_contains(region: RegionSpec, yp) -> bool:
 def _region_mask(region: RegionSpec, pts: np.ndarray) -> np.ndarray:
     c = region.constants
     x = region.x_ref
-    norms = np.linalg.norm(pts, axis=-1)
+    norms = row_norms(pts)
     if region.which == "band":
         if region.big_m == 0:
             return np.ones(len(pts), dtype=bool)
         lo, hi = _band_interval(c)
-        cosp = cos_theta_prime_array(x if x is not None else _default_axis_point(pts), pts)
+        cosp = cos_theta_prime_array(x if x is not None else _default_axis_point(pts), pts,
+                                     norms=norms)
         return (cosp >= lo) & (cosp <= hi)
-    cosp = cos_theta_prime_array(x, pts)
+    cosp = cos_theta_prime_array(x, pts, norms=norms)
     in_cone = (norms > 1.0) & (np.abs(cosp) > 1.0 / math.sqrt(c.cone_ratio))
     if region.which == "cone":
         return in_cone
@@ -285,7 +286,7 @@ def sign_check_km_cone(lam: float, big_m: int, x: HalfSpacePoint,
     dim = x.n - 1
     perp = rng.normal(size=(samples, dim))
     perp -= np.outer(perp @ x.y_hat, x.y_hat)
-    norms = np.linalg.norm(perp, axis=-1)
+    norms = row_norms(perp)
     norms[norms == 0] = 1.0
     perp /= norms[:, None]
     sinp = np.sqrt(1.0 - cosp * cosp)
@@ -339,7 +340,7 @@ def data_half_balls(n: int, psi_values, centers, lam: float, big_m: int) -> Boun
         out = np.zeros(pts.shape[:-1])
         first = pts[..., 0]
         for c, amp in zip(centers, amps):
-            d = np.linalg.norm(pts - c * e2, axis=-1)
+            d = row_norms(pts - c * e2)
             mask = (d < 1.0) & (half * first >= 0.0)
             out += np.where(mask, sign * amp * (1.0 - d) * np.abs(first), 0.0)
         return out
@@ -406,9 +407,9 @@ def data_balls_super_extension(n: int, a_values, b_values, amplitudes,
         pts = np.asarray(pts, dtype=float)
         out = np.zeros(pts.shape[:-1])
         for a, b, amp in zip(a_values, b_values, amplitudes):
-            d = np.linalg.norm(pts - a * e1, axis=-1)
+            d = row_norms(pts - a * e1)
             out += np.where(d < b, amp * (1.0 - d / b), 0.0)
-            d = np.linalg.norm(pts + a * e1, axis=-1)
+            d = row_norms(pts + a * e1)
             out += np.where(d < b, refl * amp * (1.0 - d / b), 0.0)
         return out
 

@@ -202,7 +202,7 @@ def suite_growth(seed: int = 42) -> list[CheckReport]:
         lambda x: integral_F(params, f, x, spec),
         radii=[24, 48, 96, 192], thetas=thetas,
         weight_exponent=2 * lam, radial_exponent=big_m,
-        name="growth_modified_integral", parameters={"n": 3, "lam": lam, "M": big_m},
+        name="growth_modified_integral", parameters={"n": 3, "lam": lam, "M": big_m}, n=3,
     ))
 
     big_m_u = 1
@@ -210,14 +210,14 @@ def suite_growth(seed: int = 42) -> list[CheckReport]:
         lambda x: solution_u(f, big_m_u, x, spec),
         radii=[24, 48, 96, 192], thetas=thetas,
         weight_exponent=3 - 1, radial_exponent=big_m_u + 1,
-        name="growth_dirichlet_solution", parameters={"n": 3, "M": big_m_u},
+        name="growth_dirichlet_solution", parameters={"n": 3, "M": big_m_u}, n=3,
     ))
 
     reports.append(growth_sweep(
         lambda x: solution_v(f, big_m_u, x, spec),
         radii=[24, 48, 96, 192], thetas=thetas,
         weight_exponent=3 - 2, radial_exponent=big_m_u,
-        name="growth_neumann_solution", parameters={"n": 3, "M": big_m_u},
+        name="growth_neumann_solution", parameters={"n": 3, "M": big_m_u}, n=3,
     ))
 
     g = exp_decay(3)
@@ -227,7 +227,7 @@ def suite_growth(seed: int = 42) -> list[CheckReport]:
         lambda x: integral_F_second(params2, g, x, spec),
         radii=[8, 16, 32, 64], thetas=thetas,
         weight_exponent=2 * lam2, radial_exponent=-(big_m2 + 2 * lam2 - 1),
-        name="growth_second_kind", parameters={"n": 3, "lam": lam2, "M": big_m2},
+        name="growth_second_kind", parameters={"n": 3, "lam": lam2, "M": big_m2}, n=3,
     ))
     return sorted(reports, key=lambda r: r.name)
 

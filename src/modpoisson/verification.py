@@ -416,22 +416,22 @@ def check_neumann_representation(representation: str, data: BoundaryData, big_m:
 def growth_sweep(target, radii, thetas, weight_exponent: float,
                  radial_exponent: float, name: str,
                  parameters: dict | None = None,
-                 wiggle: float = 1.05, drop: float = 0.2) -> CheckReport:
+                 wiggle: float = 1.05, drop: float = 0.2, *, n: int = 3) -> CheckReport:
     """Weighted supremum sweep certifying an order relation.
 
-    target(x) evaluates the integral at a half-space point; mu(r) is the
-    maximum over the theta grid of |target| * cos(theta)^weight_exponent,
-    and the certified claim is that mu(r) / r^radial_exponent decreases
-    (after the first step, within the wiggle factor) to at most `drop`
-    times its initial value.
+    target(x) evaluates the integral at a point x of the n-dimensional half
+    space; mu(r) is the maximum over the theta grid of |target| *
+    cos(theta)^weight_exponent, and the certified claim is that mu(r) /
+    r^radial_exponent decreases (after the first step, within the wiggle
+    factor) to at most `drop` times its initial value.  `parameters` are
+    only recorded in the report.
     """
     radii = list(radii)
     seq = []
     for r in radii:
         mu = 0.0
         for theta in thetas:
-            x = HalfSpacePoint(n=parameters.get("n", 3) if parameters else 3,
-                               r=float(r), theta=float(theta))
+            x = HalfSpacePoint(n=n, r=float(r), theta=float(theta))
             mu = max(mu, abs(target(x)) * math.cos(theta) ** weight_exponent)
         seq.append(mu / float(r) ** radial_exponent)
     if seq[0] == 0.0:

@@ -275,19 +275,19 @@ class TestCriterion7GrowthEstimates:
             lambda x: integral_F(params, f, x, spec),
             radii=[24, 48, 96, 192], thetas=thetas,
             weight_exponent=2 * lam, radial_exponent=big_m,
-            name="F", parameters={"n": 3},
+            name="F", parameters={"n": 3}, n=3,
         ))
         sweeps.append(growth_sweep(
             lambda x: solution_u(f, 1, x, spec),
             radii=[24, 48, 96, 192], thetas=thetas,
             weight_exponent=2, radial_exponent=2,
-            name="u", parameters={"n": 3},
+            name="u", parameters={"n": 3}, n=3,
         ))
         sweeps.append(growth_sweep(
             lambda x: solution_v(f, 1, x, spec),
             radii=[24, 48, 96, 192], thetas=thetas,
             weight_exponent=1, radial_exponent=1,
-            name="v", parameters={"n": 3},
+            name="v", parameters={"n": 3}, n=3,
         ))
         g = exp_decay(3)
         params2 = KernelParams(1.5, 2, "second")
@@ -295,7 +295,7 @@ class TestCriterion7GrowthEstimates:
             lambda x: integral_F_second(params2, g, x, spec),
             radii=[8, 16, 32, 64], thetas=thetas,
             weight_exponent=3.0, radial_exponent=-(2 + 3.0 - 1.0),
-            name="F-second", parameters={"n": 3},
+            name="F-second", parameters={"n": 3}, n=3,
         ))
         elapsed = time.time() - start
         worst = max(s.residual for s in sweeps)

@@ -8,6 +8,7 @@ from modpoisson.geometry import (
     AngleTriple,
     big_theta,
     reflect_across_first_axis,
+    row_norms,
     theta_prime,
 )
 
@@ -139,3 +140,19 @@ class TestAngleTriple:
     def test_inconsistent_triple_rejected(self):
         with pytest.raises(DomainError):
             AngleTriple(theta=0.5, theta_prime=1.0, big_theta=0.9)
+
+
+class TestRowNorms:
+    @pytest.mark.parametrize("d", range(1, 8))
+    @pytest.mark.parametrize("lead", [(257,), (5, 9)])
+    def test_bit_identical_to_linalg_norm(self, d, lead):
+        pts = RNG.normal(size=lead + (d,)) * 10.0 ** RNG.integers(-150, 150, size=lead + (d,))
+        assert np.array_equal(row_norms(pts), np.linalg.norm(pts, axis=-1))
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_zero_rows(self, d):
+        pts = RNG.normal(size=(6, d))
+        pts[[0, 3]] = 0.0
+        norms = row_norms(pts)
+        assert np.array_equal(norms, np.linalg.norm(pts, axis=-1))
+        assert norms[0] == 0.0 and norms[3] == 0.0

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from modpoisson import quad1d
 from modpoisson import quadrature as quad
 from modpoisson.data import bump, bump_train, constant, exp_decay, poly_growth, shell_bump
-from modpoisson.errors import DomainError
+from modpoisson.errors import AccuracyError, DomainError
 from modpoisson.geometry import BoundaryPoint, HalfSpacePoint
 from modpoisson.kernels import KernelParams, kernel_K, kernel_KM_second
 from modpoisson.quadrature import (
@@ -391,6 +392,15 @@ class TestToleranceHonesty:
         assert neumann_N(f, x, SPEC) >= 0
 
 
+    def test_stalled_solve_reports_levels(self):
+        f = bump(3, center=[0.5, 0.2], radius=1.0)
+        x = HalfSpacePoint.from_cartesian([0.5, 0.3, 0.8])
+        with pytest.raises(AccuracyError, match="after 5 levels") as info:
+            dirichlet_D(f, x, QuadratureSpec(abs_tol=1e-18, rel_tol=1e-18))
+        assert info.value.levels == 5
+        assert info.value.estimate > info.value.tolerance
+
+
 class TestGaussLegendreCache:
     def test_cached_arrays_are_read_only(self):
         nodes, weights = quad1d.gauss_legendre(12)
@@ -489,3 +499,89 @@ class TestCutRegions:
         f = shell_bump(3, 1.0, 3.0)
         x = HalfSpacePoint.from_cartesian([0.8796383107645006, 0.5386140776619773, 1e-3])
         assert dirichlet_DM(2, f, x, SPEC) == pytest.approx(7.616283496882084e-4, abs=1e-9)
+
+
+def _unblocked_grid_integral(g, n, region, spec, level):
+    """The whole product grid as one array and one data call."""
+    edges = quad._split_panels(region.edges, level)
+    nodes = [quad._gl_on(a, b, 12) for a, b in zip(edges[:-1], edges[1:])]
+    rho = np.concatenate([xs for xs, _ in nodes])
+    wr = np.concatenate([ws for _, ws in nodes])
+    pts_ang, w_ang = sphere_rule(n, quad._angular_order(n, spec, level),
+                                 pole=region.pole, pole_angles=region.pole_angles)
+    pts = rho[:, None, None] * pts_ang[None, :, :]
+    if region.center is not None:
+        pts = pts + region.center
+    vals = g(pts.reshape(-1, n - 1)).reshape(rho.size, -1)
+    return float(np.dot(wr * rho ** (n - 2), vals @ w_ang))
+
+
+# n = 5 on a coarser sphere rule keeps the unblocked reference near 100 MB
+_GRID_SPECS = {3: SPEC, 4: SPEC, 5: QuadratureSpec(angular_order=24)}
+
+
+def _far_dirichlet_grid(n):
+    """Integrand and uncut regions (origin ball, truncated annulus) of the
+    Dirichlet integral of exp_decay at a far point, |x| = 51."""
+    data = exp_decay(n)
+    x = HalfSpacePoint.from_cartesian([30.0] + [0.0] * (n - 3) + [10.0, 40.0])
+    regions = quad._regions(data, x, _GRID_SPECS[n], 0.0,
+                            quad._kernel_decay(KernelParams(n / 2.0, 0), x))
+    assert len(regions) == 2 and not any(r.cuts for r in regions)
+    return (lambda pts: data(pts) * kernel_K(n / 2.0, x, pts)), regions
+
+
+class TestGridBlocks:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_data_calls_stay_within_block(self, n):
+        g, regions = _far_dirichlet_grid(n)
+        spec = _GRID_SPECS[n]
+        calls = 0
+        for level in (0, 1):
+            rule_size = len(sphere_rule(n, quad._angular_order(n, spec, level))[1])
+            sizes = []
+
+            def counted(pts):
+                sizes.append(len(pts))
+                return g(pts)
+
+            for region in regions:
+                quad._eval_region(counted, n, region, spec, level)
+            assert max(sizes) <= max(quad._GRID_BLOCK_POINTS, rule_size)
+            calls += len(sizes)
+        assert calls > 2 * len(regions)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_blocks_match_unblocked_grid(self, n, level):
+        g, regions = _far_dirichlet_grid(n)
+        spec = _GRID_SPECS[n]
+        for region in regions:
+            assert quad._eval_region(g, n, region, spec, level) == pytest.approx(
+                _unblocked_grid_integral(g, n, region, spec, level), rel=1e-15, abs=0.0)
+
+    def test_sphere_rule_larger_than_a_block_goes_row_by_row(self, monkeypatch):
+        g, regions = _far_dirichlet_grid(4)
+        rule_size = len(sphere_rule(4, quad._angular_order(4, SPEC, 0))[1])
+        monkeypatch.setattr(quad, "_GRID_BLOCK_POINTS", rule_size // 3)
+        sizes = []
+
+        def counted(pts):
+            sizes.append(len(pts))
+            return g(pts)
+
+        value = quad._eval_region(counted, 4, regions[0], SPEC, 0)
+        assert set(sizes) == {rule_size}
+        assert value == pytest.approx(_unblocked_grid_integral(g, 4, regions[0], SPEC, 0),
+                                      rel=1e-15, abs=0.0)
+
+    def test_far_n5_solve_memory_is_bounded(self):
+        x = HalfSpacePoint.from_cartesian([30.0, 0.0, 0.0, 10.0, 40.0])
+        spec = QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6)
+        tracemalloc.start()
+        try:
+            dirichlet_D(exp_decay(5), x, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
