@@ -204,7 +204,7 @@ def cmd_expand(args) -> int:
 
 def _run_one_suite(task):
     name, seed = task
-    return name, [json.loads(r.as_json()) for r in run_suite(name, seed)]
+    return name, [r.as_record() for r in run_suite(name, seed)]
 
 
 def cmd_verify(args) -> int:
@@ -216,7 +216,7 @@ def cmd_verify(args) -> int:
     else:
         records = []
         for n in names:
-            records.extend(json.loads(r.as_json()) for r in run_suite(n, args.seed))
+            records.extend(r.as_record() for r in run_suite(n, args.seed))
     lines = [json.dumps(rec) for rec in records]
     if args.out:
         with open(args.out, "w") as fh:

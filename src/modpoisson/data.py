@@ -116,10 +116,6 @@ def constant(n: int, value: float = 1.0) -> BoundaryData:
     )
 
 
-def _cone_profile(dist, radius):
-    return np.clip(1.0 - dist / radius, 0.0, None)
-
-
 def _smooth_profile(dist, radius):
     u = np.clip(dist / radius, 0.0, 1.0)
     return (1.0 - u * u) ** 3

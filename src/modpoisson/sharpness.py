@@ -24,13 +24,13 @@ from .errors import ConstructionError, DomainError
 from .geometry import HalfSpacePoint, cos_theta_prime_array, row_norms
 from .kernels import KernelParams, kernel_K, kernel_KM_direct
 from .quadrature import QuadratureSpec, integral_F, integrate_weighted
+from .verification import CheckReport, strictly_below
 
 __all__ = [
     "SharpnessConstants",
     "compute_constants",
     "RegionSpec",
     "region_contains",
-    "SignCheckReport",
     "sign_check_phi",
     "sign_check_km_cone",
     "data_half_balls",
@@ -210,32 +210,15 @@ def _default_axis_point(pts: np.ndarray) -> HalfSpacePoint:
     return HalfSpacePoint(n=dim, r=1.0, theta=0.9)
 
 
-@dataclass(frozen=True)
-class SignCheckReport:
-    check: str
-    params: dict
-    samples: int
-    min_value: float
-    passed: bool
-
-    def as_record(self) -> dict:
-        return {
-            "check": self.check,
-            "params": self.params,
-            "samples": self.samples,
-            "min_value": self.min_value,
-            "pass": self.passed,
-        }
-
-
 def sign_check_phi(lam: float, big_m: int, samples: int = 10_000, seed: int = 42,
-                   control: bool = False) -> SignCheckReport:
+                   control: bool = False) -> CheckReport:
     """Sample the signed Gegenbauer combination over the band's parameters.
 
     Draws (theta, cos(theta') in the band, zeta in [0,1], s in [0,10]) and
-    reports the minimum of the signed combination; passing means strictly
-    positive.  With control=True the directions are drawn outside the band
-    (near the projection axis), where sign changes must appear.
+    reports the minimum of the signed combination (parameter `min_value`;
+    the residual is its negative); passing means strictly positive.  With
+    control=True the directions are drawn outside the band (near the
+    projection axis), where sign changes must appear.
     """
     constants = compute_constants(lam, big_m)
     rng = np.random.default_rng(seed)
@@ -250,30 +233,21 @@ def sign_check_phi(lam: float, big_m: int, samples: int = 10_000, seed: int = 42
     theta_big = np.sin(theta) * cosp
     signed = constants.half_sign * gegenbauer.phi_pm(lam, big_m, theta_big, s * zeta, -1)
     min_value = float(np.min(signed))
-    return SignCheckReport(
-        check="phi_band_sign" + ("_control" if control else ""),
-        params={"lam": lam, "M": big_m, "control": control},
-        samples=samples,
-        min_value=min_value,
-        passed=min_value > 0.0,
-    )
+    return strictly_below("phi_band_sign" + ("_control" if control else ""), -min_value, 0.0,
+                          {"lam": lam, "M": big_m, "control": control, "samples": samples,
+                           "min_value": min_value})
 
 
 def sign_check_km_cone(lam: float, big_m: int, x: HalfSpacePoint,
-                       samples: int = 10_000, seed: int = 42) -> SignCheckReport:
+                       samples: int = 10_000, seed: int = 42) -> CheckReport:
     """Sample K_M / (K s^M) over the near-contact cone portion.
 
     The reference point must satisfy sin(theta) >= sin(theta0); the ratio is
     the kernel's integral factor, which stays positive on the closed region.
     """
     if big_m == 0:
-        return SignCheckReport(
-            check="km_cone_sign",
-            params={"lam": lam, "M": 0},
-            samples=0,
-            min_value=1.0,
-            passed=True,
-        )
+        return strictly_below("km_cone_sign", -1.0, 0.0,
+                              {"lam": lam, "M": 0, "samples": 0, "min_value": 1.0})
     constants = compute_constants(lam, big_m)
     if x.sin_theta < math.sin(constants.theta0) - 1e-12:
         raise DomainError(
@@ -295,13 +269,9 @@ def sign_check_km_cone(lam: float, big_m: int, x: HalfSpacePoint,
     params = KernelParams(lam, big_m)
     ratio = kernel_KM_direct(params, x, pts) / (kernel_K(lam, x, pts) * s**big_m)
     min_value = float(np.min(ratio))
-    return SignCheckReport(
-        check="km_cone_sign",
-        params={"lam": lam, "M": big_m, "theta": x.theta, "r": x.r},
-        samples=samples,
-        min_value=min_value,
-        passed=min_value > 0.0,
-    )
+    return strictly_below("km_cone_sign", -min_value, 0.0,
+                          {"lam": lam, "M": big_m, "theta": x.theta, "r": x.r,
+                           "samples": samples, "min_value": min_value})
 
 
 # ---------------------------------------------------------------------------
@@ -441,18 +411,16 @@ def reference_point(n: int, c: float, theta: float, axis: int = 0) -> HalfSpaceP
 
 def lower_bound_report(data: BoundaryData, lam: float, big_m: int,
                        x: HalfSpacePoint, scale: float,
-                       spec: QuadratureSpec | None = None) -> dict:
+                       spec: QuadratureSpec | None = None) -> CheckReport:
     """Measured ratio of the signed F-integral to its predicted lower-bound
-    scale; positive ratios certify the construction."""
+    scale (parameter `ratio`; the residual is its negative); strictly
+    positive ratios certify the construction."""
     spec = spec or QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8)
     value = integral_F(KernelParams(lam, big_m), data, x, spec)
-    return {
-        "check": "lower_bound",
-        "params": {"lam": lam, "M": big_m, "r": x.r, "theta": x.theta, "data": data.name},
-        "value": value,
-        "ratio": value / scale,
-        "pass": value > 0.0,
-    }
+    ratio = value / scale
+    return strictly_below("lower_bound", -ratio, 0.0,
+                          {"lam": lam, "M": big_m, "r": x.r, "theta": x.theta,
+                           "data": data.name, "value": value, "ratio": ratio})
 
 
 def balanced_sign_integral(data: BoundaryData, lam: float, big_m: int,

@@ -12,7 +12,6 @@ feeding it is too coarse), not that the stencil is.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -33,6 +32,7 @@ from . import quad1d
 
 __all__ = [
     "CheckReport",
+    "strictly_below",
     "fd_laplacian",
     "refinement_order",
     "check_harmonicity",
@@ -45,30 +45,42 @@ __all__ = [
 
 @dataclass
 class CheckReport:
-    """Outcome of one certification check; pass means residual <= tolerance."""
+    """Outcome of one certification check; pass means residual <= tolerance.
+
+    A check that needs its residual strictly below a bound carries the
+    largest float below that bound as its tolerance (see `strictly_below`).
+    """
 
     name: str
     parameters: dict
     residual: float
     tolerance: float
     passed: bool = field(init=False)
-    refinement_order: float | None = None
     inconclusive: bool = False
 
     def __post_init__(self):
         self.passed = bool(self.residual <= self.tolerance) and not self.inconclusive
 
-    def as_json(self) -> str:
-        record = {
+    def as_record(self) -> dict:
+        return {
             "name": self.name,
             "parameters": self.parameters,
             "residual": self.residual,
             "tolerance": self.tolerance,
             "pass": self.passed,
-            "refinement_order": self.refinement_order,
             "inconclusive": self.inconclusive,
         }
-        return json.dumps(record)
+
+
+def strictly_below(name: str, residual: float, bound: float,
+                   parameters: dict | None = None) -> CheckReport:
+    """Report that passes only when residual < bound.
+
+    Sign checks use it with bound 0 and residual minus the measured minimum,
+    so a minimum of exactly 0.0 fails.
+    """
+    return CheckReport(name=name, parameters=parameters or {}, residual=float(residual),
+                       tolerance=math.nextafter(bound, -math.inf))
 
 
 def fd_laplacian(fn, x, h: float) -> float:

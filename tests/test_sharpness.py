@@ -124,13 +124,13 @@ class TestSignChecks:
     def test_band_sign_passes(self, lam, big_m):
         report = sign_check_phi(lam, big_m, samples=10_000, seed=42)
         assert report.passed
-        assert report.min_value > 0
+        assert report.parameters["min_value"] > 0
 
     def test_control_outside_band_fails(self):
         for lam, big_m in ((1.5, 1), (0.5, 2), (1.0, 3)):
             report = sign_check_phi(lam, big_m, samples=10_000, seed=42, control=True)
             assert not report.passed
-            assert report.min_value < 0
+            assert report.parameters["min_value"] < 0
 
     @pytest.mark.parametrize("lam,big_m", [(0.5, 1), (1.5, 1), (0.5, 2), (1.5, 2), (1.0, 2)])
     def test_cone_ratio_positive(self, lam, big_m):
@@ -138,7 +138,7 @@ class TestSignChecks:
         x = reference_point(3, 12.0, theta)
         report = sign_check_km_cone(lam, big_m, x, samples=10_000, seed=42)
         assert report.passed
-        assert report.min_value > 0
+        assert report.parameters["min_value"] > 0
 
     def test_cone_check_dimension_four(self):
         theta = max(1.45, compute_constants(1.0, 2).theta0 + 0.01)
@@ -234,8 +234,15 @@ class TestHalfBallData:
         for j, c in enumerate(centers):
             x = reference_point(3, c, 0.3)
             report = lower_bound_report(f, lam, big_m, x, scale=psi[j], spec=SPEC)
-            assert report["pass"], report
-            assert report["ratio"] > 0
+            assert report.passed, report
+            assert report.parameters["ratio"] > 0
+
+    def test_zero_lower_bound_fails(self):
+        # zero data give a ratio of exactly 0.0, which certifies nothing
+        f = data_half_balls(3, [0.0, 0.0], [4.0, 16.0], 0.5, 1)
+        report = lower_bound_report(f, 0.5, 1, reference_point(3, 4.0, 0.3), scale=1.0)
+        assert report.parameters["ratio"] == 0.0
+        assert not report.passed
 
 
 class TestSuperBallData:
@@ -294,8 +301,8 @@ class TestSuperBallData:
             x = HalfSpacePoint.from_cartesian([a, 0.0, b])
             scale = 1.0 * b ** (n - 1 - 2 * lam)
             report = lower_bound_report(f, lam, big_m, x, scale=scale, spec=SPEC)
-            assert report["pass"], report
-            assert report["ratio"] > 0
+            assert report.passed, report
+            assert report.parameters["ratio"] > 0
 
     def test_lower_bound_stable_under_refinement(self):
         lam, big_m, n = 1.5, 1, 3
@@ -305,4 +312,4 @@ class TestSuperBallData:
         loose = lower_bound_report(f, lam, big_m, x, scale=scale,
                                    spec=QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6))
         tight = lower_bound_report(f, lam, big_m, x, scale=scale, spec=SPEC)
-        assert loose["ratio"] == pytest.approx(tight["ratio"], rel=0.1)
+        assert loose.parameters["ratio"] == pytest.approx(tight.parameters["ratio"], rel=0.1)

@@ -16,6 +16,7 @@ from modpoisson.verification import (
     fd_laplacian,
     growth_sweep,
     refinement_order,
+    strictly_below,
 )
 
 RNG = np.random.default_rng(23)
@@ -370,6 +371,14 @@ class TestCheckReport:
         import json
 
         r = CheckReport("demo", {"a": 1}, residual=0.5, tolerance=1.0)
-        rec = json.loads(r.as_json())
+        rec = json.loads(json.dumps(r.as_record()))
         assert rec["pass"] is True
         assert rec["residual"] == 0.5
+
+    def test_strictly_below_rejects_the_bound_itself(self):
+        # a sign check's minimum of exactly 0.0 is not positive
+        assert not strictly_below("sign", -0.0, 0.0).passed
+        assert not strictly_below("sign", 0.0, 0.0).passed
+        assert strictly_below("sign", -5e-324, 0.0).passed
+        assert not strictly_below("decay", 1.0, 1.0).passed
+        assert strictly_below("decay", 0.9999999999999999, 1.0).passed
