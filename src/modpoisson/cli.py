@@ -123,7 +123,22 @@ def _grid_points(args):
             yield HalfSpacePoint(n=args.n, r=r, theta=theta, y_hat=y_hat)
 
 
+def _ignored_eval_flags(args) -> list[str]:
+    """The eval flags given on the command line that the target does not use."""
+    ignored = {
+        "--yprime": args.solution and args.yprime is not None,
+        "--data": args.kernel and args.data is not None,
+        "--data-args": args.kernel and args.data_args is not None,
+        "--lam": args.solution in ("D", "N", "DM", "NM", "u", "v") and args.lam is not None,
+        "--M": (args.solution in ("D", "N") or args.kernel == "K") and args.M is not None,
+    }
+    return [flag for flag, given in ignored.items() if given]
+
+
 def cmd_eval(args) -> int:
+    # --lam and --M default to None so that targets can reject them
+    args.lam = 1.5 if args.lam is None else args.lam
+    args.M = 0 if args.M is None else args.M
     spec = _spec_from_args(args)
     rows = []
     if args.kernel:
@@ -282,8 +297,10 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--kernel", choices=("K", "KM", "KM2"), default=None)
     p_eval.add_argument("--solution", choices=("D", "N", "DM", "NM", "u", "v", "F", "F2"),
                         default=None)
-    p_eval.add_argument("--lam", type=float, default=1.5)
-    p_eval.add_argument("--M", type=int, default=0)
+    p_eval.add_argument("--lam", type=float, default=None,
+                        help="kernel exponent for K, KM, KM2, F and F2 (default 1.5)")
+    p_eval.add_argument("--M", type=int, default=None,
+                        help="modification order; not for D, N or K (default 0)")
     p_eval.add_argument("--r", default="1.0", help="comma list of radii")
     p_eval.add_argument("--theta", default="0.0", help="comma list of polar angles")
     p_eval.add_argument("--yhat", default=None, help="projection direction components")
@@ -325,6 +342,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "eval":
             if bool(args.kernel) == bool(args.solution):
                 parser.error("eval needs exactly one of --kernel or --solution")
+            ignored = _ignored_eval_flags(args)
+            if ignored:
+                parser.error(f"eval of {args.kernel or args.solution} does not use "
+                             + ", ".join(ignored))
             return cmd_eval(args)
         if args.command == "expand":
             return cmd_expand(args)

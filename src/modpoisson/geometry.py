@@ -104,18 +104,11 @@ class HalfSpacePoint:
         return np.sin(self.theta)
 
     @property
-    def cos_theta(self) -> float:
-        return np.cos(self.theta)
-
-    @property
     def sec_theta(self) -> float:
         return 1.0 / np.cos(self.theta)
 
     def with_radius(self, r: float) -> "HalfSpacePoint":
         return replace(self, r=r)
-
-    def with_theta(self, theta: float) -> "HalfSpacePoint":
-        return replace(self, theta=theta)
 
 
 @dataclass(frozen=True)

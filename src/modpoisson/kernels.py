@@ -73,34 +73,48 @@ def kernel_K(lam: float, x: HalfSpacePoint, yp):
     if not lam > 0:
         raise DomainError(f"kernel exponent must be positive, got {lam}")
     norms, cosp, scalar = _prepare(x, yp)
-    theta_big = x.sin_theta * cosp
+    return _out(_base(lam, x, norms, x.sin_theta * cosp), scalar)
+
+
+def _base(lam: float, x: HalfSpacePoint, norms, theta_big):
+    """The base kernel from |y'| and Theta."""
     base = norms * norms - 2.0 * norms * x.r * theta_big + x.r * x.r
     if np.any(base <= 0.0):
         raise SingularityError("kernel evaluated at (or beyond) its contact point")
-    return _out(base ** (-lam), scalar)
+    return base ** (-lam)
 
 
 def kernel_KM_direct(params: KernelParams, x: HalfSpacePoint, yp):
     """First-kind modified kernel by direct subtraction of the Gegenbauer tail.
 
-    K_M = K - sum over m < M of |x|^m |y'|^-(m+2*lam) C_m^lam(Theta); M = 0
-    reduces to the base kernel.
+    K_M = K - T_M with T_M the sum over m < M of
+    |x|^m |y'|^-(m+2*lam) C_m^lam(Theta); M = 0 reduces to the base kernel.
     """
     if params.kind != "first":
         raise DomainError("kernel_KM_direct takes first-kind parameters")
+    return _kernel_minus_tail(params, x, yp)
+
+
+def _kernel_minus_tail(params: KernelParams, x: HalfSpacePoint, yp, ramp=None,
+                       base: bool = True):
+    """K - c T_M, with T_M the Gegenbauer tail of `kernel_KM_direct` and
+    c = ramp(|y'|), or 1 when ramp is None; base=False drops K, leaving
+    -c T_M.  The tail formula lives only here.
+
+    c = 1 gives K_M; the cutoff's ramp gives the kernel of the assembled
+    solutions, which is K on the unit ball and K_M outside radius 2.
+    """
     lam, big_m = params.lam, params.big_m
-    if big_m == 0:
-        return kernel_K(lam, x, yp)
     norms, cosp, scalar = _prepare(x, yp)
-    if np.any(norms == 0.0):
-        raise SingularityError("modified kernel is singular at the boundary origin")
     theta_big = x.sin_theta * cosp
-    base = norms * norms - 2.0 * norms * x.r * theta_big + x.r * x.r
-    if np.any(base <= 0.0):
-        raise SingularityError("kernel evaluated at (or beyond) its contact point")
-    s = x.r / norms
-    tail = norms ** (-2.0 * lam) * gegenbauer.weighted_sum(lam, big_m, theta_big, s)
-    return _out(base ** (-lam) - tail, scalar)
+    out = _base(lam, x, norms, theta_big) if base else np.zeros_like(norms)
+    c = 1.0 if ramp is None else ramp(norms)
+    if big_m and np.any(c):
+        if np.any(norms == 0.0):
+            raise SingularityError("modified kernel is singular at the boundary origin")
+        s = x.r / norms
+        out = out - c * norms ** (-2.0 * lam) * gegenbauer.weighted_sum(lam, big_m, theta_big, s)
+    return _out(out, scalar)
 
 
 def _phi_minus_coeffs(lam: float, big_m: int, theta_big: float):
@@ -190,12 +204,9 @@ def kernel_KM_second(params: KernelParams, x: HalfSpacePoint, yp):
     lam, big_m = params.lam, params.big_m
     norms, cosp, scalar = _prepare(x, yp)
     theta_big = x.sin_theta * cosp
-    base = norms * norms - 2.0 * norms * x.r * theta_big + x.r * x.r
-    if np.any(base <= 0.0):
-        raise SingularityError("kernel evaluated at (or beyond) its contact point")
     u = norms / x.r
     tail = x.r ** (-2.0 * lam) * gegenbauer.weighted_sum(lam, big_m, theta_big, u)
-    return _out(base ** (-lam) - tail, scalar)
+    return _out(_base(lam, x, norms, theta_big) - tail, scalar)
 
 
 def _binom_gamma(a: float, k: float) -> float:

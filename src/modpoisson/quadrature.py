@@ -17,27 +17,35 @@ points at the circle's centre, and the cones of rays where a crossing
 leaves the ball or two crossings merge are angular panel edges, so the
 angular integrand is smooth on every panel.
 
-D, N, D_M, N_M, F and F~ are each a prefactor times the integral of f
-times a kernel, and all run through one driver, `_solve`; `_regions` builds
-the regions for it and for `integrate_weighted`.  Near the boundary it
-integrates over one ball about the projection point, by one of two schemes:
-"subtract" (Dirichlet maps) splits off the data value at the projection
-point against the kernel's exact normalization and integrates only the
-difference; "ball" (Neumann maps) integrates the peaked kernel directly.
+D, N, D_M, N_M, F, F~, u and v are each a prefactor times the integral of
+f times a kernel, and all run through one driver, `_solve`; `_regions`
+builds the regions for it and for `integrate_weighted`.  The first-kind
+kernels are K - c T_M, with T_M the Gegenbauer tail that K_M subtracts from
+the base kernel K: c = 1 for D_M, N_M and F, and c = w, the cutoff, for the
+assembled solutions, so u = D_M[w f] + D[(1 - w) f] and v likewise are one
+integral each.  For M >= 1 the cutoff's circles |y'| = 1, 2 are kink edges
+of their regions.
+
+Near the boundary one ball about the projection point integrates the
+peaked base kernel alone, by one of two schemes: "subtract" (Dirichlet
+maps) splits off the data value at the projection point against K's exact
+mass and integrates only the difference; "ball" (Neumann maps) integrates
+f K directly.  The tail c T_M, regular there, is one more solve over the
+data's regions, and the estimate is the sum of the two solves'.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import gegenbauer, quad1d
+from . import quad1d
 from .data import BoundaryData, Support
 from .errors import AccuracyError, DomainError
-from .geometry import HalfSpacePoint, cos_theta_prime_array, row_norms
-from .kernels import KernelParams, kernel_K, kernel_KM_direct, kernel_KM_second
+from .geometry import HalfSpacePoint, row_norms
+from .kernels import KernelParams, _kernel_minus_tail, kernel_K, kernel_KM_second
 
 __all__ = [
     "QuadratureSpec",
@@ -45,7 +53,6 @@ __all__ = [
     "unit_ball_volume",
     "sphere_surface_area",
     "cutoff_w",
-    "apply_cutoff",
     "integrate_weighted",
     "integral_F",
     "integral_F_second",
@@ -364,15 +371,19 @@ def _cut_pole(center: np.ndarray, radius: float, cuts) -> tuple:
     return pole, angles
 
 
-def _regions(data: BoundaryData, x, spec, r_lo: float, decay) -> list:
+def _regions(data: BoundaryData, x, spec, r_lo: float, decay, kinks=()) -> list:
     """Regions covering the support of data outside the disk |y'| <= r_lo.
 
     Union-of-balls supports are integrated ball by ball; other supports as
     an annulus out to the support or truncation radius, plus a ball about
     the origin when the support reaches it.  `decay(R)` bounds the weight's
-    magnitude at radius R, for truncation of global data.
+    magnitude at radius R, for truncation of global data.  `kinks` are radii
+    of circles about the origin where the weight kinks; they join the
+    support's radial edges.
     """
     sup = data.support
+    if kinks:
+        sup = replace(sup, radial_edges=tuple(sorted({*sup.radial_edges, *kinks})))
     if sup.balls:
         return [_ball_region(x, c, rad, spec, sup, r_lo) for c, rad in sup.balls
                 if float(np.linalg.norm(np.asarray(c))) + rad > r_lo]
@@ -562,6 +573,12 @@ def _kernel_decay(params: KernelParams, x: HalfSpacePoint):
 # cutoff
 
 
+def _ramp(rho):
+    """Smoothstep in |y'| on [1, 2]: 0 inside the unit ball, 1 outside radius 2."""
+    t = np.clip(rho - 1.0, 0.0, 1.0)
+    return 3.0 * t * t - 2.0 * t**3
+
+
 def cutoff_w(y) -> float | np.ndarray:
     """Continuous ramp: 0 inside the unit ball, 1 outside radius 2.
 
@@ -569,55 +586,8 @@ def cutoff_w(y) -> float | np.ndarray:
     fixes ours.
     """
     y = np.asarray(y, dtype=float)
-    rho = row_norms(np.atleast_1d(y)) if y.ndim else np.abs(y)
-    t = np.clip(rho - 1.0, 0.0, 1.0)
-    out = 3.0 * t * t - 2.0 * t**3
+    out = _ramp(row_norms(np.atleast_1d(y)) if y.ndim else np.abs(y))
     return float(out) if np.ndim(out) == 0 else out
-
-
-def apply_cutoff(data: BoundaryData):
-    """Split data into (w*f, (1-w)*f); either part may be None when empty."""
-    sup = data.support
-    far = None
-    if sup.kind == "global" or sup.outer_radius > 1.0:
-        far = data.scaled_by(lambda pts: cutoff_w(pts), name_suffix="*w")
-        far_inner = max(1.0, sup.inner_radius)
-        far = _replace_support(
-            far,
-            Support(
-                sup.kind,
-                outer_radius=sup.outer_radius,
-                inner_radius=far_inner,
-                radial_edges=tuple(sorted(set(sup.radial_edges) | {1.0, 2.0})),
-                balls=sup.balls,
-            ),
-        )
-    near = None
-    if sup.inner_radius < 2.0:
-        near = data.scaled_by(lambda pts: 1.0 - cutoff_w(pts), name_suffix="*(1-w)")
-        near_balls = tuple(
-            (c, rad) for c, rad in sup.balls or ()
-            if float(np.linalg.norm(np.asarray(c))) - rad < 2.0
-        )
-        near = _replace_support(
-            near,
-            Support(
-                "compact",
-                outer_radius=min(2.0, sup.outer_radius) if sup.kind == "compact" else 2.0,
-                inner_radius=sup.inner_radius,
-                radial_edges=tuple(
-                    sorted({e for e in sup.radial_edges if e <= 2.0} | {1.0, 2.0})
-                ),
-                balls=near_balls,
-            ),
-        )
-    return far, near
-
-
-def _replace_support(data: BoundaryData, support: Support) -> BoundaryData:
-    from dataclasses import replace
-
-    return replace(data, support=support)
 
 
 # ---------------------------------------------------------------------------
@@ -636,66 +606,56 @@ def _kernel_mass_within(n: int, x_n: float, radius: float) -> float:
     return alpha_n(n) * x_n * sphere_surface_area(n - 2) * val
 
 
-def _subtracted(params: KernelParams, data: BoundaryData, x: HalfSpacePoint,
-                spec: QuadratureSpec, prefactor: float):
-    """The "subtract" near-boundary scheme, for Dirichlet kernels.
-
-    f at the projection point is split off against the base kernel's exact
-    mass and only the difference is integrated; for M >= 1 the Gegenbauer
-    tail of K_M is integrated termwise as regular moments (the data vanish
-    near the origin).  The estimate is abs_tol, not a measured one.
-    """
-    n, lam = x.n, params.lam
-    f_at_y = float(data(x.y[None, :])[0])
-    region = _near_ball(data, x, spec)
-
-    def g(pts):
-        return (data(pts) - f_at_y) * kernel_K(lam, x, pts)
-
-    value, _ = _integrate_regions(g, n, [region], spec)
-    value = prefactor * value + f_at_y * _kernel_mass_within(n, x.x_n, region.r_hi)
-    correction = 0.0
-    for m in range(params.big_m):
-        def weight(pts, m=m):
-            norms = row_norms(pts)
-            tb = x.sin_theta * cos_theta_prime_array(x, pts, norms=norms)
-            return norms ** -(m + n) * gegenbauer.value(lam, m, tb)
-
-        correction += x.r**m * integrate_weighted(data, weight, spec,
-                                                  weight_growth=-(m + n), x=x)
-    return value - prefactor * correction, spec.abs_tol
-
-
 def _solve(params: KernelParams, data: BoundaryData, x: HalfSpacePoint,
            spec: QuadratureSpec, prefactor: float, r_lo: float = 0.0,
-           near: str | None = None):
+           ramp=None, near: str | None = None):
     """(prefactor * integral of f * kernel over |y'| > r_lo, prefactor * estimate).
 
-    The kernel is K_M of the first kind (the base kernel at M = 0) or K~_M
-    of the second.  `near` picks a near-boundary scheme: "subtract" (see
-    `_subtracted`) or "ball", one region centred at the projection point,
-    where the kernel peaks.
+    The kernel is K~_M for second-kind parameters.  For first-kind ones it
+    is K - c T_M (see `kernels._kernel_minus_tail`): c = 1 when ramp is None,
+    giving K_M and the base kernel at M = 0, and c = ramp(|y'|) otherwise,
+    whose kink circles |y'| = 1, 2 then become region edges.
+
+    `near` picks a near-boundary scheme for first-kind kernels.  One ball
+    about the projection point, where K peaks, integrates f K ("ball"), or
+    only (f - f(y)) K with f(y) times K's exact mass added back
+    ("subtract", for the Dirichlet kernel).  The tail c T_M is regular
+    there and is one more solve over the data's regions; the estimate is
+    the sum of the two solves'.
     """
-    if near == "subtract":
-        return _subtracted(params, data, x, spec, prefactor)
-    kernel = kernel_KM_direct if params.kind == "first" else kernel_KM_second
+    if params.kind == "first":
+        def kernel(pts):
+            return _kernel_minus_tail(params, x, pts, ramp, base=near is None)
+    else:
+        def kernel(pts):
+            return kernel_KM_second(params, x, pts)
     masked = r_lo > data.support.inner_radius
 
     def g(pts):
         if not masked:
-            return data(pts) * kernel(params, x, pts)
+            return data(pts) * kernel(pts)
         out = np.zeros(pts.shape[:-1])
         keep = row_norms(pts) > r_lo
         if np.any(keep):
-            out[keep] = data(pts[keep]) * kernel(params, x, pts[keep])
+            out[keep] = data(pts[keep]) * kernel(pts[keep])
         return out
 
-    if near == "ball":
-        regions = [_near_ball(data, x, spec)]
-    else:
-        regions = _regions(data, x, spec, r_lo, _kernel_decay(params, x))
-    value, est = _integrate_regions(g, data.n, regions, spec)
-    return prefactor * value, prefactor * est
+    value = est = offset = 0.0
+    if near is None or params.big_m:
+        kinks = (1.0, 2.0) if ramp is not None and params.big_m else ()
+        regions = _regions(data, x if near is None else None, spec, r_lo,
+                           _kernel_decay(params, x), kinks)
+        value, est = _integrate_regions(g, data.n, regions, spec)
+    if near is not None:
+        region = _near_ball(data, x, spec)
+        f_at_y = float(data(x.y[None, :])[0]) if near == "subtract" else 0.0
+        ball_value, ball_est = _integrate_regions(
+            lambda pts: (data(pts) - f_at_y) * kernel_K(params.lam, x, pts), x.n, [region],
+            spec)
+        value, est = value + ball_value, est + ball_est
+        if near == "subtract":
+            offset = f_at_y * _kernel_mass_within(x.n, x.x_n, region.r_hi)
+    return prefactor * value + offset, prefactor * est
 
 
 def _near_boundary(data: BoundaryData, x: HalfSpacePoint) -> bool:
@@ -721,6 +681,22 @@ def _check_origin_clearance(data: BoundaryData, big_m: int, allow_origin: bool):
             "vanish near it (or pass allow_origin=True when the weighted "
             "integrability holds)"
         )
+
+
+def _first_kind_map(problem: str, data: BoundaryData, big_m: int, x: HalfSpacePoint,
+                    spec: QuadratureSpec | None, ramp):
+    """The Dirichlet or Neumann integral of f against K - c T_M (see `_solve`)."""
+    n = x.n
+    if problem == "dirichlet":
+        lam, prefactor, near = n / 2.0, alpha_n(n) * x.x_n, "subtract"
+    elif n < 3:
+        raise DomainError("the planar Neumann problem has a logarithmic kernel "
+                          "and is not supported")
+    else:
+        lam, prefactor, near = (n - 2) / 2.0, alpha_n(n) / (n - 2.0), "ball"
+    _check_first_kind(data, lam, big_m)
+    return _solve(KernelParams(lam, big_m), data, x, spec or QuadratureSpec(), prefactor,
+                  ramp=ramp, near=near if _near_boundary(data, x) else None)
 
 
 # ---------------------------------------------------------------------------
@@ -779,13 +755,8 @@ def dirichlet_DM(big_m: int, data: BoundaryData, x: HalfSpacePoint,
                  spec: QuadratureSpec | None = None, *, allow_origin: bool = False,
                  return_estimate: bool = False):
     """Modified Dirichlet integral alpha_n x_n int f K_M(n/2)."""
-    lam = x.n / 2.0
-    _check_first_kind(data, lam, big_m)
     _check_origin_clearance(data, big_m, allow_origin)
-    subtract = _near_boundary(data, x) and (big_m == 0 or data.growth_exponent < 1.0)
-    out = _solve(KernelParams(lam, big_m), data, x, spec or QuadratureSpec(),
-                 alpha_n(x.n) * x.x_n, r_lo=data.support.inner_radius,
-                 near="subtract" if subtract else None)
+    out = _first_kind_map("dirichlet", data, big_m, x, spec, None)
     return out if return_estimate else out[0]
 
 
@@ -793,36 +764,20 @@ def neumann_NM(big_m: int, data: BoundaryData, x: HalfSpacePoint,
                spec: QuadratureSpec | None = None, *, allow_origin: bool = False,
                return_estimate: bool = False):
     """Modified Neumann integral (alpha_n / (n-2)) int f K_M((n-2)/2)."""
-    if x.n < 3:
-        raise DomainError("the planar Neumann problem has a logarithmic kernel "
-                          "and is not supported")
-    lam = (x.n - 2) / 2.0
-    _check_first_kind(data, lam, big_m)
     _check_origin_clearance(data, big_m, allow_origin)
-    out = _solve(KernelParams(lam, big_m), data, x, spec or QuadratureSpec(),
-                 alpha_n(x.n) / (x.n - 2.0), r_lo=data.support.inner_radius,
-                 near="ball" if _near_boundary(data, x) else None)
+    out = _first_kind_map("neumann", data, big_m, x, spec, None)
     return out if return_estimate else out[0]
-
-
-def _assemble(solve, data: BoundaryData, big_m: int, x: HalfSpacePoint,
-              spec: QuadratureSpec | None) -> float:
-    """solve(M, w f) + solve(0, (1 - w) f) over the cutoff split."""
-    spec = spec or QuadratureSpec()
-    total = 0.0
-    for m, part in zip((big_m, 0), apply_cutoff(data)):
-        if part is not None:
-            total += solve(m, part, x, spec)
-    return total
 
 
 def solution_u(data: BoundaryData, big_m: int, x: HalfSpacePoint,
                spec: QuadratureSpec | None = None) -> float:
-    """Assembled Dirichlet solution D_M[w f] + D[(1 - w) f]."""
-    return _assemble(dirichlet_DM, data, big_m, x, spec)
+    """Assembled Dirichlet solution D_M[w f] + D[(1 - w) f], computed as
+    the one integral alpha_n x_n int f (K - w T_M)(n/2)."""
+    return _first_kind_map("dirichlet", data, big_m, x, spec, _ramp)[0]
 
 
 def solution_v(data: BoundaryData, big_m: int, x: HalfSpacePoint,
                spec: QuadratureSpec | None = None) -> float:
-    """Assembled Neumann solution N_M[w f] + N[(1 - w) f]."""
-    return _assemble(neumann_NM, data, big_m, x, spec)
+    """Assembled Neumann solution N_M[w f] + N[(1 - w) f], computed as
+    the one integral (alpha_n / (n-2)) int f (K - w T_M)((n-2)/2)."""
+    return _first_kind_map("neumann", data, big_m, x, spec, _ramp)[0]

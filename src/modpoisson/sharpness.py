@@ -244,10 +244,8 @@ def sign_check_km_cone(lam: float, big_m: int, x: HalfSpacePoint,
 
     The reference point must satisfy sin(theta) >= sin(theta0); the ratio is
     the kernel's integral factor, which stays positive on the closed region.
+    M < 1 has no cone and raises DomainError from `compute_constants`.
     """
-    if big_m == 0:
-        return strictly_below("km_cone_sign", -1.0, 0.0,
-                              {"lam": lam, "M": 0, "samples": 0, "min_value": 1.0})
     constants = compute_constants(lam, big_m)
     if x.sin_theta < math.sin(constants.theta0) - 1e-12:
         raise DomainError(

@@ -90,6 +90,22 @@ class TestEval:
             run_cli(["eval", "--n", "3"])
         assert err.value.code == 64
 
+    @pytest.mark.parametrize("target, flag, value", [
+        ("D", "--yprime", "1.0,0.0"), ("u", "--yprime", "1.0,0.0"),
+        ("K", "--data", "bump"), ("KM", "--data-args", "radius=2.0"),
+        *[(t, "--lam", "2.0") for t in ("D", "N", "DM", "NM", "u", "v")],
+        *[(t, "--M", "1") for t in ("D", "N", "K")],
+    ])
+    def test_rejects_flags_the_target_ignores(self, target, flag, value, capsys):
+        if target in ("K", "KM"):
+            args = ["--kernel", target, "--yprime", "1.0,0.0"]
+        else:
+            args = ["--solution", target, "--data", "bump"]
+        with pytest.raises(SystemExit) as err:
+            run_cli(["eval", *args, flag, value])
+        assert err.value.code == 64
+        assert capsys.readouterr().err.endswith(f"does not use {flag}\n")
+
 
 class TestExpand:
     def test_closed_form_column(self, capsys):

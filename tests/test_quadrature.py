@@ -14,7 +14,6 @@ from modpoisson.kernels import KernelParams, kernel_K, kernel_KM_second
 from modpoisson.quadrature import (
     QuadratureSpec,
     alpha_n,
-    apply_cutoff,
     cutoff_w,
     dirichlet_D,
     dirichlet_DM,
@@ -308,13 +307,71 @@ class TestSolutions:
         expected = dirichlet_D(inner, x, SPEC) + dirichlet_DM(1, outer, x, SPEC)
         assert got == pytest.approx(expected, abs=1e-9)
 
-    def test_cutoff_split_parts(self):
-        far, near = apply_cutoff(exp_decay(3))
-        assert far.support.inner_radius == 1.0
-        assert near.support.outer_radius == 2.0
-        pts = RNG.normal(size=(50, 2)) * 2.0
-        total = far(pts) + near(pts)
-        np.testing.assert_allclose(total, exp_decay(3)(pts), atol=1e-14)
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("name", ["kink_bump", "exp_decay", "shell_bump"])
+    @pytest.mark.parametrize("where", ["regular", "boundary"])
+    def test_one_integral_equals_the_two_solve_split(self, n, name, where):
+        # u = D_M[w f] + D[(1 - w) f] and v = N_M[w f] + N[(1 - w) f], the
+        # parts solved apart with the cutoff's circles as kink edges; each
+        # side is within the tolerance of the truth, the split twice over
+        data = {"kink_bump": bump(n, center=[2.0] + [0.0] * (n - 2), radius=1.0),
+                "exp_decay": exp_decay(n), "shell_bump": shell_bump(n, 1.0, 3.0)}[name]
+        far = _cutoff_part(data, cutoff_w)
+        near = _cutoff_part(data, lambda pts: 1.0 - cutoff_w(pts))
+        if where == "regular":
+            x = HalfSpacePoint.from_cartesian([0.5, 0.3] + [-0.2] * (n - 3) + [0.8])
+        else:
+            x = HalfSpacePoint.from_cartesian([1.5, -0.5] + [0.2] * (n - 3) + [1e-3])
+        tol = 1e-8 if n == 3 else 1e-6
+        spec = (QuadratureSpec(abs_tol=tol, rel_tol=tol) if n == 3 else
+                QuadratureSpec(radial_panels=12, angular_order=24, abs_tol=tol, rel_tol=tol))
+        maps = ((solution_u, dirichlet_DM, dirichlet_D), (solution_v, neumann_NM, neumann_N))
+        for whole, modified, plain in maps:
+            for big_m in (0, 1, 2):
+                split = (modified(big_m, far, x, spec, allow_origin=True)
+                         + plain(near, x, spec))
+                value = whole(data, big_m, x, spec)
+                assert value == pytest.approx(split, abs=3.0 * tol)
+                if big_m == 0:
+                    assert value == pytest.approx(plain(data, x, spec), rel=1e-15)
+
+
+def _cutoff_part(data, factor):
+    """factor * data, with the cutoff's circles |y'| = 1, 2 as kink edges."""
+    sup = data.support
+    edges = tuple(sorted({*sup.radial_edges, 1.0, 2.0}))
+    return dataclasses.replace(data.scaled_by(factor),
+                               support=dataclasses.replace(sup, radial_edges=edges))
+
+
+class TestNearBoundary:
+    @pytest.mark.parametrize("big_m", [0, 2])
+    def test_exp_decay_solutions_converge(self, big_m):
+        # exp(-|y|) kinks at the origin, 0.89 from the projection point; its
+        # global support sends u and v down the regular graded path of D and
+        # N.  References at radial_panels=48, angular_order=96 (u at 1e-11,
+        # v at 1e-12)
+        f = exp_decay(3)
+        x = HalfSpacePoint.from_cartesian([0.8, 0.4, 1e-3])
+        u_ref, v_ref = {0: (0.408563213582905, 0.7908165681836415),
+                        2: (0.40850821430076856, 0.5620581169532671)}[big_m]
+        assert solution_u(f, big_m, x, SPEC) == pytest.approx(u_ref, abs=1e-9)
+        assert solution_v(f, big_m, x, SPEC) == pytest.approx(v_ref, abs=1e-9)
+
+    def test_kink_bump_solution_converges(self):
+        f = bump(3, center=[2.0, 0.0], radius=1.0)
+        x = HalfSpacePoint.from_cartesian([2.2, 0.3, 0.05])
+        refs = (0.5746900823836975, 0.5739665148128664, 0.5714907227034544)
+        for big_m, ref in enumerate(refs):
+            assert solution_u(f, big_m, x, SPEC) == pytest.approx(ref, abs=1e-9)
+
+    def test_dirichlet_dm_estimate_is_measured(self):
+        # against a solve at radial_panels=48, angular_order=96, 1e-12
+        f = shell_bump(3, 1.0, 3.0)
+        x = HalfSpacePoint.from_cartesian([0.8796383107645006, 0.5386140776619773, 1e-3])
+        value, est = dirichlet_DM(2, f, x, SPEC, return_estimate=True)
+        assert est != SPEC.abs_tol
+        assert abs(value - 7.616283503530047e-4) <= est
 
 
 class TestSecondKind:
@@ -439,8 +496,8 @@ def _per_ray_cut_integral(g, n, region, level):
 def _kink_cut_region(n):
     """The harmonicity bump's far part, cut by the cutoff's circle |y| = 2,
     with the pole of an unaligned rule (first axis, no angular edges)."""
-    far, _ = apply_cutoff(bump(n, center=[2.0] + [0.0] * (n - 2), radius=1.0))
-    region = quad._ball_region(None, far.support.balls[0][0], 1.0, SPEC, far.support)
+    far = bump(n, center=[2.0] + [0.0] * (n - 2), radius=1.0).scaled_by(cutoff_w)
+    [region] = quad._regions(far, None, SPEC, 0.0, None, kinks=(1.0, 2.0))
     assert [rad for _, rad in region.cuts] == [2.0]
     return far, dataclasses.replace(region, pole=None, pole_angles=())
 
@@ -499,6 +556,22 @@ class TestCutRegions:
         f = shell_bump(3, 1.0, 3.0)
         x = HalfSpacePoint.from_cartesian([0.8796383107645006, 0.5386140776619773, 1e-3])
         assert dirichlet_DM(2, f, x, SPEC) == pytest.approx(7.616283496882084e-4, abs=1e-9)
+
+
+class TestKernelPeakPole:
+    def test_graded_pole_toward_the_projection_point(self):
+        # the field point sits 0.2 above a data ball, 1.2 from its centre:
+        # the ball's pole points at the kernel peak, with graded angles
+        f = bump(3, center=[3.0, 0.0], radius=2.0)
+        x = HalfSpacePoint.from_cartesian([4.2, 0.0, 0.2])
+        [region] = quad._regions(f, x, SPEC, 0.0, None)
+        np.testing.assert_array_equal(region.pole, [1.0, 0.0])
+        assert region.pole_angles == pytest.approx((1.0 / 6.0, 2.0 / 3.0))
+        # references at radial_panels=48, angular_order=96, 1e-12
+        assert dirichlet_D(f, x, SPEC) == pytest.approx(0.23690524317917222, rel=1e-13)
+        assert neumann_N(f, x, SPEC) == pytest.approx(0.45474834888063975, rel=1e-13)
+        assert integral_F(KernelParams(1.5, 1), f, x, SPEC) == pytest.approx(
+            7.2956230798766155, rel=1e-13)
 
 
 def _unblocked_grid_integral(g, n, region, spec, level):

@@ -151,9 +151,10 @@ class TestSignChecks:
         with pytest.raises(DomainError):
             sign_check_km_cone(0.5, 1, x)
 
-    def test_m_zero_trivial(self):
+    def test_m_zero_is_rejected(self):
         x = reference_point(3, 12.0, 1.45)
-        assert sign_check_km_cone(0.5, 0, x).passed
+        with pytest.raises(DomainError):
+            sign_check_km_cone(0.5, 0, x)
 
     def test_beta_identity_at_contact(self):
         # Gamma(2 lam + M) / (Gamma(2 lam) Gamma(M)) * B(2 lam, M) = 1
