@@ -109,11 +109,11 @@ def _emit(rows: list[dict], out: str | None, fmt: str):
 
 
 def _spec_from_args(args) -> QuadratureSpec:
-    return QuadratureSpec(
-        truncation_radius=args.truncation_radius,
-        abs_tol=args.abs_tol,
-        rel_tol=args.rel_tol,
-    )
+    """The spec from the flags given; a flag left at None keeps the
+    QuadratureSpec default."""
+    given = {"truncation_radius": args.truncation_radius, "abs_tol": args.abs_tol,
+             "rel_tol": args.rel_tol}
+    return QuadratureSpec(**{k: v for k, v in given.items() if v is not None})
 
 
 def _grid_points(args):
@@ -129,6 +129,9 @@ def _ignored_eval_flags(args) -> list[str]:
         "--yprime": args.solution and args.yprime is not None,
         "--data": args.kernel and args.data is not None,
         "--data-args": args.kernel and args.data_args is not None,
+        "--abs-tol": args.kernel and args.abs_tol is not None,
+        "--rel-tol": args.kernel and args.rel_tol is not None,
+        "--truncation-radius": args.kernel and args.truncation_radius is not None,
         "--lam": args.solution in ("D", "N", "DM", "NM", "u", "v") and args.lam is not None,
         "--M": (args.solution in ("D", "N") or args.kernel == "K") and args.M is not None,
     }
@@ -136,7 +139,8 @@ def _ignored_eval_flags(args) -> list[str]:
 
 
 def cmd_eval(args) -> int:
-    # --lam and --M default to None so that targets can reject them
+    # --lam, --M and the quadrature flags default to None so that targets
+    # can reject them; unset quadrature flags keep the QuadratureSpec defaults
     args.lam = 1.5 if args.lam is None else args.lam
     args.M = 0 if args.M is None else args.M
     spec = _spec_from_args(args)
@@ -294,6 +298,7 @@ def build_parser() -> _Parser:
 
     p_eval = sub.add_parser("eval", help="evaluate kernels or solution integrals on a grid")
     common(p_eval)
+    p_eval.set_defaults(abs_tol=None, rel_tol=None)
     p_eval.add_argument("--kernel", choices=("K", "KM", "KM2"), default=None)
     p_eval.add_argument("--solution", choices=("D", "N", "DM", "NM", "u", "v", "F", "F2"),
                         default=None)

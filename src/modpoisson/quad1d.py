@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import AccuracyError
 
-__all__ = ["gauss_legendre", "fixed_panels", "adaptive"]
+__all__ = ["gauss_legendre", "adaptive"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -26,12 +26,6 @@ def _panel(f, a: float, b: float, npts: int) -> float:
     half = 0.5 * (b - a)
     nodes = a + half * (x + 1.0)
     return half * float(np.dot(w, f(nodes)))
-
-
-def fixed_panels(f, edges, npts: int = 16) -> float:
-    """Composite Gauss-Legendre over consecutive panels given by `edges`."""
-    edges = np.asarray(edges, dtype=float)
-    return sum(_panel(f, a, b, npts) for a, b in zip(edges[:-1], edges[1:]))
 
 
 def adaptive(f, edges, tol: float, max_depth: int = 48, npts: int = 15):

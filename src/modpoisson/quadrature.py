@@ -3,9 +3,11 @@
 The integration scheme is a product of radial panels (Gauss-Legendre, with
 panel edges aligned to data kinks, the kernel window around |x|, and graded
 refinement near kernel peaks) and a sphere rule in the angular variables
-(two points for boundary dimension one, panelled Gauss rules above).  The
-grid goes to the integrand in cache-sized blocks of whole radial rows, each
-reduced against the angular weights at once, so memory stays O(block).
+(two points for boundary dimension one; above, panelled Gauss rules in the
+polar angle times the rule of the subsphere).  Every region, cut or not,
+goes to the integrand in cache-sized blocks of at most `_BLOCK_POINTS`
+nodes; an uncut grid's blocks are whole radial rows, each reduced against
+the angular weights at once, so memory stays O(block).
 Error control is by whole-grid refinement comparison; evaluations never
 sample randomly, so results are reproducible bit for bit.
 
@@ -29,7 +31,8 @@ of their regions.
 Near the boundary one ball about the projection point integrates the
 peaked base kernel alone, by one of two schemes: "subtract" (Dirichlet
 maps) splits off the data value at the projection point against K's exact
-mass and integrates only the difference; "ball" (Neumann maps) integrates
+mass (a closed form, the regularized incomplete beta function) and
+integrates only the difference; "ball" (Neumann maps) integrates
 f K directly.  The tail c T_M, regular there, is one more solve over the
 data's regions, and the estimate is the sum of the two solves'.
 """
@@ -40,6 +43,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import betainc
 
 from . import quad1d
 from .data import BoundaryData, Support
@@ -128,12 +132,13 @@ def sphere_rule(dim_ambient: int, order: int, pole=None, pole_angles=()):
     """Quadrature points (unit vectors) and weights on the sphere S^(d-1)
     sitting in R^d, where d = dim_ambient - 1 is the boundary dimension.
 
-    pole_angles are angular panel edges (angles from the pole), mirrored
-    about the pole for d = 2 and latitudes for d >= 3: graded toward the
-    pole for integrands concentrated there, or where an integrand has a
-    kink.  No panel gets fewer points than a pi/4 panel's share of the
-    order, so narrow panels gain points as the order rises and refinement
-    levels compare different rules on them.
+    For d >= 2 the rule is a product of the polar angle against the pole
+    and a rule on the subsphere S^(d-2) (for d = 2 the two points of S^0,
+    so the circle is the mirrored half-circle).  pole_angles are polar
+    panel edges: graded toward the pole for integrands concentrated there,
+    or where an integrand has a kink.  No panel gets fewer points than a
+    pi/4 panel's share of the order, so narrow panels gain points as the
+    order rises and refinement levels compare different rules on them.
     """
     d = dim_ambient - 1
     if pole is None:
@@ -143,27 +148,10 @@ def sphere_rule(dim_ambient: int, order: int, pole=None, pole_angles=()):
     if d == 1:
         return pole[None, :] * np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
 
-    angles = sorted({a for a in pole_angles if 0.0 < a < math.pi})
-    if d == 2:
-        frame = _orthonormal_frame(pole)
-        edges = sorted({0.0, math.pi / 2, math.pi, 1.5 * math.pi, 2.0 * math.pi}
-                       | {a for a in angles}
-                       | {2.0 * math.pi - a for a in angles})
-        nodes, weights = [], []
-        for a, b in zip(edges[:-1], edges[1:]):
-            npts = max(6, order // 8, int(order * (b - a) / (2.0 * math.pi)) + 1)
-            xs, ws = _gl_on(a, b, npts)
-            nodes.append(xs)
-            weights.append(ws)
-        phi = np.concatenate(nodes)
-        w = np.concatenate(weights)
-        pts = np.outer(np.cos(phi), frame[0]) + np.outer(np.sin(phi), frame[1])
-        return pts, w
-
-    # d >= 3: polar angle against the pole, product with a subsphere rule;
-    # integrating in the angle keeps the sin^(d-2) weight analytic
+    # integrating in the polar angle keeps the sin^(d-2) weight analytic
     frame = _orthonormal_frame(pole)
-    phi_edges = sorted({0.0, math.pi / 2, math.pi} | set(angles))
+    phi_edges = sorted({0.0, math.pi / 2, math.pi}
+                       | {a for a in pole_angles if 0.0 < a < math.pi})
     phi_nodes, phi_weights = [], []
     polar_order = max(10, order // 2)
     for a, b in zip(phi_edges[:-1], phi_edges[1:]):
@@ -173,10 +161,7 @@ def sphere_rule(dim_ambient: int, order: int, pole=None, pole_angles=()):
         phi_weights.append(ws)
     phi = np.concatenate(phi_nodes)
     wphi = np.concatenate(phi_weights)
-    if d == 3:
-        sub_pts, sub_w = sphere_rule(3, max(8, (2 * order) // 3), pole=np.array([1.0, 0.0]))
-    else:
-        sub_pts, sub_w = sphere_rule(d, max(8, (2 * order) // 3))
+    sub_pts, sub_w = sphere_rule(d, max(8, (2 * order) // 3))
     sint = np.sin(phi)
     meas = sint ** (d - 2) * wphi
     pts = (
@@ -244,9 +229,7 @@ def _split_panels(edges, level: int):
 @dataclass
 class _Region:
     center: np.ndarray | None  # None means the origin
-    r_lo: float
-    r_hi: float
-    edges: tuple
+    edges: tuple  # radial panel edges, from the inner to the outer radius
     pole: np.ndarray | None = None
     pole_angles: tuple = ()
     cuts: tuple = ()  # foreign kink circles as (center, radius) pairs
@@ -283,11 +266,11 @@ def _annulus_region(x, support: Support, lo: float, hi: float, spec) -> _Region 
         edges += _kernel_window_edges(x, lo, hi)
     pole = x.y_hat if x is not None else None
     pole_angles = _peak_angles(x, x.r * x.sin_theta) if x is not None else ()
-    return _Region(None, lo, hi, tuple(_dedupe(edges, lo, hi)), pole, pole_angles)
+    return _Region(None, tuple(_dedupe(edges, lo, hi)), pole, pole_angles)
 
 
-def _ball_region(x, center: np.ndarray, radius: float, spec,
-                 support: Support | None = None, r_lo: float = 0.0) -> _Region:
+def _ball_region(x, center: np.ndarray, radius: float, spec, support: Support,
+                 r_lo: float = 0.0) -> _Region:
     """Ball-local region; the support's kink circles about the origin, and
     the clip circle |y'| = r_lo, become panel edges when the ball is centred
     at the origin and per-ray cuts otherwise.
@@ -300,23 +283,22 @@ def _ball_region(x, center: np.ndarray, radius: float, spec,
     center = np.asarray(center, dtype=float)
     edges = list(np.linspace(0.0, radius, max(4, spec.radial_panels // 4) + 1))
     cuts = []
-    if support is not None:
-        cnorm = float(np.linalg.norm(center))
-        origin = np.zeros_like(center)
-        for e in (*support.radial_edges, r_lo):
-            if e > 0.0 and abs(e - cnorm) < radius - 1e-12:
-                if cnorm < 1e-12:
-                    edges.append(float(e))
-                else:
-                    cuts.append((origin, float(e)))
-        for q, rad_q in support.balls or ():
-            q = np.asarray(q, dtype=float)
-            dist = float(np.linalg.norm(center - q))
-            if dist < 1e-12:
-                if 0.0 < rad_q < radius:
-                    edges.append(float(rad_q))
-            elif abs(dist - rad_q) < radius - 1e-12:
-                cuts.append((q, float(rad_q)))
+    cnorm = float(np.linalg.norm(center))
+    origin = np.zeros_like(center)
+    for e in (*support.radial_edges, r_lo):
+        if e > 0.0 and abs(e - cnorm) < radius - 1e-12:
+            if cnorm < 1e-12:
+                edges.append(float(e))
+            else:
+                cuts.append((origin, float(e)))
+    for q, rad_q in support.balls or ():
+        q = np.asarray(q, dtype=float)
+        dist = float(np.linalg.norm(center - q))
+        if dist < 1e-12:
+            if 0.0 < rad_q < radius:
+                edges.append(float(rad_q))
+        elif abs(dist - rad_q) < radius - 1e-12:
+            cuts.append((q, float(rad_q)))
     pole = None
     pole_angles = ()
     if x is not None:
@@ -335,8 +317,8 @@ def _ball_region(x, center: np.ndarray, radius: float, spec,
     if pole is None and abs(center[0]) < radius and center.size > 1:
         # data may kink across the first-coordinate hyperplane; align the pole
         pole = np.eye(center.size)[0]
-    return _Region(center, 0.0, radius, tuple(_dedupe(edges, 0.0, radius)), pole,
-                   pole_angles, tuple(cuts))
+    return _Region(center, tuple(_dedupe(edges, 0.0, radius)), pole, pole_angles,
+                   tuple(cuts))
 
 
 def _cut_pole(center: np.ndarray, radius: float, cuts) -> tuple:
@@ -416,10 +398,9 @@ def _angular_order(n: int, spec: QuadratureSpec, level: int) -> int:
     return int(base * 1.5**level)
 
 
-# nodes per data call in a cut region; bounds the memory of one ray block
-_CUT_BLOCK_POINTS = 2**13
-# nodes per data call in an uncut region; keeps a block's arrays in cache
-_GRID_BLOCK_POINTS = 2**15
+# nodes per data call; keeps a block's temporaries in cache, so the
+# allocator does not hand their pages back between blocks
+_BLOCK_POINTS = 2**13
 
 
 def _eval_region(g, n: int, region: _Region, spec, level: int) -> float:
@@ -427,9 +408,10 @@ def _eval_region(g, n: int, region: _Region, spec, level: int) -> float:
     a sphere rule.
 
     The grid is fed to g in blocks of whole radial rows, at most
-    _GRID_BLOCK_POINTS nodes each (one row when the sphere rule is larger);
-    each block is reduced against the angular weights at once, so memory is
-    O(block), not O(grid).  Regions with cuts go to `_eval_region_cut`.
+    _BLOCK_POINTS nodes each (one row when the sphere rule is larger), the
+    cap that also bounds the cut evaluator's ray blocks; each block is
+    reduced against the angular weights at once, so memory is O(block), not
+    O(grid).  Regions with cuts go to `_eval_region_cut`.
     """
     if region.cuts:
         return _eval_region_cut(g, n, region, spec, level)
@@ -444,7 +426,7 @@ def _eval_region(g, n: int, region: _Region, spec, level: int) -> float:
     pts_ang, w_ang = sphere_rule(
         n, _angular_order(n, spec, level), pole=region.pole, pole_angles=region.pole_angles
     )
-    rows = max(1, _GRID_BLOCK_POINTS // len(w_ang))
+    rows = max(1, _BLOCK_POINTS // len(w_ang))
     ray = np.empty(rho.size)
     for start in range(0, rho.size, rows):
         pts = rho[start:start + rows, None, None] * pts_ang[None, :, :]
@@ -459,9 +441,9 @@ def _eval_region_cut(g, n: int, region: _Region, spec, level: int) -> float:
     where foreign kink circles cross each angular ray; restores spectral
     panel convergence for integrands cut by unaligned circles.
 
-    Rays are taken in blocks of at most _CUT_BLOCK_POINTS nodes.  Within a
+    Rays are taken in blocks of at most _BLOCK_POINTS nodes.  Within a
     block every cut's two roots are computed for all rays at once; a root
-    that is absent or outside the ball becomes the edge r_lo, a zero-width
+    that is absent or outside the ball becomes the inner edge, a zero-width
     panel whose nodes are skipped.  The edges are sorted per ray, the
     12-point Gauss-Legendre rule is broadcast over every panel, and the
     data are called once per block.
@@ -470,10 +452,10 @@ def _eval_region_cut(g, n: int, region: _Region, spec, level: int) -> float:
     pts_ang, w_ang = sphere_rule(
         n, _angular_order(n, spec, level), pole=region.pole, pole_angles=region.pole_angles
     )
-    center, lo, hi = region.center, region.r_lo, region.r_hi
+    center, lo, hi = region.center, region.edges[0], region.edges[-1]
     x12, w12 = quad1d.gauss_legendre(12)
     per_ray = 12 * (base.size - 1 + 2 * len(region.cuts))
-    rows = max(1, _CUT_BLOCK_POINTS // per_ray)
+    rows = max(1, _BLOCK_POINTS // per_ray)
     total = 0.0
     for start in range(0, len(w_ang), rows):
         u = pts_ang[start:start + rows]
@@ -493,8 +475,8 @@ def _eval_region_cut(g, n: int, region: _Region, spec, level: int) -> float:
         live = np.repeat(half[:, :, 0] > 0.0, 12, axis=1)
         pts = (center + rho[:, :, None] * u[:, None, :])[live]
         vals = np.zeros(rho.shape)
-        vals[live] = np.concatenate([g(pts[i:i + _CUT_BLOCK_POINTS])
-                                     for i in range(0, len(pts), _CUT_BLOCK_POINTS)])
+        vals[live] = np.concatenate([g(pts[i:i + _BLOCK_POINTS])
+                                     for i in range(0, len(pts), _BLOCK_POINTS)])
         total += float(w_ang[start:start + rows] @ np.einsum("ij,ij->i", wr, vals))
     return total
 
@@ -596,14 +578,14 @@ def cutoff_w(y) -> float | np.ndarray:
 
 def _kernel_mass_within(n: int, x_n: float, radius: float) -> float:
     """alpha_n * x_n * integral of the Dirichlet kernel over a disk of given
-    radius around the projection point; its limit at infinity is exactly 1."""
+    radius around the projection point; its limit at infinity is exactly 1.
 
-    def integrand(rho):
-        return rho ** (n - 2) * (rho * rho + x_n * x_n) ** (-n / 2.0)
-
-    edges = [0.0] + [x_n * 2.0**j for j in range(-2, 80) if x_n * 2.0**j < radius] + [radius]
-    val = quad1d.fixed_panels(integrand, sorted(set(edges)), npts=20)
-    return alpha_n(n) * x_n * sphere_surface_area(n - 2) * val
+    With t = rho^2 / (rho^2 + x_n^2) the integral is the regularized
+    incomplete beta function I_z((n-1)/2, 1/2) at z = R^2 / (R^2 + x_n^2)
+    (DLMF 8.17).  It is taken as 1 - I_(1-z)(1/2, (n-1)/2), which keeps full
+    accuracy when R >> x_n and z rounds to 1.
+    """
+    return float(1.0 - betainc(0.5, (n - 1) / 2.0, x_n * x_n / (radius * radius + x_n * x_n)))
 
 
 def _solve(params: KernelParams, data: BoundaryData, x: HalfSpacePoint,
@@ -654,7 +636,7 @@ def _solve(params: KernelParams, data: BoundaryData, x: HalfSpacePoint,
             spec)
         value, est = value + ball_value, est + ball_est
         if near == "subtract":
-            offset = f_at_y * _kernel_mass_within(x.n, x.x_n, region.r_hi)
+            offset = f_at_y * _kernel_mass_within(x.n, x.x_n, region.edges[-1])
     return prefactor * value + offset, prefactor * est
 
 

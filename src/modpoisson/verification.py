@@ -13,7 +13,7 @@ feeding it is too coarse), not that the stencil is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -205,17 +205,28 @@ def check_boundary(problem: str, data: BoundaryData, y, xn_sequence,
 # differential-difference identities of the modified kernel
 
 
-def _point(r, theta, y_hat, n):
-    return HalfSpacePoint(n=n, r=r, theta=theta, y_hat=y_hat)
+def _moved(x: HalfSpacePoint, axis: int, t: float) -> HalfSpacePoint:
+    """x with its Cartesian coordinate `axis` set to t (axis n - 1 is x_n)."""
+    cart = x.to_cartesian()
+    cart[axis] = t
+    return HalfSpacePoint.from_cartesian(cart)
 
 
-def _fd_central(fn, t, h):
-    return (fn(t + h) - fn(t - h)) / (2.0 * h)
+def _along_projection(x: HalfSpacePoint, t: float) -> HalfSpacePoint:
+    """x with its projection y scaled to length t."""
+    return HalfSpacePoint.from_cartesian(np.append(t * x.y_hat, x.x_n))
 
 
-def _plane_rotation(x: HalfSpacePoint, yp: np.ndarray):
-    """Parametrize y' by its angle to the projection direction, within the
-    plane spanned by the two (for the theta' derivative)."""
+def _ray_path(x: HalfSpacePoint, yp: np.ndarray):
+    """Identity (vi): y' moves along its own ray."""
+    norm = float(np.linalg.norm(yp))
+    unit = yp / norm
+    return norm, lambda t: (x, t * unit), (float(np.dot(x.y, unit)), 0.0, norm)
+
+
+def _rotation_path(x: HalfSpacePoint, yp: np.ndarray):
+    """Identity (viii): y' turns by its angle to the projection direction,
+    within the plane spanned by the two."""
     norm = float(np.linalg.norm(yp))
     yhat = x.y_hat
     cosp = float(np.dot(yhat, yp)) / norm
@@ -229,88 +240,49 @@ def _plane_rotation(x: HalfSpacePoint, yp: np.ndarray):
     else:
         perp = residual / res_norm
     angle = math.acos(max(-1.0, min(1.0, cosp)))
+    a = -x.r * x.sin_theta * norm * math.sin(angle)
+    return angle, lambda t: (x, norm * (math.cos(t) * yhat + math.sin(t) * perp)), (a, 0.0, 0.0)
 
-    def at(t):
-        return norm * (math.cos(t) * yhat + math.sin(t) * perp)
 
-    return angle, at
+# identity -> (x, y') -> (t0, t -> (x(t), y'(t)), (a, b, c)); see
+# check_kernel_identity
+_IDENTITY_PATHS = {
+    "i": lambda x, yp: (x.theta, lambda t: (replace(x, theta=t), yp),
+                        (x.x_n * float(np.dot(x.y_hat, yp)), 0.0, 0.0)),
+    "ii": lambda x, yp: (x.r, lambda t: (replace(x, r=t), yp),
+                         (x.sin_theta * float(np.dot(x.y_hat, yp)), x.r, 0.0)),
+    "iii": lambda x, yp: (x.y[0], lambda t: (_moved(x, 0, t), yp), (yp[0], x.y[0], 0.0)),
+    "iv": lambda x, yp: (x.r * x.sin_theta, lambda t: (_along_projection(x, t), yp),
+                         (float(np.dot(x.y_hat, yp)), x.r * x.sin_theta, 0.0)),
+    "v": lambda x, yp: (x.x_n, lambda t: (_moved(x, x.n - 1, t), yp), (0.0, x.x_n, 0.0)),
+    "vi": _ray_path,
+    "vii": lambda x, yp: (yp[0], lambda t: (x, np.append(t, yp[1:])), (x.y[0], 0.0, yp[0])),
+    "viii": _rotation_path,
+}
 
 
 def check_kernel_identity(identity: str, lam: float, big_m: int, x: HalfSpacePoint,
                  yp, h: float = 1e-4, tol: float = 1e-6) -> CheckReport:
     """One differential-difference identity of the modified kernel.
 
-    The left side is a central difference in the named variable; the right
-    side couples kernels of raised exponent and lowered order (with the
-    convention that non-positive orders mean the unmodified kernel).
+    Each identity is a path t -> (x(t), y'(t)) through (x, y') at t0 and
+    three coefficients (a, b, c), from the table `_IDENTITY_PATHS`: (i)
+    theta, (ii) r, (iii) the first coordinate of y, (iv) |y| and (v) x_n
+    move x; (vi) |y'|, (vii) the first coordinate of y' and (viii) the
+    angle theta' move y'.  The left side is the central difference of
+    K_M(lam) along the path at t0; the right side is
+    2 lam (a K_(M-1) - b K_(M-2) - c K_M) at exponent lam + 1 and (x, y'),
+    with the convention that non-positive orders mean the unmodified kernel.
     """
-    yp = np.asarray(yp, dtype=float)
-    n = x.n
-    lam1 = lam + 1.0
-    y = x.y
-    ynorm = x.r * x.sin_theta
-    params = KernelParams(lam, big_m)
-    km1 = kernel_with_convention(lam1, big_m - 1, x, yp)
-    km2 = kernel_with_convention(lam1, big_m - 2, x, yp)
-
-    if identity == "i":
-        lhs = _fd_central(lambda t: kernel_KM_direct(params, _point(x.r, t, x.y_hat, n), yp),
-                          x.theta, h)
-        rhs = 2.0 * lam * x.x_n * float(np.dot(x.y_hat, yp)) * km1
-    elif identity == "ii":
-        lhs = _fd_central(lambda t: kernel_KM_direct(params, _point(t, x.theta, x.y_hat, n), yp),
-                          x.r, h)
-        rhs = 2.0 * lam * (
-            x.sin_theta * float(np.dot(x.y_hat, yp)) * km1 - x.r * km2
-        )
-    elif identity in ("iii", "iv"):
-        if identity == "iii":
-            i = 0
-
-            def move(t):
-                cart = np.append(y.copy(), x.x_n)
-                cart[i] = t
-                return HalfSpacePoint.from_cartesian(cart)
-
-            lhs = _fd_central(lambda t: kernel_KM_direct(params, move(t), yp), y[0], h)
-            rhs = 2.0 * lam * (yp[0] * km1 - y[0] * km2)
-        else:
-            def move(t):
-                cart = np.append(t * x.y_hat, x.x_n)
-                return HalfSpacePoint.from_cartesian(cart)
-
-            lhs = _fd_central(lambda t: kernel_KM_direct(params, move(t), yp), ynorm, h)
-            rhs = 2.0 * lam * (float(np.dot(x.y_hat, yp)) * km1 - ynorm * km2)
-    elif identity == "v":
-        def move(t):
-            return HalfSpacePoint.from_cartesian(np.append(y, t))
-
-        lhs = _fd_central(lambda t: kernel_KM_direct(params, move(t), yp), x.x_n, h)
-        rhs = -2.0 * lam * x.x_n * km2
-    elif identity == "vi":
-        norm = float(np.linalg.norm(yp))
-        unit = yp / norm
-        lhs = _fd_central(lambda t: kernel_KM_direct(params, x, t * unit), norm, h)
-        km0 = kernel_KM_direct(KernelParams(lam1, big_m), x, yp)
-        rhs = 2.0 * lam * (float(np.dot(y, unit)) * km1 - norm * km0)
-    elif identity == "vii":
-        i = 0
-
-        def move(t):
-            moved = yp.copy()
-            moved[i] = t
-            return kernel_KM_direct(params, x, moved)
-
-        lhs = _fd_central(move, yp[0], h)
-        km0 = kernel_KM_direct(KernelParams(lam1, big_m), x, yp)
-        rhs = 2.0 * lam * (y[0] * km1 - yp[0] * km0)
-    elif identity == "viii":
-        angle, at = _plane_rotation(x, yp)
-        lhs = _fd_central(lambda t: kernel_KM_direct(params, x, at(t)), angle, h)
-        norm = float(np.linalg.norm(yp))
-        rhs = -2.0 * lam * ynorm * norm * math.sin(angle) * km1
-    else:
+    if identity not in _IDENTITY_PATHS:
         raise DomainError(f"unknown identity {identity!r}")
+    yp = np.asarray(yp, dtype=float)
+    t0, path, (a, b, c) = _IDENTITY_PATHS[identity](x, yp)
+    params = KernelParams(lam, big_m)
+    lhs = (kernel_KM_direct(params, *path(t0 + h))
+           - kernel_KM_direct(params, *path(t0 - h))) / (2.0 * h)
+    km0, km1, km2 = (kernel_with_convention(lam + 1.0, big_m - k, x, yp) for k in range(3))
+    rhs = 2.0 * lam * (a * km1 - b * km2 - c * km0)
 
     scale = max(1.0, abs(lhs), abs(rhs))
     return CheckReport(
@@ -330,6 +302,22 @@ def _directional_data(data: BoundaryData, vec: np.ndarray) -> BoundaryData:
     return data.scaled_by(lambda pts: pts @ vec, name_suffix="*dir", growth_shift=1.0)
 
 
+# representation -> (x, axis) -> (end, t -> x(t), direction e, a(t), b(t));
+# see check_neumann_representation
+_REPRESENTATION_PATHS = {
+    "i": lambda x, axis: (x.theta, lambda t: replace(x, theta=t), x.y_hat,
+                          lambda t: 1.0, lambda t: 0.0),
+    "ii": lambda x, axis: (x.r, lambda t: replace(x, r=t), x.y_hat,
+                           lambda t: math.tan(x.theta) / t, lambda t: x.sec_theta),
+    "iii": lambda x, axis: (x.to_cartesian()[axis], lambda t: _moved(x, axis, t),
+                            np.eye(x.n - 1)[axis], lambda t: 1.0 / x.x_n, lambda t: t / x.x_n),
+    "iv": lambda x, axis: (x.r * x.sin_theta, lambda t: _along_projection(x, t), x.y_hat,
+                           lambda t: 1.0 / x.x_n, lambda t: t / x.x_n),
+    "v": lambda x, axis: (x.x_n, lambda t: _moved(x, x.n - 1, t), x.y_hat,
+                          lambda t: 0.0, lambda t: 1.0),
+}
+
+
 def check_neumann_representation(representation: str, data: BoundaryData, big_m: int,
                  x: HalfSpacePoint, anchor: float,
                  spec: QuadratureSpec | None = None, tol: float = 1e-5,
@@ -337,81 +325,36 @@ def check_neumann_representation(representation: str, data: BoundaryData, big_m:
     """One integral representation of the modified Neumann solution through
     modified Dirichlet integrals, checked against direct evaluation.
 
-    anchor is the representation's free parameter: the starting polar angle
-    (i), radius (ii), coordinate (iii), projection length (iv), or height
-    (v).  The data must be continuous with the origin outside the closure
-    of its support.
+    Each representation is a path t -> x(t) ending at x, a direction e and
+    two coefficients a(t), b(t), from the table `_REPRESENTATION_PATHS`: the
+    path moves (i) the polar angle, (ii) the radius, (iii) the boundary
+    coordinate `axis`, (iv) the projection length along y_hat, or (v) the
+    height.  N_M[f](x) is N_M[f](x(anchor)) plus the 24-point Gauss-Legendre
+    integral from anchor to the path's end of
+    a(t) D_(M-1)[f e.y'](x(t)) - b(t) D_(M-2)[f](x(t)), orders below zero
+    meaning the unmodified kernel; a zero coefficient skips its solve.  The
+    data must be continuous with the origin outside the closure of its
+    support.
     """
+    if representation not in _REPRESENTATION_PATHS:
+        raise DomainError(f"unknown representation {representation!r}")
     spec = spec or QuadratureSpec()
     if data.support.inner_radius <= 0:
         raise DomainError("representations need data supported away from the origin")
-    n = x.n
+    end, path, direction, a, b = _REPRESENTATION_PATHS[representation](x, axis)
+    f_dir = _directional_data(data, direction)
+    m1, m2 = max(big_m - 1, 0), max(big_m - 2, 0)
+
+    def integrand(t):
+        at, bt = a(t), b(t)
+        value = at * dirichlet_DM(m1, f_dir, path(t), spec) if at else 0.0
+        return value - bt * dirichlet_DM(m2, data, path(t), spec) if bt else value
+
     direct = neumann_NM(big_m, data, x, spec)
     glx, glw = quad1d.gauss_legendre(24)
-
-    def outer(a, b, fn):
-        half = 0.5 * (b - a)
-        mid = 0.5 * (b + a)
-        return half * sum(w * fn(mid + half * t) for t, w in zip(glx, glw))
-
-    # orders below zero mean the unmodified kernel, K_m = K for m <= 0
-    m1, m2 = max(big_m - 1, 0), max(big_m - 2, 0)
-    f_dir = _directional_data(data, x.y_hat)
-    if representation == "i":
-        contrib = outer(anchor, x.theta,
-                        lambda t: dirichlet_DM(m1, f_dir, _point(x.r, t, x.y_hat, n), spec))
-        base = neumann_NM(big_m, data, _point(x.r, anchor, x.y_hat, n), spec)
-    elif representation == "ii":
-        tan, sec = math.tan(x.theta), 1.0 / math.cos(x.theta)
-        term1 = tan * outer(anchor, x.r,
-                            lambda t: dirichlet_DM(m1, f_dir,
-                                                   _point(t, x.theta, x.y_hat, n), spec) / t)
-        term2 = sec * outer(anchor, x.r,
-                            lambda t: dirichlet_DM(m2, data,
-                                                   _point(t, x.theta, x.y_hat, n), spec))
-        contrib = term1 - term2
-        base = neumann_NM(big_m, data, _point(anchor, x.theta, x.y_hat, n), spec)
-    elif representation == "iii":
-        cart = x.to_cartesian()
-
-        def at(t):
-            moved = cart.copy()
-            moved[axis] = t
-            return HalfSpacePoint.from_cartesian(moved)
-
-        e_i = np.zeros(n - 1)
-        e_i[axis] = 1.0
-        f_i = _directional_data(data, e_i)
-        term1 = outer(anchor, cart[axis],
-                      lambda t: dirichlet_DM(m1, f_i, at(t), spec)) / x.x_n
-        term2 = outer(anchor, cart[axis],
-                      lambda t: dirichlet_DM(m2, data, at(t), spec) * t) / x.x_n
-        contrib = term1 - term2
-        base = neumann_NM(big_m, data, at(anchor), spec)
-    elif representation == "iv":
-        def at(t):
-            return HalfSpacePoint.from_cartesian(np.append(t * x.y_hat, x.x_n))
-
-        ynorm = x.r * x.sin_theta
-        term1 = outer(anchor, ynorm,
-                      lambda t: dirichlet_DM(m1, f_dir, at(t), spec)) / x.x_n
-        term2 = outer(anchor, ynorm,
-                      lambda t: dirichlet_DM(m2, data, at(t), spec) * t) / x.x_n
-        contrib = term1 - term2
-        base = neumann_NM(big_m, data, at(anchor), spec)
-    elif representation == "v":
-        y = x.y
-
-        def at(t):
-            return HalfSpacePoint.from_cartesian(np.append(y, t))
-
-        contrib = -outer(anchor, x.x_n,
-                         lambda t: dirichlet_DM(m2, data, at(t), spec))
-        base = neumann_NM(big_m, data, at(anchor), spec)
-    else:
-        raise DomainError(f"unknown representation {representation!r}")
-
-    value = contrib + base
+    half, mid = 0.5 * (end - anchor), 0.5 * (end + anchor)
+    contrib = half * sum(w * integrand(mid + half * t) for t, w in zip(glx, glw))
+    value = contrib + neumann_NM(big_m, data, path(anchor), spec)
     scale = max(1.0, abs(direct))
     return CheckReport(
         name=f"neumann_representation_{representation}",

@@ -95,6 +95,8 @@ class TestEval:
         ("K", "--data", "bump"), ("KM", "--data-args", "radius=2.0"),
         *[(t, "--lam", "2.0") for t in ("D", "N", "DM", "NM", "u", "v")],
         *[(t, "--M", "1") for t in ("D", "N", "K")],
+        ("K", "--abs-tol", "1e-6"), ("KM", "--rel-tol", "1e-6"),
+        ("K", "--truncation-radius", "50"),
     ])
     def test_rejects_flags_the_target_ignores(self, target, flag, value, capsys):
         if target in ("K", "KM"):
@@ -105,6 +107,20 @@ class TestEval:
             run_cli(["eval", *args, flag, value])
         assert err.value.code == 64
         assert capsys.readouterr().err.endswith(f"does not use {flag}\n")
+
+
+    def test_solution_takes_quadrature_flags(self, capsys):
+        code = run_cli([
+            "eval", "--solution", "D", "--data", "bump", "--n", "3",
+            "--r", "1.5", "--theta", "0.3", "--abs-tol", "1e-6", "--format", "jsonl",
+        ])
+        assert code == 0
+        [row] = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+        from modpoisson.data import bump
+        from modpoisson.quadrature import QuadratureSpec, dirichlet_D
+
+        x = HalfSpacePoint(n=3, r=1.5, theta=0.3)
+        assert row["value"] == dirichlet_D(bump(3), x, QuadratureSpec(abs_tol=1e-6))
 
 
 class TestExpand:

@@ -67,6 +67,45 @@ class TestSphereRule:
         assert got == pytest.approx(np.dot(a, a) / (n - 1), rel=tol)
 
 
+    @pytest.mark.parametrize("n, sizes", [(3, [52, 76, 112, 164]),
+                                          (4, [432, 936, 1976, 4256]),
+                                          (5, [4032, 6720, 15680])])
+    def test_sizes_at_the_default_levels(self, n, sizes):
+        assert [len(sphere_rule(n, quad._angular_order(n, SPEC, level))[1])
+                for level in range(len(sizes))] == sizes
+
+    def test_circle_integrates_monomials_with_pole_angles(self):
+        # the circle is the polar half-circle mirrored by S^0: its panels
+        # carry the pole angles on both sides of the pole
+        pole = np.array([0.6, -0.8])
+        pts, w = sphere_rule(3, 48, pole=pole, pole_angles=(0.01, 0.3, 2.0))
+        for p in range(5):
+            for q in range(5 - p):
+                exact = 0.0
+                if p % 2 == 0 and q % 2 == 0:
+                    exact = 2.0 * math.gamma((p + 1) / 2) * math.gamma((q + 1) / 2) / math.gamma(
+                        (p + q + 2) / 2)
+                assert np.dot(w, pts[:, 0] ** p * pts[:, 1] ** q) == pytest.approx(
+                    exact, abs=5e-14)
+
+    @pytest.mark.parametrize("a", [0.01, 0.3, 2.0])
+    def test_circle_pole_angle_is_a_kink_edge_on_both_sides(self, a):
+        pole = np.array([0.6, -0.8])
+        pts, w = sphere_rule(3, 48, pole=pole, pole_angles=(a,))
+        got = np.dot(w, np.maximum(pts @ pole - math.cos(a), 0.0))
+        assert got == pytest.approx(2.0 * (math.sin(a) - a * math.cos(a)), rel=1e-13)
+
+
+class TestKernelMass:
+    @pytest.mark.parametrize("x_n", [1e-6, 1e-3, 0.1, 1.0])
+    @pytest.mark.parametrize("radius", [0.5, 3.0, 50.0, 1e4])
+    def test_elementary_closed_forms(self, x_n, radius):
+        assert quad._kernel_mass_within(2, x_n, radius) == pytest.approx(
+            2.0 / math.pi * math.atan(radius / x_n), rel=0.0, abs=1e-15)
+        assert quad._kernel_mass_within(3, x_n, radius) == pytest.approx(
+            1.0 - x_n / math.sqrt(radius**2 + x_n**2), rel=0.0, abs=1e-15)
+
+
 class TestCutoff:
     def test_plateaus(self):
         assert cutoff_w(np.array([0.5, 0.0])) == 0.0
@@ -484,7 +523,7 @@ def _per_ray_cut_integral(g, n, region, level):
             disc = b * b + rad_q**2 - float(delta @ delta)
             if disc > 0.0:
                 edges += [r for r in (-b + disc**0.5, -b - disc**0.5)
-                          if 1e-13 < r < region.r_hi - 1e-13]
+                          if 1e-13 < r < region.edges[-1] - 1e-13]
         edges = np.array(sorted(edges))
         half = 0.5 * np.diff(edges)[:, None]
         rho = (edges[:-1, None] + half * (x12 + 1.0)).ravel()
@@ -522,7 +561,7 @@ class TestCutRegions:
 
         quad._eval_region_cut(counted, n, region, SPEC, 2)
         assert len(sizes) > 1
-        assert max(sizes) <= quad._CUT_BLOCK_POINTS
+        assert max(sizes) <= quad._BLOCK_POINTS
 
     def test_kink_cut_solution_at_tight_tolerance(self):
         f = bump(3, center=[2.0, 0.0], radius=1.0)
@@ -620,7 +659,7 @@ class TestGridBlocks:
 
             for region in regions:
                 quad._eval_region(counted, n, region, spec, level)
-            assert max(sizes) <= max(quad._GRID_BLOCK_POINTS, rule_size)
+            assert max(sizes) <= max(quad._BLOCK_POINTS, rule_size)
             calls += len(sizes)
         assert calls > 2 * len(regions)
 
@@ -636,7 +675,7 @@ class TestGridBlocks:
     def test_sphere_rule_larger_than_a_block_goes_row_by_row(self, monkeypatch):
         g, regions = _far_dirichlet_grid(4)
         rule_size = len(sphere_rule(4, quad._angular_order(4, SPEC, 0))[1])
-        monkeypatch.setattr(quad, "_GRID_BLOCK_POINTS", rule_size // 3)
+        monkeypatch.setattr(quad, "_BLOCK_POINTS", rule_size // 3)
         sizes = []
 
         def counted(pts):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 
 from modpoisson import suites
@@ -14,3 +16,15 @@ def test_kernel_identity_check_is_order_independent():
     second = suites.kernel_identity("viii", 2024)
     assert first.residual == second.residual
     assert first.passed
+
+
+def test_sharpness_constants_fail_without_the_reflection_amplitude(monkeypatch):
+    # with the super extension's mirrored balls switched off, the far-cone
+    # integral turns negative, and the reflection-amplitude term must see it
+    from modpoisson import sharpness
+
+    real = sharpness.compute_constants
+    assert suites.sharpness_constants().passed
+    monkeypatch.setattr(sharpness, "compute_constants",
+                        lambda lam, big_m: replace(real(lam, big_m), reflection_amp=0.0))
+    assert not suites.sharpness_constants().passed
