@@ -123,19 +123,25 @@ def _grid_points(args):
             yield HalfSpacePoint(n=args.n, r=r, theta=theta, y_hat=y_hat)
 
 
-def _ignored_eval_flags(args) -> list[str]:
-    """The eval flags given on the command line that the target does not use."""
-    ignored = {
-        "--yprime": args.solution and args.yprime is not None,
-        "--data": args.kernel and args.data is not None,
-        "--data-args": args.kernel and args.data_args is not None,
-        "--abs-tol": args.kernel and args.abs_tol is not None,
-        "--rel-tol": args.kernel and args.rel_tol is not None,
-        "--truncation-radius": args.kernel and args.truncation_radius is not None,
-        "--lam": args.solution in ("D", "N", "DM", "NM", "u", "v") and args.lam is not None,
-        "--M": (args.solution in ("D", "N") or args.kernel == "K") and args.M is not None,
-    }
-    return [flag for flag, given in ignored.items() if given]
+def _ignored_flags(args) -> list[str]:
+    """The eval or expand flags given on the command line that the target
+    does not use; each of these flags defaults to None."""
+    if args.command == "eval":
+        unused = "--yprime" if args.solution else (
+            "--data --data-args --abs-tol --rel-tol --truncation-radius")
+        if args.solution in ("D", "N", "DM", "NM", "u", "v"):
+            unused += " --lam"
+        if args.solution in ("D", "N") or args.kernel == "K":
+            unused += " --M"
+    elif args.divergence is not None:
+        unused = ("--data --data-args --M --theta --radii --closed-form "
+                  "--abs-tol --rel-tol --truncation-radius")
+    else:
+        unused = "--r --theta-at"
+        if args.problem != "neumann" or args.data not in (None, "exp_decay"):
+            unused += " --closed-form"
+    return [flag for flag in unused.split()
+            if getattr(args, flag[2:].replace("-", "_")) is not None]
 
 
 def cmd_eval(args) -> int:
@@ -188,15 +194,18 @@ def cmd_eval(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    # the table flags default to None so that the other table can reject
+    # them; unset quadrature flags keep the QuadratureSpec defaults
+    defaults = {"data": "exp_decay", "M": 2, "theta": "0.0", "r": 10.0, "theta_at": 0.0}
+    vars(args).update({k: v for k, v in defaults.items() if getattr(args, k) is None})
     spec = _spec_from_args(args)
     rows = []
     if args.divergence is not None:
-        terms = divergence_demo(args.n, args.radii_single, args.theta_single,
-                                args.divergence, problem=args.problem)
+        terms = divergence_demo(args.n, args.r, args.theta_at, args.divergence,
+                                problem=args.problem)
         for k, magnitude in enumerate(terms):
-            rows.append({"n": args.n, "r": args.radii_single,
-                         "theta": args.theta_single, "k": k, "order": 2 * k,
-                         "term_magnitude": float(magnitude)})
+            rows.append({"n": args.n, "r": args.r, "theta": args.theta_at, "k": k,
+                         "order": 2 * k, "term_magnitude": float(magnitude)})
         _emit(rows, args.out, args.format)
         return 0
     data = make_data(args.data, args.n, **_parse_data_args(args.data_args))
@@ -207,7 +216,7 @@ def cmd_expand(args) -> int:
         for m in range(args.M):
             row = {"kind": "coefficient", "m": m, "theta": theta,
                    "value": expansion.coefficient(m, theta)}
-            if args.closed_form and args.problem == "neumann" and args.data == "exp_decay":
+            if args.closed_form:
                 row["closed_form"] = exp_data_neumann_coefficient(args.n, m, theta)
             rows.append(row)
         for r in radii:
@@ -316,17 +325,21 @@ def build_parser() -> _Parser:
 
     p_exp = sub.add_parser("expand", help="asymptotic expansion tables")
     common(p_exp)
+    p_exp.set_defaults(abs_tol=None, rel_tol=None)
     p_exp.add_argument("--problem", choices=("dirichlet", "neumann"), default="neumann")
-    p_exp.add_argument("--data", default="exp_decay", choices=sorted(DATA_REGISTRY))
+    p_exp.add_argument("--data", default=None, choices=sorted(DATA_REGISTRY),
+                       help="default exp_decay")
     p_exp.add_argument("--data-args", dest="data_args", default=None)
-    p_exp.add_argument("--M", type=int, default=2)
-    p_exp.add_argument("--theta", default="0.0")
+    p_exp.add_argument("--M", type=int, default=None, help="default 2")
+    p_exp.add_argument("--theta", default=None, help="comma list (default 0.0)")
     p_exp.add_argument("--radii", default=None)
-    p_exp.add_argument("--closed-form", dest="closed_form", action="store_true")
+    p_exp.add_argument("--closed-form", dest="closed_form", action="store_true", default=None,
+                       help="neumann exp_decay only")
     p_exp.add_argument("--divergence", type=int, default=None,
                        help="emit term magnitudes up to this index instead")
-    p_exp.add_argument("--r", dest="radii_single", type=float, default=10.0)
-    p_exp.add_argument("--theta-at", dest="theta_single", type=float, default=0.0)
+    p_exp.add_argument("--r", type=float, default=None, help="with --divergence (default 10)")
+    p_exp.add_argument("--theta-at", dest="theta_at", type=float, default=None,
+                       help="with --divergence (default 0)")
 
     # the suites fix their own dimensions, tolerances and output format
     p_ver = sub.add_parser("verify", help="run a certification suite")
@@ -344,17 +357,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "eval":
-            if bool(args.kernel) == bool(args.solution):
-                parser.error("eval needs exactly one of --kernel or --solution")
-            ignored = _ignored_eval_flags(args)
-            if ignored:
-                parser.error(f"eval of {args.kernel or args.solution} does not use "
-                             + ", ".join(ignored))
-            return cmd_eval(args)
-        if args.command == "expand":
-            return cmd_expand(args)
-        return cmd_verify(args)
+        if args.command == "verify":
+            return cmd_verify(args)
+        if args.command == "eval" and bool(args.kernel) == bool(args.solution):
+            parser.error("eval needs exactly one of --kernel or --solution")
+        ignored = _ignored_flags(args)
+        if ignored:
+            target = (args.kernel or args.solution if args.command == "eval" else
+                      "the divergence table" if args.divergence is not None else "an expansion")
+            parser.error(f"{args.command} of {target} does not use " + ", ".join(ignored))
+        return cmd_eval(args) if args.command == "eval" else cmd_expand(args)
     except ModPoissonError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR

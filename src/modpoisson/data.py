@@ -35,9 +35,11 @@ __all__ = [
 class Support:
     """Where the data lives: 'compact' within outer_radius or 'global'.
 
-    radial_edges lists radii where the data has kinks or support boundaries
-    (quadrature aligns panel edges there); balls, when set, is a tuple of
-    (center, radius) pairs whose union contains the support exactly.
+    radial_edges lists radii of circles about the origin where the data kink
+    or end (quadrature aligns panel edges there).  balls, when set, is a
+    tuple of (center, radius) pairs whose union contains the support
+    exactly; a ball's boundary is a circle about its own centre, not a
+    radial edge, and the radii follow from the balls (a caller's must agree).
     """
 
     kind: str
@@ -49,6 +51,15 @@ class Support:
     def __post_init__(self):
         if self.kind not in ("compact", "global"):
             raise DomainError(f"support kind must be 'compact' or 'global', got {self.kind!r}")
+        if self.balls:
+            reach = [(float(np.linalg.norm(np.asarray(c, dtype=float))), r) for c, r in self.balls]
+            for field, derived, unset in (
+                    ("outer_radius", max(c + r for c, r in reach), None),
+                    ("inner_radius", max(0.0, min(c - r for c, r in reach)), 0.0)):
+                given = getattr(self, field)
+                if given not in (unset, derived):
+                    raise DomainError(f"{field} {given} contradicts the balls' {derived}")
+                object.__setattr__(self, field, derived)
         if self.kind == "compact" and not self.outer_radius:
             raise DomainError("compact support needs an outer radius")
 
@@ -140,8 +151,7 @@ def bump(n: int, center=None, radius: float = 1.0, height: float = 1.0,
     if center.shape != (n - 1,):
         raise ConstructionError(f"bump center must live in R^{n - 1}")
     if normalized:
-        height = height / _radial_mass(n, radius)
-    cnorm = float(np.linalg.norm(center))
+        height = height / _profile_mass(n, 0.0, radius)
 
     def evaluator(pts):
         d = row_norms(np.asarray(pts, dtype=float) - center)
@@ -151,26 +161,22 @@ def bump(n: int, center=None, radius: float = 1.0, height: float = 1.0,
         n=n,
         evaluator=evaluator,
         growth_exponent=0.0,
-        support=Support(
-            "compact",
-            outer_radius=cnorm + radius,
-            inner_radius=max(0.0, cnorm - radius),
-            radial_edges=(max(0.0, cnorm - radius), cnorm + radius),
-            balls=((center, radius),),
-        ),
+        support=Support("compact", balls=((center, radius),)),
         name=f"bump(r={radius})",
         amplitude=abs(height),
     )
 
 
-def _radial_mass(n: int, radius: float) -> float:
-    """Integral of the smooth profile over R^(n-1), by exact 1D quadrature."""
+def _profile_mass(n: int, mid: float, half: float) -> float:
+    """Integral over R^(n-1) of the smooth profile of |y| about `mid` with
+    half-width `half`, by Gauss-Legendre in |y| (exact: it is polynomial)."""
     from .quadrature import sphere_surface_area
 
+    lo, hi = max(0.0, mid - half), mid + half
     xg, wg = np.polynomial.legendre.leggauss(64)
-    rho = 0.5 * radius * (xg + 1.0)
-    w = 0.5 * radius * wg
-    vals = _smooth_profile(rho, radius) * rho ** (n - 2)
+    rho = 0.5 * (hi - lo) * (xg + 1.0) + lo
+    w = 0.5 * (hi - lo) * wg
+    vals = _smooth_profile(np.abs(rho - mid), half) * rho ** (n - 2)
     return float(sphere_surface_area(n - 2) * np.dot(w, vals))
 
 
@@ -181,13 +187,7 @@ def shell_bump(n: int, r_in: float, r_out: float, height: float = 1.0,
         raise ConstructionError("need 0 <= r_in < r_out")
     mid, half = 0.5 * (r_in + r_out), 0.5 * (r_out - r_in)
     if normalized:
-        from .quadrature import sphere_surface_area
-
-        xg, wg = np.polynomial.legendre.leggauss(64)
-        rho = mid + half * xg
-        w = half * wg
-        mass = sphere_surface_area(n - 2) * np.dot(w, _smooth_profile(np.abs(rho - mid), half) * rho ** (n - 2))
-        height = height / float(mass)
+        height = height / _profile_mass(n, mid, half)
 
     def evaluator(pts):
         rho = row_norms(pts)

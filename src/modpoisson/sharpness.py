@@ -313,20 +313,11 @@ def data_half_balls(n: int, psi_values, centers, lam: float, big_m: int) -> Boun
             out += np.where(mask, sign * amp * (1.0 - d) * np.abs(first), 0.0)
         return out
 
-    edges = []
-    for c in centers:
-        edges += [c - 1.0, c + 1.0]
     return BoundaryData(
         n=n,
         evaluator=evaluator,
         growth_exponent=0.0,
-        support=Support(
-            "compact",
-            outer_radius=centers[-1] + 1.0,
-            inner_radius=centers[0] - 1.0,
-            radial_edges=tuple(edges),
-            balls=ball_list,
-        ),
+        support=Support("compact", balls=ball_list),
         name=f"half_balls(M={big_m})",
         amplitude=max(abs(a) for a in amps),
     )
@@ -381,20 +372,11 @@ def data_balls_super_extension(n: int, a_values, b_values, amplitudes,
             out += np.where(d < b, refl * amp * (1.0 - d / b), 0.0)
         return out
 
-    edges = []
-    for a, b in zip(a_values, b_values):
-        edges += [a - b, a + b]
     return BoundaryData(
         n=n,
         evaluator=evaluator,
         growth_exponent=0.0,
-        support=Support(
-            "compact",
-            outer_radius=a_values[-1] + b_values[-1],
-            inner_radius=a_values[0] - b_values[0],
-            radial_edges=tuple(edges),
-            balls=tuple(balls),
-        ),
+        support=Support("compact", balls=tuple(balls)),
         name=f"super_balls(M={big_m})",
         amplitude=max(abs(f) for f in amplitudes) * max(1.0, abs(refl)),
     )

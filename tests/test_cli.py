@@ -161,6 +161,42 @@ class TestExpand:
         assert evals[0]["remainder"] == evals[0]["direct"]
 
 
+    @pytest.mark.parametrize("argv", [
+        ["--problem", "neumann", "--data", "exp_decay", "--n", "3", "--M", "4",
+         "--theta", "0.0,0.5", "--radii", "20,40", "--closed-form", "--format", "jsonl"],
+        ["--divergence", "14", "--n", "3", "--r", "10", "--theta-at", "0.0"],
+    ])
+    def test_documented_commands_run(self, argv, capsys):
+        assert run_cli(["expand", *argv]) == 0
+        assert capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--data", "exp_decay"), ("--data-args", "rate=2"), ("--M", "1"),
+        ("--theta", "0.3"), ("--radii", "5"), ("--closed-form", None),
+        ("--abs-tol", "1e-3"), ("--rel-tol", "1e-3"), ("--truncation-radius", "50"),
+    ])
+    def test_divergence_rejects_expansion_flags(self, flag, value, capsys):
+        argv = ["expand", "--divergence", "3", "--n", "3", flag] + ([value] if value else [])
+        with pytest.raises(SystemExit) as err:
+            run_cli(argv)
+        assert err.value.code == 64
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--r", "99"), ("--theta-at", "0.4")])
+    def test_expansion_rejects_divergence_flags(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["expand", "--M", "1", "--theta", "0.3", flag, value])
+        assert err.value.code == 64
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("other", [["--problem", "dirichlet"], ["--data", "bump"]])
+    def test_closed_form_only_for_neumann_exp_decay(self, other, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["expand", "--M", "1", "--closed-form", *other])
+        assert err.value.code == 64
+        assert "--closed-form" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_single_suite_report(self, tmp_path, capsys):
         report = tmp_path / "report.jsonl"

@@ -7,7 +7,15 @@ import pytest
 
 from modpoisson import quad1d
 from modpoisson import quadrature as quad
-from modpoisson.data import bump, bump_train, constant, exp_decay, poly_growth, shell_bump
+from modpoisson.data import (
+    Support,
+    bump,
+    bump_train,
+    constant,
+    exp_decay,
+    poly_growth,
+    shell_bump,
+)
 from modpoisson.errors import AccuracyError, DomainError
 from modpoisson.geometry import BoundaryPoint, HalfSpacePoint
 from modpoisson.kernels import KernelParams, kernel_K, kernel_KM_second
@@ -106,6 +114,25 @@ class TestKernelMass:
             1.0 - x_n / math.sqrt(radius**2 + x_n**2), rel=0.0, abs=1e-15)
 
 
+class TestSupport:
+    def test_ball_support_derives_its_radii(self):
+        sup = bump(3, center=[2.0, 0.0], radius=1.0).support
+        assert sup.radial_edges == ()
+        assert (sup.outer_radius, sup.inner_radius) == (3.0, 1.0)
+        assert bump(3, center=[0.3, 0.0], radius=0.5).support.inner_radius == 0.0
+
+    def test_contradicting_radius_is_rejected(self):
+        balls = bump(3, center=[2.0, 0.0], radius=1.0).support.balls
+        with pytest.raises(DomainError):
+            Support("compact", outer_radius=2.5, balls=balls)
+
+    def test_replace_keeps_the_derived_radii(self):
+        sup = bump(3, center=[2.0, 0.0], radius=1.0).support
+        cut = dataclasses.replace(sup, radial_edges=(1.0, 2.0))
+        assert cut.radial_edges == (1.0, 2.0)
+        assert (cut.outer_radius, cut.inner_radius) == (3.0, 1.0)
+
+
 class TestCutoff:
     def test_plateaus(self):
         assert cutoff_w(np.array([0.5, 0.0])) == 0.0
@@ -156,14 +183,7 @@ class TestIntegralF:
         fc = replace(
             fa,
             evaluator=combo,
-            support=type(fa.support)(
-                "compact",
-                outer_radius=3.0,
-                inner_radius=0.7,
-                radial_edges=tuple(sorted(set(fa.support.radial_edges)
-                                          | set(fb.support.radial_edges))),
-                balls=fa.support.balls + fb.support.balls,
-            ),
+            support=type(fa.support)("compact", balls=fa.support.balls + fb.support.balls),
         )
         vc = integral_F(params, fc, x, SPEC)
         assert vc == pytest.approx(2.0 * va - 0.7 * vb, abs=1e-10)
@@ -403,6 +423,42 @@ class TestNearBoundary:
         refs = (0.5746900823836975, 0.5739665148128664, 0.5714907227034544)
         for big_m, ref in enumerate(refs):
             assert solution_u(f, big_m, x, SPEC) == pytest.approx(ref, abs=1e-9)
+
+    @pytest.mark.parametrize("center, radius, where, refs", [
+        ((2.0, 0.0), 1.0, (0.8, 0.4, 1e-3), (
+            8.829128162940336e-05, 0.10236135482144994, 7.381993021278245e-05,
+            0.046390390581126664, 5.5814169417059345e-05, 0.024162480311394837)),
+        ((2.0, 0.0), 1.0, (-1.26, -1.57, 1e-3), (
+            2.7330834744546586e-06, 0.034679938881632594, -1.1738267942168798e-05,
+            -0.021291025358690676, 1.6620805311100076e-05, 0.013717933316136976)),
+        ((3.0, 0.0), 2.0, (0.8, 0.4, 1e-3), (
+            7.432242926682215e-05, 0.23437163193725702, 5.176998938651134e-05,
+            0.06568855739792678, 3.0883977202880615e-05, 0.01878952707508743)),
+        ((3.0, 0.0), 2.0, (-1.26, -1.57, 1e-3), (
+            5.862680565960066e-06, 0.11123963308823932, -1.668975931435471e-05,
+            -0.057443441451090906, 1.620570987486945e-05, 0.016422531307381034)),
+    ])
+    def test_off_centre_bump_solutions_converge(self, center, radius, where, refs):
+        # the near ball is cut by the data ball's own circle only, about which
+        # its pole is aligned.  References D, N, u and v at M = 1, 2, at
+        # radial_panels=48, angular_order=96, 1e-12
+        f = bump(3, center=center, radius=radius)
+        x = HalfSpacePoint.from_cartesian(where)
+        values = [dirichlet_D(f, x, SPEC), neumann_N(f, x, SPEC)]
+        for big_m in (1, 2):
+            values += [solution_u(f, big_m, x, SPEC), solution_v(f, big_m, x, SPEC)]
+        assert values == pytest.approx(refs, abs=1e-9, rel=0.0)
+
+    def test_near_ball_cut_by_the_data_ball_only(self):
+        f = bump(3, center=[2.0, 0.0], radius=1.0)
+        x = HalfSpacePoint.from_cartesian([0.8, 0.4, 1e-3])
+        region = quad._near_ball(f, x, SPEC)
+        assert len(region.cuts) == 1
+        centre, rad = region.cuts[0]
+        np.testing.assert_array_equal(centre, [2.0, 0.0])
+        assert rad == 1.0
+        toward = np.array([2.0, 0.0]) - x.y
+        np.testing.assert_allclose(region.pole, toward / np.linalg.norm(toward), rtol=1e-15)
 
     def test_dirichlet_dm_estimate_is_measured(self):
         # against a solve at radial_panels=48, angular_order=96, 1e-12

@@ -28,3 +28,13 @@ def test_sharpness_constants_fail_without_the_reflection_amplitude(monkeypatch):
     monkeypatch.setattr(sharpness, "compute_constants",
                         lambda lam, big_m: replace(real(lam, big_m), reflection_amp=0.0))
     assert not suites.sharpness_constants().passed
+
+
+def test_sharpness_constants_fail_on_a_perturbed_gamma(monkeypatch):
+    # gamma is checked against C_m^lam(1) from the three-term recurrence, not
+    # against the log-gamma expression that computed it, so an error shows
+    real = suites.compute_constants
+    monkeypatch.setattr(suites, "compute_constants",
+                        lambda lam, big_m: replace(real(lam, big_m),
+                                                   gamma=real(lam, big_m).gamma * (1 + 1e-9)))
+    assert not suites.sharpness_constants().passed
