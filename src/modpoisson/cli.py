@@ -80,9 +80,11 @@ def _parse_data_args(text: str | None) -> dict:
 
 
 def _format_value(v):
+    """Floats at full precision; other values as the csv module writes them
+    (None, a missing estimate, as an empty field)."""
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
-    return str(v)
+    return v
 
 
 def _emit(rows: list[dict], out: str | None, fmt: str):
@@ -164,7 +166,8 @@ def cmd_eval(args) -> int:
                 value = kernel_KM_second(KernelParams(args.lam, args.M, "second"), x, yp)
             rows.append({
                 "n": x.n, "r": x.r, "theta": x.theta, "kernel": args.kernel,
-                "lam": args.lam, "M": args.M, "value": value, "error_estimate": 0.0,
+                "lam": args.lam, "M": args.M, "value": value,
+                "error_estimate": None,  # a closed form: nothing to estimate
             })
     else:
         data = make_data(args.data, args.n, **_parse_data_args(args.data_args))
@@ -173,8 +176,8 @@ def cmd_eval(args) -> int:
             "N": lambda x: neumann_N(data, x, spec, return_estimate=True),
             "DM": lambda x: dirichlet_DM(args.M, data, x, spec, return_estimate=True),
             "NM": lambda x: neumann_NM(args.M, data, x, spec, return_estimate=True),
-            "u": lambda x: (solution_u(data, args.M, x, spec), spec.abs_tol),
-            "v": lambda x: (solution_v(data, args.M, x, spec), spec.abs_tol),
+            "u": lambda x: solution_u(data, args.M, x, spec, return_estimate=True),
+            "v": lambda x: solution_v(data, args.M, x, spec, return_estimate=True),
             "F": lambda x: integral_F(KernelParams(args.lam, args.M), data, x, spec,
                                       return_estimate=True),
             "F2": lambda x: integral_F_second(
@@ -300,14 +303,13 @@ def build_parser() -> _Parser:
         output(p)
         p.add_argument("--n", type=int, default=3, help="ambient dimension (2-5)")
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-        p.add_argument("--abs-tol", dest="abs_tol", type=float, default=1e-9)
-        p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-9)
+        p.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
+        p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
         p.add_argument("--truncation-radius", dest="truncation_radius",
                        type=float, default=None)
 
     p_eval = sub.add_parser("eval", help="evaluate kernels or solution integrals on a grid")
     common(p_eval)
-    p_eval.set_defaults(abs_tol=None, rel_tol=None)
     p_eval.add_argument("--kernel", choices=("K", "KM", "KM2"), default=None)
     p_eval.add_argument("--solution", choices=("D", "N", "DM", "NM", "u", "v", "F", "F2"),
                         default=None)
@@ -325,7 +327,6 @@ def build_parser() -> _Parser:
 
     p_exp = sub.add_parser("expand", help="asymptotic expansion tables")
     common(p_exp)
-    p_exp.set_defaults(abs_tol=None, rel_tol=None)
     p_exp.add_argument("--problem", choices=("dirichlet", "neumann"), default="neumann")
     p_exp.add_argument("--data", default=None, choices=sorted(DATA_REGISTRY),
                        help="default exp_decay")

@@ -23,10 +23,11 @@ from .errors import DomainError
 from .geometry import HalfSpacePoint, cos_theta_prime_array, row_norms
 from .quadrature import (
     QuadratureSpec,
+    _first_kind_map,
+    _problem,
     alpha_n,
-    dirichlet_D,
     integrate_weighted,
-    neumann_N,
+    unit_ball_volume,
 )
 
 __all__ = [
@@ -59,14 +60,9 @@ class HarmonicFamilyTerm:
     pole: tuple = None
 
     def __post_init__(self):
-        if self.family not in ("dirichlet", "neumann"):
-            raise DomainError("family must be 'dirichlet' or 'neumann'")
+        _problem(self.family, self.n)
         if self.m < 0:
             raise DomainError("degree index must be non-negative")
-        if self.family == "neumann" and self.n < 3:
-            raise DomainError("the Neumann family needs ambient dimension >= 3")
-        if self.n < 2:
-            raise DomainError("ambient dimension must be >= 2")
         pole = self.pole
         if pole is None:
             pole = np.zeros(self.n - 1)
@@ -77,7 +73,7 @@ class HarmonicFamilyTerm:
 
     @property
     def degree(self) -> int:
-        return self.m + 1 if self.family == "dirichlet" else self.m
+        return self.m + _problem(self.family, self.n)[2]
 
 
 def harmonic_term(term: HarmonicFamilyTerm, x) -> float:
@@ -91,19 +87,10 @@ def harmonic_term(term: HarmonicFamilyTerm, x) -> float:
         theta_big = 0.0
     else:
         theta_big = float(np.dot(x[:-1], pole)) / r
-    lam = term.n / 2.0 if term.family == "dirichlet" else (term.n - 2) / 2.0
+    lam, _, carries_xn = _problem(term.family, term.n)
     radial = r**term.m if r > 0 else (1.0 if term.m == 0 else 0.0)
     core = radial * gegenbauer.value(lam, term.m, theta_big)
-    if term.family == "dirichlet":
-        return x[-1] * core
-    return core
-
-
-def _direction(n: int, theta: float, y_hat) -> HalfSpacePoint:
-    if y_hat is None:
-        y_hat = np.zeros(n - 1)
-        y_hat[0] = 1.0
-    return HalfSpacePoint(n=n, r=1.0, theta=theta, y_hat=np.asarray(y_hat, dtype=float))
+    return x[-1] * core if carries_xn else core
 
 
 def _moment_weight(xdir: HalfSpacePoint, lam: float, m: int):
@@ -122,6 +109,19 @@ def _require_decay(data: BoundaryData, big_m: int):
         )
 
 
+def _coefficient(problem: str, m: int, data: BoundaryData, theta: float, y_hat,
+                 spec: QuadratureSpec | None) -> float:
+    """The problem's normalisation times the degree-m moment of the data,
+    times cos(theta) (x_n on the unit sphere) for the family carrying x_n."""
+    lam, norm, carries_xn = _problem(problem, data.n)
+    _require_decay(data, m + 1)
+    xdir = HalfSpacePoint(data.n, 1.0, theta, y_hat)
+    moment = integrate_weighted(
+        data, _moment_weight(xdir, lam, m), spec, weight_growth=m, x=None
+    )
+    return (norm * math.cos(theta) if carries_xn else norm) * moment
+
+
 def coefficient_Y0(m: int, data: BoundaryData, theta: float, y_hat=None,
                    spec: QuadratureSpec | None = None) -> float:
     """Dirichlet-family coefficient of degree m+1 at direction (theta, y_hat).
@@ -129,27 +129,13 @@ def coefficient_Y0(m: int, data: BoundaryData, theta: float, y_hat=None,
     alpha_n cos(theta) * integral of f(y') |y'|^m C_m^(n/2)(sin(theta)
     y_hat . y_hat') dy'; vanishes on the boundary through the cosine factor.
     """
-    n = data.n
-    _require_decay(data, m + 1)
-    xdir = _direction(n, theta, y_hat)
-    moment = integrate_weighted(
-        data, _moment_weight(xdir, n / 2.0, m), spec, weight_growth=m, x=None
-    )
-    return alpha_n(n) * math.cos(theta) * moment
+    return _coefficient("dirichlet", m, data, theta, y_hat, spec)
 
 
 def coefficient_Y1(m: int, data: BoundaryData, theta: float, y_hat=None,
                    spec: QuadratureSpec | None = None) -> float:
     """Neumann-family coefficient of degree m at direction (theta, y_hat)."""
-    n = data.n
-    if n < 3:
-        raise DomainError("Neumann coefficients need ambient dimension >= 3")
-    _require_decay(data, m + 1)
-    xdir = _direction(n, theta, y_hat)
-    moment = integrate_weighted(
-        data, _moment_weight(xdir, (n - 2) / 2.0, m), spec, weight_growth=m, x=None
-    )
-    return alpha_n(n) / (n - 2.0) * moment
+    return _coefficient("neumann", m, data, theta, y_hat, spec)
 
 
 @dataclass
@@ -168,8 +154,7 @@ class AsymptoticExpansion:
     _cache: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.problem not in ("dirichlet", "neumann"):
-            raise DomainError("problem must be 'dirichlet' or 'neumann'")
+        _problem(self.problem, self.data.n)
         if self.big_m < 0:
             raise DomainError("truncation order must be non-negative")
         _require_decay(self.data, max(self.big_m, 1))
@@ -177,26 +162,20 @@ class AsymptoticExpansion:
     def coefficient(self, m: int, theta: float, y_hat=None) -> float:
         key = (m, round(theta, 15), None if y_hat is None else tuple(np.round(y_hat, 15)))
         if key not in self._cache:
-            if self.problem == "dirichlet":
-                self._cache[key] = coefficient_Y0(m, self.data, theta, y_hat, self.spec)
-            else:
-                self._cache[key] = coefficient_Y1(m, self.data, theta, y_hat, self.spec)
+            self._cache[key] = _coefficient(self.problem, m, self.data, theta, y_hat,
+                                            self.spec)
         return self._cache[key]
 
     def partial_sum(self, x: HalfSpacePoint) -> float:
+        lam, _, carries_xn = _problem(self.problem, x.n)
         total = 0.0
         for m in range(self.big_m):
             coef = self.coefficient(m, x.theta, x.y_hat)
-            if self.problem == "dirichlet":
-                total += x.r ** -(m + x.n - 1) * coef
-            else:
-                total += x.r ** -(m + x.n - 2) * coef
+            total += x.r ** -(m + 2.0 * lam - carries_xn) * coef
         return total
 
     def direct(self, x: HalfSpacePoint) -> float:
-        if self.problem == "dirichlet":
-            return dirichlet_D(self.data, x, self.spec)
-        return neumann_N(self.data, x, self.spec)
+        return _first_kind_map(self.problem, self.data, 0, x, self.spec, None)[0]
 
     def remainder(self, x: HalfSpacePoint) -> float:
         return self.direct(x) - self.partial_sum(x)
@@ -247,7 +226,7 @@ def addition_separation(n: int, m: int, theta: float, y_hat, data: BoundaryData,
     Must agree with coefficient_Y0 computed from the direct moment.
     """
     _require_decay(data, m + 1)
-    xdir = _direction(n, theta, y_hat)
+    xdir = HalfSpacePoint(n, 1.0, theta, y_hat)
     total = 0.0
     for ell in range(m // 2 + 1):
         gamma = gamma_addition(n, m, ell, theta)
@@ -276,45 +255,16 @@ def zonal_harmonic(n: int, m: int, pole, direction) -> float:
 # the exp(-|y|) example
 
 
-def exp_data_neumann_coefficient(n: int, order: int, theta: float) -> float:
-    """Closed-form Neumann coefficient for data exp(-|y|).
-
-    Odd orders vanish; order 2k evaluates to
-    2^(n-2) Gamma(n/2-1) (-1)^k (2k)! Gamma(k+n/2) C_{2k}^((n-2)/2)(cos
-    theta) / (pi k!), computed in log space.
-    """
-    if n < 3:
-        raise DomainError("the closed form needs ambient dimension >= 3")
-    if order < 0:
-        raise DomainError("order must be non-negative")
+def _exp_data_log_mean(n: int, order: int, theta: float) -> tuple[float, float]:
+    """(sign, log magnitude) of the closed-form zonal average I of C_order over
+    the unit sphere for data exp(-|y|), the piece the Neumann coefficient
+    reduces to by spherical means; sign 0 where it vanishes."""
     if order % 2 == 1:
-        return 0.0
+        return 0.0, -math.inf
     k = order // 2
     body = gegenbauer.value((n - 2) / 2.0, order, math.cos(theta))
     if body == 0.0:
-        return 0.0
-    log_mag = (
-        (n - 2.0) * math.log(2.0)
-        + gammaln(n / 2.0 - 1.0)
-        + gammaln(2.0 * k + 1.0)
-        + gammaln(k + n / 2.0)
-        - math.log(math.pi)
-        - gammaln(k + 1.0)
-        + math.log(abs(body))
-    )
-    sign = (-1.0) ** k * math.copysign(1.0, body)
-    return sign * math.exp(log_mag)
-
-
-def _exp_data_spherical_mean(n: int, order: int, theta: float) -> float:
-    """Closed form of the zonal average I of C_order over the unit sphere
-    (the piece the Neumann coefficient reduces to by spherical means)."""
-    if order % 2 == 1:
-        return 0.0
-    k = order // 2
-    body = gegenbauer.value((n - 2) / 2.0, order, math.cos(theta))
-    if body == 0.0:
-        return 0.0
+        return 0.0, -math.inf
     log_mag = (
         (n - 3.0) * math.log(2.0)
         + gammaln(n / 2.0 - 1.0)
@@ -324,8 +274,24 @@ def _exp_data_spherical_mean(n: int, order: int, theta: float) -> float:
         - gammaln(2.0 * k + n - 2.0)
         + math.log(abs(body))
     )
-    sign = (-1.0) ** k * math.copysign(1.0, body)
-    return sign * math.exp(log_mag)
+    return (-1.0) ** k * math.copysign(1.0, body), log_mag
+
+
+def exp_data_neumann_coefficient(n: int, order: int, theta: float) -> float:
+    """Closed-form Neumann coefficient for data exp(-|y|).
+
+    Odd orders vanish; order 2k evaluates to
+    2^(n-2) Gamma(n/2-1) (-1)^k (2k)! Gamma(k+n/2) C_{2k}^((n-2)/2)(cos
+    theta) / (pi k!), the zonal average times (2/pi) (k+n/2-1)
+    Gamma(2k+n-2), computed in log space.
+    """
+    _problem("neumann", n)
+    if order < 0:
+        raise DomainError("order must be non-negative")
+    k = order // 2
+    sign, log_mean = _exp_data_log_mean(n, order, theta)
+    return sign * math.exp(log_mean + math.log(2.0 / math.pi * (k + n / 2.0 - 1.0))
+                           + gammaln(2.0 * k + n - 2.0))
 
 
 def divergence_demo(n: int, r: float, theta: float, k_max: int,
@@ -340,6 +306,7 @@ def divergence_demo(n: int, r: float, theta: float, k_max: int,
     """
     if k_max < 0:
         raise DomainError("k_max must be non-negative")
+    _problem(problem, n)
     out = np.zeros(k_max + 1)
     if problem == "neumann":
         for k in range(k_max + 1):
@@ -347,23 +314,22 @@ def divergence_demo(n: int, r: float, theta: float, k_max: int,
             log_term = -(2 * k + n - 2) * math.log(r)
             out[k] = abs(coef) * math.exp(log_term) if coef != 0.0 else 0.0
         return out
-    if problem != "dirichlet":
-        raise DomainError("problem must be 'neumann' or 'dirichlet'")
     if n < 5:
         raise DomainError("the Dirichlet demonstration uses the derivative "
                           "relation displayed only for n >= 5")
     if theta <= 0:
         raise DomainError("the derivative relation divides by sin(theta)")
     h = 1e-6
-    omega_nm2 = math.pi ** ((n - 2) / 2.0) / math.gamma(1.0 + (n - 2) / 2.0)
     for k in range(k_max + 1):
         m = 2 * k
         # zonal average of the degree-m Dirichlet moment, via the theta
         # derivative of the Neumann average two dimensions down
+        (s_hi, log_hi), (s_lo, log_lo) = (_exp_data_log_mean(n - 2, m + 2, t)
+                                          for t in (theta + h, theta - h))
         zonal_avg = (
-            _exp_data_spherical_mean(n - 2, m + 2, theta + h)
-            - _exp_data_spherical_mean(n - 2, m + 2, theta - h)
+            s_hi * math.exp(log_hi) - s_lo * math.exp(log_lo)
         ) / (2.0 * h) / ((n - 2.0) * math.sin(theta))
-        front = math.exp(gammaln(m + n - 1.0)) * (n - 2.0) * omega_nm2 * alpha_n(n)
+        front = (math.exp(gammaln(m + n - 1.0)) * (n - 2.0) * unit_ball_volume(n - 2)
+                 * alpha_n(n))
         out[k] = abs(front * zonal_avg) * r ** -(m + n - 1)
     return out

@@ -78,6 +78,26 @@ def alpha_n(n: int) -> float:
     return 2.0 / (n * unit_ball_volume(n))
 
 
+def _problem(problem: str, n: int) -> tuple[float, float, bool]:
+    """(lambda, normalisation, carries x_n) of a half-space problem in R^n.
+
+    The Dirichlet problem integrates against K(n/2) with alpha_n x_n, and
+    its solid harmonics carry the factor x_n; the Neumann problem against
+    K((n-2)/2) with alpha_n / (n-2), which needs n >= 3 (the planar Neumann
+    kernel is logarithmic).
+    """
+    if n < 2:
+        raise DomainError("ambient dimension must be >= 2")
+    if problem == "dirichlet":
+        return n / 2.0, alpha_n(n), True
+    if problem != "neumann":
+        raise DomainError("problem must be 'dirichlet' or 'neumann'")
+    if n < 3:
+        raise DomainError("the Neumann problem needs ambient dimension >= 3 "
+                          "(the planar Neumann kernel is logarithmic)")
+    return (n - 2) / 2.0, alpha_n(n) / (n - 2.0), False
+
+
 def sphere_surface_area(k: int) -> float:
     """Surface measure of the unit k-sphere S^k; S^0 counts two points."""
     if k == 0:
@@ -667,18 +687,14 @@ def _check_origin_clearance(data: BoundaryData, big_m: int, allow_origin: bool):
 
 def _first_kind_map(problem: str, data: BoundaryData, big_m: int, x: HalfSpacePoint,
                     spec: QuadratureSpec | None, ramp):
-    """The Dirichlet or Neumann integral of f against K - c T_M (see `_solve`)."""
-    n = x.n
-    if problem == "dirichlet":
-        lam, prefactor, near = n / 2.0, alpha_n(n) * x.x_n, "subtract"
-    elif n < 3:
-        raise DomainError("the planar Neumann problem has a logarithmic kernel "
-                          "and is not supported")
-    else:
-        lam, prefactor, near = (n - 2) / 2.0, alpha_n(n) / (n - 2.0), "ball"
+    """The Dirichlet or Neumann integral of f against K - c T_M (see `_solve`);
+    the x_n-carrying Dirichlet kernel has unit mass, so its near ball
+    subtracts."""
+    lam, norm, carries_xn = _problem(problem, x.n)
     _check_first_kind(data, lam, big_m)
-    return _solve(KernelParams(lam, big_m), data, x, spec or QuadratureSpec(), prefactor,
-                  ramp=ramp, near=near if _near_boundary(data, x) else None)
+    near = ("subtract" if carries_xn else "ball") if _near_boundary(data, x) else None
+    return _solve(KernelParams(lam, big_m), data, x, spec or QuadratureSpec(),
+                  norm * x.x_n if carries_xn else norm, ramp=ramp, near=near)
 
 
 # ---------------------------------------------------------------------------
@@ -752,14 +768,16 @@ def neumann_NM(big_m: int, data: BoundaryData, x: HalfSpacePoint,
 
 
 def solution_u(data: BoundaryData, big_m: int, x: HalfSpacePoint,
-               spec: QuadratureSpec | None = None) -> float:
+               spec: QuadratureSpec | None = None, *, return_estimate: bool = False):
     """Assembled Dirichlet solution D_M[w f] + D[(1 - w) f], computed as
     the one integral alpha_n x_n int f (K - w T_M)(n/2)."""
-    return _first_kind_map("dirichlet", data, big_m, x, spec, _ramp)[0]
+    out = _first_kind_map("dirichlet", data, big_m, x, spec, _ramp)
+    return out if return_estimate else out[0]
 
 
 def solution_v(data: BoundaryData, big_m: int, x: HalfSpacePoint,
-               spec: QuadratureSpec | None = None) -> float:
+               spec: QuadratureSpec | None = None, *, return_estimate: bool = False):
     """Assembled Neumann solution N_M[w f] + N[(1 - w) f], computed as
     the one integral (alpha_n / (n-2)) int f (K - w T_M)((n-2)/2)."""
-    return _first_kind_map("neumann", data, big_m, x, spec, _ramp)[0]
+    out = _first_kind_map("neumann", data, big_m, x, spec, _ramp)
+    return out if return_estimate else out[0]

@@ -23,6 +23,7 @@ from .geometry import HalfSpacePoint
 from .kernels import KernelParams, kernel_KM_direct, kernel_with_convention
 from .quadrature import (
     QuadratureSpec,
+    _problem,
     dirichlet_DM,
     neumann_NM,
     solution_u,
@@ -173,11 +174,9 @@ def check_boundary(problem: str, data: BoundaryData, y, xn_sequence,
     Gaps are measured along the decreasing heights xn_sequence; the check
     passes when they decrease and the final gap is below tolerance.
     """
-    if problem not in ("dirichlet", "neumann"):
-        raise DomainError("problem must be 'dirichlet' or 'neumann'")
+    _problem(problem, data.n)
     spec = spec or QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
     y = np.asarray(y, dtype=float)
-    n = data.n
     f_at_y = float(data(y[None, :])[0])
     gaps = []
     for xn in xn_sequence:

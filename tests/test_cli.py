@@ -52,6 +52,28 @@ class TestEval:
                               QuadratureSpec())
         assert float(rows[0]["value"]) == expected
 
+    def test_solution_rows_carry_measured_estimates(self, capsys):
+        from modpoisson.data import bump
+        from modpoisson.quadrature import QuadratureSpec, solution_u, solution_v
+
+        x = HalfSpacePoint(n=3, r=1.5, theta=0.4)
+        f = bump(3, center=[2.0, 0.0], radius=1.0)
+        for target, solution in (("u", solution_u), ("v", solution_v)):
+            run_cli(["eval", "--solution", target, "--data", "bump", "--data-args",
+                     "center=2.0,radius=1.0", "--M", "1", "--n", "3", "--r", "1.5",
+                     "--theta", "0.4"])
+            row = next(csv.DictReader(capsys.readouterr().out.strip().splitlines()))
+            value, est = solution(f, 1, x, QuadratureSpec(), return_estimate=True)
+            assert (float(row["value"]), float(row["error_estimate"])) == (value, est)
+
+    def test_kernel_rows_carry_no_estimate(self, capsys):
+        argv = ["eval", "--kernel", "KM", "--M", "2", "--r", "1.0", "--yprime", "2.0,0.0"]
+        run_cli(argv)
+        row = next(csv.DictReader(capsys.readouterr().out.strip().splitlines()))
+        assert row["error_estimate"] == ""
+        run_cli(argv + ["--format", "jsonl"])
+        assert json.loads(capsys.readouterr().out)["error_estimate"] is None
+
     def test_sharpness_data_through_registry(self, capsys):
         code = run_cli([
             "eval", "--solution", "F", "--data", "sharpness_half_balls",

@@ -17,6 +17,7 @@ from modpoisson.data import (
     shell_bump,
 )
 from modpoisson.errors import AccuracyError, DomainError
+from modpoisson.expansions import AsymptoticExpansion, HarmonicFamilyTerm, coefficient_Y1
 from modpoisson.geometry import BoundaryPoint, HalfSpacePoint
 from modpoisson.kernels import KernelParams, kernel_K, kernel_KM_second
 from modpoisson.quadrature import (
@@ -36,6 +37,7 @@ from modpoisson.quadrature import (
     sphere_surface_area,
     unit_ball_volume,
 )
+from modpoisson.verification import check_boundary
 
 RNG = np.random.default_rng(3)
 SPEC = QuadratureSpec()
@@ -290,6 +292,30 @@ class TestNeumann:
         assert got == pytest.approx(approx, rel=1e-3)
 
 
+# callers that take the problem's exponent, normalisation and x_n factor from
+# one helper; the maps fixed to the Neumann problem ignore the name
+_PROBLEM_USERS = {
+    "HarmonicFamilyTerm": lambda problem, f: HarmonicFamilyTerm(problem, 1, f.n),
+    "AsymptoticExpansion": lambda problem, f: AsymptoticExpansion(problem, f, 2),
+    "check_boundary": lambda problem, f: check_boundary(problem, f, np.zeros(f.n - 1), [0.1]),
+    "neumann_N": lambda problem, f: neumann_N(f, HalfSpacePoint(f.n, 2.0, 0.3)),
+    "coefficient_Y1": lambda problem, f: coefficient_Y1(0, f, 0.3),
+}
+
+
+class TestProblemFacts:
+    @pytest.mark.parametrize("user", sorted(_PROBLEM_USERS))
+    def test_planar_neumann_has_one_message(self, user):
+        with pytest.raises(DomainError, match="Neumann problem needs ambient dimension >= 3"):
+            _PROBLEM_USERS[user]("neumann", exp_decay(2))
+
+    @pytest.mark.parametrize("user", ["HarmonicFamilyTerm", "AsymptoticExpansion",
+                                      "check_boundary"])
+    def test_unknown_problem_is_rejected(self, user):
+        with pytest.raises(DomainError, match="problem must be 'dirichlet' or 'neumann'"):
+            _PROBLEM_USERS[user]("robin", exp_decay(3))
+
+
 class TestModifiedIntegrals:
     def test_m_zero_reduces(self):
         f = bump(3, center=[2.5, 0.0], radius=0.4)
@@ -441,12 +467,16 @@ class TestNearBoundary:
     def test_off_centre_bump_solutions_converge(self, center, radius, where, refs):
         # the near ball is cut by the data ball's own circle only, about which
         # its pole is aligned.  References D, N, u and v at M = 1, 2, at
-        # radial_panels=48, angular_order=96, 1e-12
+        # radial_panels=48, angular_order=96, 1e-12; each u and v estimate
+        # bounds its error against them
         f = bump(3, center=center, radius=radius)
         x = HalfSpacePoint.from_cartesian(where)
         values = [dirichlet_D(f, x, SPEC), neumann_N(f, x, SPEC)]
         for big_m in (1, 2):
-            values += [solution_u(f, big_m, x, SPEC), solution_v(f, big_m, x, SPEC)]
+            for solution in (solution_u, solution_v):
+                value, est = solution(f, big_m, x, SPEC, return_estimate=True)
+                assert abs(value - refs[len(values)]) <= est
+                values.append(value)
         assert values == pytest.approx(refs, abs=1e-9, rel=0.0)
 
     def test_near_ball_cut_by_the_data_ball_only(self):
@@ -543,6 +573,14 @@ class TestToleranceHonesty:
         assert dirichlet_D(f, x, SPEC) >= 0
         assert neumann_N(f, x, SPEC) >= 0
 
+
+    def test_off_boundary_kink_bump_meets_its_tolerance(self):
+        # guards the stopping test: a loop that stops on one small difference
+        # in the value's units misses this solve by 1.1e-9 and does not
+        # raise.  Reference at radial_panels=96, angular_order=144, 1e-11
+        f = bump(3, center=[3.0, 0.0], radius=2.0)
+        x = HalfSpacePoint.from_cartesian([4.2, 0.0, 0.2])
+        assert solution_u(f, 1, x) == pytest.approx(0.23239475520311925, abs=1e-9, rel=0.0)
 
     def test_stalled_solve_reports_levels(self):
         f = bump(3, center=[0.5, 0.2], radius=1.0)
