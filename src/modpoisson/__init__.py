@@ -21,7 +21,6 @@ from .data import (
 from .errors import (
     AccuracyError,
     ConstructionError,
-    DivergenceError,
     DomainError,
     ModPoissonError,
     SingularityError,
@@ -30,22 +29,16 @@ from .expansions import (
     AsymptoticExpansion,
     HarmonicFamilyTerm,
     addition_separation,
-    asymptotic_expansion,
     coefficient_Y0,
     coefficient_Y1,
     divergence_demo,
     exp_data_neumann_coefficient,
     gamma_addition,
     harmonic_term,
-    zonal_harmonic,
 )
 from .geometry import (
-    AngleTriple,
     BoundaryPoint,
     HalfSpacePoint,
-    big_theta,
-    reflect_across_first_axis,
-    theta_prime,
 )
 from .kernels import (
     KernelParams,
@@ -58,7 +51,6 @@ from .kernels import (
 from .quadrature import (
     QuadratureSpec,
     alpha_n,
-    cutoff_w,
     dirichlet_D,
     dirichlet_DM,
     integral_F,
@@ -69,12 +61,10 @@ from .quadrature import (
     solution_v,
 )
 from .sharpness import (
-    RegionSpec,
     SharpnessConstants,
     compute_constants,
     data_balls_super_extension,
     data_half_balls,
-    region_contains,
     sign_check_km_cone,
     sign_check_phi,
 )
@@ -84,7 +74,6 @@ from .verification import (
     check_harmonicity,
     check_kernel_identity,
     check_neumann_representation,
-    fd_laplacian,
     growth_sweep,
 )
 

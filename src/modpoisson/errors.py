@@ -13,10 +13,6 @@ class SingularityError(DomainError):
     """Evaluation requested exactly at a kernel singularity."""
 
 
-class DivergenceError(DomainError):
-    """A series was requested outside its region of convergence."""
-
-
 class ConstructionError(ModPoissonError, ValueError):
     """A data construction violates its geometric prerequisites."""
 

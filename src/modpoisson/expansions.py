@@ -36,10 +36,8 @@ __all__ = [
     "coefficient_Y0",
     "coefficient_Y1",
     "AsymptoticExpansion",
-    "asymptotic_expansion",
     "gamma_addition",
     "addition_separation",
-    "zonal_harmonic",
     "exp_data_neumann_coefficient",
     "divergence_demo",
 ]
@@ -70,10 +68,6 @@ class HarmonicFamilyTerm:
         pole = np.asarray(pole, dtype=float)
         pole = pole / np.linalg.norm(pole)
         object.__setattr__(self, "pole", tuple(pole))
-
-    @property
-    def degree(self) -> int:
-        return self.m + _problem(self.family, self.n)[2]
 
 
 def harmonic_term(term: HarmonicFamilyTerm, x) -> float:
@@ -181,14 +175,6 @@ class AsymptoticExpansion:
         return self.direct(x) - self.partial_sum(x)
 
 
-def asymptotic_expansion(problem: str, data: BoundaryData, big_m: int,
-                         x: HalfSpacePoint, spec: QuadratureSpec | None = None):
-    """(partial_sum, remainder) of the large-|x| expansion at the point x."""
-    exp = AsymptoticExpansion(problem, data, big_m, spec)
-    partial = exp.partial_sum(x)
-    return partial, exp.direct(x) - partial
-
-
 # ---------------------------------------------------------------------------
 # the addition formula
 
@@ -241,16 +227,6 @@ def addition_separation(n: int, m: int, theta: float, y_hat, data: BoundaryData,
     return alpha_n(n) * math.cos(theta) * total
 
 
-def zonal_harmonic(n: int, m: int, pole, direction) -> float:
-    """C_m^(n/2) of the dot product of two unit directions."""
-    pole = np.asarray(pole, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    for v in (pole, direction):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-            raise DomainError("zonal harmonics take unit directions")
-    return gegenbauer.value(n / 2.0, m, float(np.clip(pole @ direction, -1.0, 1.0)))
-
-
 # ---------------------------------------------------------------------------
 # the exp(-|y|) example
 
@@ -277,6 +253,15 @@ def _exp_data_log_mean(n: int, order: int, theta: float) -> tuple[float, float]:
     return (-1.0) ** k * math.copysign(1.0, body), log_mag
 
 
+def _exp_data_log_neumann(n: int, order: int, theta: float) -> tuple[float, float]:
+    """(sign, log magnitude) of `exp_data_neumann_coefficient`; sign 0 where
+    it vanishes."""
+    k = order // 2
+    sign, log_mean = _exp_data_log_mean(n, order, theta)
+    return sign, (log_mean + math.log(2.0 / math.pi * (k + n / 2.0 - 1.0))
+                  + gammaln(2.0 * k + n - 2.0))
+
+
 def exp_data_neumann_coefficient(n: int, order: int, theta: float) -> float:
     """Closed-form Neumann coefficient for data exp(-|y|).
 
@@ -288,10 +273,8 @@ def exp_data_neumann_coefficient(n: int, order: int, theta: float) -> float:
     _problem("neumann", n)
     if order < 0:
         raise DomainError("order must be non-negative")
-    k = order // 2
-    sign, log_mean = _exp_data_log_mean(n, order, theta)
-    return sign * math.exp(log_mean + math.log(2.0 / math.pi * (k + n / 2.0 - 1.0))
-                           + gammaln(2.0 * k + n - 2.0))
+    sign, log_mag = _exp_data_log_neumann(n, order, theta)
+    return sign * math.exp(log_mag)
 
 
 def divergence_demo(n: int, r: float, theta: float, k_max: int,
@@ -303,23 +286,25 @@ def divergence_demo(n: int, r: float, theta: float, k_max: int,
     coefficients beats the power of r and the magnitudes increase without
     bound.  The Dirichlet variant uses the derivative relation linking its
     zonal average to the Neumann one two dimensions down (needs n >= 5).
+    Each magnitude is summed in log space before one exponential, so a term
+    beyond the float range reads inf.
     """
     if k_max < 0:
         raise DomainError("k_max must be non-negative")
     _problem(problem, n)
-    out = np.zeros(k_max + 1)
+    logs = np.full(k_max + 1, -math.inf)
     if problem == "neumann":
         for k in range(k_max + 1):
-            coef = exp_data_neumann_coefficient(n, 2 * k, theta)
-            log_term = -(2 * k + n - 2) * math.log(r)
-            out[k] = abs(coef) * math.exp(log_term) if coef != 0.0 else 0.0
-        return out
+            logs[k] = _exp_data_log_neumann(n, 2 * k, theta)[1] - (2 * k + n - 2) * math.log(r)
+        with np.errstate(over="ignore"):
+            return np.exp(logs)
     if n < 5:
         raise DomainError("the Dirichlet demonstration uses the derivative "
                           "relation displayed only for n >= 5")
     if theta <= 0:
         raise DomainError("the derivative relation divides by sin(theta)")
     h = 1e-6
+    log_front = math.log((n - 2.0) * unit_ball_volume(n - 2) * alpha_n(n))
     for k in range(k_max + 1):
         m = 2 * k
         # zonal average of the degree-m Dirichlet moment, via the theta
@@ -329,7 +314,8 @@ def divergence_demo(n: int, r: float, theta: float, k_max: int,
         zonal_avg = (
             s_hi * math.exp(log_hi) - s_lo * math.exp(log_lo)
         ) / (2.0 * h) / ((n - 2.0) * math.sin(theta))
-        front = (math.exp(gammaln(m + n - 1.0)) * (n - 2.0) * unit_ball_volume(n - 2)
-                 * alpha_n(n))
-        out[k] = abs(front * zonal_avg) * r ** -(m + n - 1)
-    return out
+        if zonal_avg != 0.0:
+            logs[k] = (gammaln(m + n - 1.0) + log_front + math.log(abs(zonal_avg))
+                       - (m + n - 1) * math.log(r))
+    with np.errstate(over="ignore"):
+        return np.exp(logs)

@@ -2,8 +2,8 @@
 
 Everything here is elementary polynomial machinery, but it is the substrate
 of every kernel and expansion in the package: the three-term recurrence is
-the production evaluator, the generating-function partial sum exists as an
-independent test oracle, and the root finder feeds the sharpness constants.
+the production evaluator, its z-weighted partial sums are the kernels'
+Gegenbauer tails, and the root finder feeds the sharpness constants.
 """
 
 from __future__ import annotations
@@ -11,13 +11,13 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DivergenceError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "value",
     "value_at_one",
     "derivative",
-    "generating_series",
+    "weighted_sum",
     "generating_closed_form",
     "roots",
     "phi_pm",
@@ -95,16 +95,6 @@ def derivative(lam: float, m: int, t):
         t = np.asarray(t, dtype=float)
         return _maybe_scalar(np.zeros_like(t))
     return 2.0 * lam * value(lam + 1.0, m - 1, t)
-
-
-def generating_series(lam: float, t, z: float, terms: int) -> float:
-    """Partial sum over m < terms of z^m C_m^lam(t), valid only for |z| < 1."""
-    if abs(z) >= 1.0:
-        raise DivergenceError(f"generating series diverges for |z| >= 1, got z={z}")
-    if terms < 1:
-        raise DomainError("terms must be a positive integer")
-    out = weighted_sum(lam, terms, t, z)
-    return _maybe_scalar(np.asarray(out))
 
 
 def generating_closed_form(lam: float, t, z):

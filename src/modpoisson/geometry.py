@@ -6,16 +6,17 @@ difference stencils.  Angle conventions:
 
 * theta is the angle between x and the inward normal, so x_n = r*cos(theta)
   with 0 <= theta < pi/2 inside the half space;
-* theta_prime is the angle between the projection y of x and a boundary
-  point y', taken to be pi/2 whenever either vector vanishes;
-* for boundary dimension one (ambient n = 2) theta_prime is 0 or pi
-  according as y' lies on the same or opposite side of the origin as y;
-* Theta = sin(theta) * cos(theta_prime).
+* theta' is the angle between the projection y of x and a boundary point
+  y', taken to be pi/2 whenever either vector vanishes;
+* for boundary dimension one (ambient n = 2) theta' is 0 or pi according
+  as y' lies on the same or opposite side of the origin as y;
+* Theta = sin(theta) * cos(theta'), the kernels' angular argument, with
+  cos(theta') from `cos_theta_prime_array`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +25,7 @@ from .errors import DomainError
 __all__ = [
     "HalfSpacePoint",
     "BoundaryPoint",
-    "AngleTriple",
-    "theta_prime",
-    "big_theta",
-    "reflect_across_first_axis",
+    "cos_theta_prime_array",
     "row_norms",
 ]
 
@@ -107,9 +105,6 @@ class HalfSpacePoint:
     def sec_theta(self) -> float:
         return 1.0 / np.cos(self.theta)
 
-    def with_radius(self, r: float) -> "HalfSpacePoint":
-        return replace(self, r=r)
-
 
 @dataclass(frozen=True)
 class BoundaryPoint:
@@ -125,28 +120,6 @@ class BoundaryPoint:
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.coords, dtype=dtype)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
-
-@dataclass(frozen=True)
-class AngleTriple:
-    """The three coupled angles (theta, theta_prime, Theta)."""
-
-    theta: float
-    theta_prime: float
-    big_theta: float
-
-    def __post_init__(self):
-        expected = np.sin(self.theta) * np.cos(self.theta_prime)
-        if abs(self.big_theta - expected) > 1e-14:
-            raise DomainError("Theta must equal sin(theta) * cos(theta_prime)")
-
-
-def _coords(yp) -> np.ndarray:
-    return np.atleast_1d(np.asarray(yp, dtype=float))
 
 
 def row_norms(pts) -> np.ndarray:
@@ -177,28 +150,3 @@ def cos_theta_prime_array(x: HalfSpacePoint, pts: np.ndarray, norms=None) -> np.
     nz = norms > 0
     np.divide(dots, norms, out=out, where=nz)
     return np.clip(out, -1.0, 1.0)
-
-
-def theta_prime(x: HalfSpacePoint, yp) -> float:
-    """Angle in [0, pi] between the projection of x and the boundary point."""
-    pts = _coords(yp)
-    if x.n == 2:
-        if x.theta == 0.0 or pts[0] == 0.0:
-            return np.pi / 2
-        same_side = (x.y_hat[0] * pts[0]) > 0
-        return 0.0 if same_side else np.pi
-    if x.theta == 0.0 or np.linalg.norm(pts) == 0.0:
-        return np.pi / 2
-    return float(np.arccos(cos_theta_prime_array(x, pts)))
-
-
-def big_theta(x: HalfSpacePoint, yp) -> float:
-    """Theta = sin(theta) * cos(theta'), the kernel's angular argument."""
-    return float(x.sin_theta * np.cos(theta_prime(x, yp)))
-
-
-def reflect_across_first_axis(yp) -> BoundaryPoint:
-    """Negate the first coordinate (reflection in the hyperplane y_1' = 0)."""
-    pts = _coords(yp).copy()
-    pts[0] = -pts[0]
-    return BoundaryPoint(pts)

@@ -1,11 +1,10 @@
 """Half-space kernels: the base kernel, the two modified kinds, and bounds.
 
-The modified kernel of the first kind subtracts the leading Gegenbauer tail
-in inverse powers of |y'| (useful for growing data); the second kind swaps
-the roles of |x| and |y'| (useful for decaying data and expansions).  The
-direct subtraction formula is the production path; the one-dimensional
-integral form exists for cross-verification and for the sign analysis in
-`sharpness`.
+Both modified kinds subtract a Gegenbauer tail from the base kernel through
+one formula, `_kernel_minus_tail`: the first kind in powers of |x|/|y'|
+(useful for growing data), the second in powers of |y'|/|x| (useful for
+decaying data and expansions).  The one-dimensional integral form of the
+first kind exists for cross-verification.
 """
 
 from __future__ import annotations
@@ -24,10 +23,8 @@ __all__ = [
     "kernel_K",
     "kernel_KM_direct",
     "kernel_KM_integral",
-    "kernel_KM_integral_poly",
     "kernel_KM_second",
     "kernel_bound_first",
-    "kernel_with_convention",
 ]
 
 
@@ -85,24 +82,31 @@ def _base(lam: float, x: HalfSpacePoint, norms, theta_big):
 
 
 def kernel_KM_direct(params: KernelParams, x: HalfSpacePoint, yp):
-    """First-kind modified kernel by direct subtraction of the Gegenbauer tail.
-
-    K_M = K - T_M with T_M the sum over m < M of
-    |x|^m |y'|^-(m+2*lam) C_m^lam(Theta); M = 0 reduces to the base kernel.
-    """
+    """First-kind modified kernel K_M = K - T_M, with T_M the sum over m < M
+    of |x|^m |y'|^-(m+2*lam) C_m^lam(Theta); M = 0 is the base kernel."""
     if params.kind != "first":
         raise DomainError("kernel_KM_direct takes first-kind parameters")
     return _kernel_minus_tail(params, x, yp)
 
 
+def kernel_KM_second(params: KernelParams, x: HalfSpacePoint, yp):
+    """Second-kind modified kernel K~_M = K - sum over m < M of
+    |y'|^m |x|^-(m+2*lam) C_m^lam(Theta)."""
+    if params.kind != "second":
+        raise DomainError("kernel_KM_second takes second-kind parameters")
+    return _kernel_minus_tail(params, x, yp)
+
+
 def _kernel_minus_tail(params: KernelParams, x: HalfSpacePoint, yp, ramp=None,
                        base: bool = True):
-    """K - c T_M, with T_M the Gegenbauer tail of `kernel_KM_direct` and
-    c = ramp(|y'|), or 1 when ramp is None; base=False drops K, leaving
-    -c T_M.  The tail formula lives only here.
+    """K - c b^(-2 lam) sum over m < M of (a/b)^m C_m^lam(Theta), the one tail
+    formula of both kinds: (a, b) = (|x|, |y'|) for the first kind and
+    (|y'|, |x|) for the second.  c = ramp(|y'|), or 1 when ramp is None;
+    base=False drops K, leaving the weighted tail alone.
 
-    c = 1 gives K_M; the cutoff's ramp gives the kernel of the assembled
-    solutions, which is K on the unit ball and K_M outside radius 2.
+    c = 1 gives K_M and K~_M; the cutoff's ramp gives the kernel of the
+    assembled solutions, which is K on the unit ball and K_M outside radius
+    2.  Only the first kind is singular at |y'| = 0.
     """
     lam, big_m = params.lam, params.big_m
     norms, cosp, scalar = _prepare(x, yp)
@@ -110,10 +114,13 @@ def _kernel_minus_tail(params: KernelParams, x: HalfSpacePoint, yp, ramp=None,
     out = _base(lam, x, norms, theta_big) if base else np.zeros_like(norms)
     c = 1.0 if ramp is None else ramp(norms)
     if big_m and np.any(c):
-        if np.any(norms == 0.0):
-            raise SingularityError("modified kernel is singular at the boundary origin")
-        s = x.r / norms
-        out = out - c * norms ** (-2.0 * lam) * gegenbauer.weighted_sum(lam, big_m, theta_big, s)
+        if params.kind == "first":
+            if np.any(norms == 0.0):
+                raise SingularityError("modified kernel is singular at the boundary origin")
+            a, b = x.r, norms
+        else:
+            a, b = norms, x.r
+        out = out - c * b ** (-2.0 * lam) * gegenbauer.weighted_sum(lam, big_m, theta_big, a / b)
     return _out(out, scalar)
 
 
@@ -168,47 +175,6 @@ def kernel_KM_integral(
     return kernel_K(lam, x, yp) * integral
 
 
-def kernel_KM_integral_poly(params: KernelParams, x: HalfSpacePoint, yp) -> float:
-    """Closed form of the integral representation for lam = 1.
-
-    The weight exponent vanishes, leaving a polynomial with antiderivative
-    C_M(Theta) s^M - C_{M-1}(Theta) s^(M+1); used as a machine-precision
-    oracle against the quadrature path.
-    """
-    if params.lam != 1.0:
-        raise DomainError("closed-form integral requires lam = 1 exactly")
-    if params.big_m < 1:
-        raise DomainError("closed form needs M >= 1")
-    big_m = params.big_m
-    pts = np.asarray(yp, dtype=float)
-    norm = float(np.linalg.norm(pts))
-    if norm == 0.0:
-        raise SingularityError("modified kernel is singular at the boundary origin")
-    s = x.r / norm
-    cosp = float(cos_theta_prime_array(x, pts.reshape(1, -1))[0])
-    theta_big = x.sin_theta * cosp
-    integral = (
-        gegenbauer.value(1.0, big_m, theta_big) * s**big_m
-        - gegenbauer.value(1.0, big_m - 1, theta_big) * s ** (big_m + 1)
-    )
-    return kernel_K(1.0, x, yp) * integral
-
-
-def kernel_KM_second(params: KernelParams, x: HalfSpacePoint, yp):
-    """Second-kind modified kernel: tail in inverse powers of |x| instead.
-
-    K~_M = K - sum over m < M of |y'|^m |x|^-(m+2*lam) C_m^lam(Theta).
-    """
-    if params.kind != "second":
-        raise DomainError("kernel_KM_second takes second-kind parameters")
-    lam, big_m = params.lam, params.big_m
-    norms, cosp, scalar = _prepare(x, yp)
-    theta_big = x.sin_theta * cosp
-    u = norms / x.r
-    tail = x.r ** (-2.0 * lam) * gegenbauer.weighted_sum(lam, big_m, theta_big, u)
-    return _out(_base(lam, x, norms, theta_big) - tail, scalar)
-
-
 def _binom_gamma(a: float, k: float) -> float:
     """binom(a, k) for real a via log-gamma."""
     return float(np.exp(gammaln(a + 1.0) - gammaln(k + 1.0) - gammaln(a - k + 1.0)))
@@ -237,10 +203,3 @@ def kernel_bound_first(params: KernelParams, x: HalfSpacePoint, yp):
     else:
         vals = front * s ** (big_m - 1) * np.minimum(s, s ** (2.0 * lam)) / lam
     return _out(vals, scalar)
-
-
-def kernel_with_convention(lam: float, m: int, x: HalfSpacePoint, yp):
-    """K_m with the convention K_m = K for m <= 0 (differential identities)."""
-    if m <= 0:
-        return kernel_K(lam, x, yp)
-    return kernel_KM_direct(KernelParams(lam, m), x, yp)

@@ -21,12 +21,12 @@ angular integrand is smooth on every panel.
 
 D, N, D_M, N_M, F, F~, u and v are each a prefactor times the integral of
 f times a kernel, and all run through one driver, `_solve`; `_regions`
-builds the regions for it and for `integrate_weighted`.  The first-kind
-kernels are K - c T_M, with T_M the Gegenbauer tail that K_M subtracts from
-the base kernel K: c = 1 for D_M, N_M and F, and c = w, the cutoff, for the
-assembled solutions, so u = D_M[w f] + D[(1 - w) f] and v likewise are one
-integral each.  For M >= 1 the cutoff's circles |y'| = 1, 2 are kink edges
-of their regions.
+builds the regions for it and for `integrate_weighted`.  Every kernel is
+K - c T_M, with T_M the Gegenbauer tail that K_M (or K~_M, for F~) subtracts
+from the base kernel K: c = 1 for D_M, N_M, F and F~, and c = w, the
+cutoff, for the assembled solutions, so u = D_M[w f] + D[(1 - w) f] and
+v likewise are one integral each.  For M >= 1 the cutoff's circles
+|y'| = 1, 2 are kink edges of their regions.
 
 Near the boundary one ball about the projection point integrates the
 peaked base kernel alone, by one of two schemes: "subtract" (Dirichlet
@@ -49,14 +49,13 @@ from . import quad1d
 from .data import BoundaryData, Support
 from .errors import AccuracyError, DomainError
 from .geometry import HalfSpacePoint, row_norms
-from .kernels import KernelParams, _kernel_minus_tail, kernel_K, kernel_KM_second
+from .kernels import KernelParams, _kernel_minus_tail, kernel_K
 
 __all__ = [
     "QuadratureSpec",
     "alpha_n",
     "unit_ball_volume",
     "sphere_surface_area",
-    "cutoff_w",
     "integrate_weighted",
     "integral_F",
     "integral_F_second",
@@ -576,20 +575,11 @@ def _kernel_decay(params: KernelParams, x: HalfSpacePoint):
 
 
 def _ramp(rho):
-    """Smoothstep in |y'| on [1, 2]: 0 inside the unit ball, 1 outside radius 2."""
+    """The cutoff w of the assembled solutions as a function of rho = |y'|:
+    the smoothstep on [1, 2], 0 inside the unit ball and 1 outside radius 2.
+    Any continuous ramp is admissible; this fixes ours."""
     t = np.clip(rho - 1.0, 0.0, 1.0)
     return 3.0 * t * t - 2.0 * t**3
-
-
-def cutoff_w(y) -> float | np.ndarray:
-    """Continuous ramp: 0 inside the unit ball, 1 outside radius 2.
-
-    Smoothstep in |y| on [1, 2]; any continuous ramp is admissible, this
-    fixes ours.
-    """
-    y = np.asarray(y, dtype=float)
-    out = _ramp(row_norms(np.atleast_1d(y)) if y.ndim else np.abs(y))
-    return float(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -613,10 +603,10 @@ def _solve(params: KernelParams, data: BoundaryData, x: HalfSpacePoint,
            ramp=None, near: str | None = None):
     """(prefactor * integral of f * kernel over |y'| > r_lo, prefactor * estimate).
 
-    The kernel is K~_M for second-kind parameters.  For first-kind ones it
-    is K - c T_M (see `kernels._kernel_minus_tail`): c = 1 when ramp is None,
-    giving K_M and the base kernel at M = 0, and c = ramp(|y'|) otherwise,
-    whose kink circles |y'| = 1, 2 then become region edges.
+    The kernel is K - c T_M (see `kernels._kernel_minus_tail`), with T_M
+    the Gegenbauer tail of the parameters' kind: c = 1 when ramp is None,
+    giving K_M, K~_M and the base kernel at M = 0, and c = ramp(|y'|)
+    otherwise, whose kink circles |y'| = 1, 2 then become region edges.
 
     `near` picks a near-boundary scheme for first-kind kernels.  One ball
     about the projection point, where K peaks, integrates f K ("ball"), or
@@ -625,12 +615,9 @@ def _solve(params: KernelParams, data: BoundaryData, x: HalfSpacePoint,
     there and is one more solve over the data's regions; the estimate is
     the sum of the two solves'.
     """
-    if params.kind == "first":
-        def kernel(pts):
-            return _kernel_minus_tail(params, x, pts, ramp, base=near is None)
-    else:
-        def kernel(pts):
-            return kernel_KM_second(params, x, pts)
+    def kernel(pts):
+        return _kernel_minus_tail(params, x, pts, ramp, base=near is None)
+
     masked = r_lo > data.support.inner_radius
 
     def g(pts):
@@ -770,7 +757,9 @@ def neumann_NM(big_m: int, data: BoundaryData, x: HalfSpacePoint,
 def solution_u(data: BoundaryData, big_m: int, x: HalfSpacePoint,
                spec: QuadratureSpec | None = None, *, return_estimate: bool = False):
     """Assembled Dirichlet solution D_M[w f] + D[(1 - w) f], computed as
-    the one integral alpha_n x_n int f (K - w T_M)(n/2)."""
+    the one integral alpha_n x_n int f (K - w T_M)(n/2).  The cutoff w is 0
+    on the unit ball, 1 outside radius 2, and 3t^2 - 2t^3 with t = |y'| - 1
+    between."""
     out = _first_kind_map("dirichlet", data, big_m, x, spec, _ramp)
     return out if return_estimate else out[0]
 
@@ -778,6 +767,7 @@ def solution_u(data: BoundaryData, big_m: int, x: HalfSpacePoint,
 def solution_v(data: BoundaryData, big_m: int, x: HalfSpacePoint,
                spec: QuadratureSpec | None = None, *, return_estimate: bool = False):
     """Assembled Neumann solution N_M[w f] + N[(1 - w) f], computed as
-    the one integral (alpha_n / (n-2)) int f (K - w T_M)((n-2)/2)."""
+    the one integral (alpha_n / (n-2)) int f (K - w T_M)((n-2)/2), with the
+    cutoff w of `solution_u`."""
     out = _first_kind_map("neumann", data, big_m, x, spec, _ramp)
     return out if return_estimate else out[0]

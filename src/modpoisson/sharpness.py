@@ -1,14 +1,16 @@
-"""Sign regions, constants, and data families certifying growth sharpness.
+"""Sign constants, sign checks, and data families certifying growth sharpness.
 
 The modified kernels are not of one sign, so lower bounds on the solution
-integrals require regions of the boundary where the sign is controlled:
-a band of directions nearly orthogonal to the field point's projection
-(where the Gegenbauer combination is one-signed), and a cone around the
-projection direction near the kernel's contact sphere (where the base
-kernel dominates its subtracted tail).  The data families supported on
-half balls and on reflected ball pairs realize the lower bounds; their
-amplitudes are chosen so the finite prefixes here extend to summable
-sequences.
+integrals require regions of the boundary where the sign is controlled.
+Two are checked by sampling: a band of directions nearly orthogonal to the
+field point's projection, where the Gegenbauer combination is one-signed
+(`sign_check_phi`), and the part of a double cone around the projection
+direction near the kernel's contact sphere, where the base kernel dominates
+its subtracted tail (`sign_check_km_cone`).  On the cone's far parts the
+kernel's sign is unknown; `balanced_sign_integral` measures f K_M over
+them.  The data families supported on half balls and on reflected ball
+pairs realize the lower bounds; their amplitudes are chosen so the finite
+prefixes here extend to summable sequences.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from .verification import CheckReport, strictly_below
 __all__ = [
     "SharpnessConstants",
     "compute_constants",
-    "RegionSpec",
-    "region_contains",
     "sign_check_phi",
     "sign_check_km_cone",
     "data_half_balls",
@@ -141,29 +141,6 @@ def _reflection_amplitude(lam: float, big_m: int, a_ratio: float) -> float:
     return base * max(1.0, alt)
 
 
-@dataclass(frozen=True)
-class RegionSpec:
-    """One of the sign regions; the |x|-dependent ones carry a reference point.
-
-    which: 'band' (the direction band where the Gegenbauer combination is
-    one-signed), 'cone' (|y'| > 1 within the double cone around the
-    projection axis), 'cone_near' (cone portion with |x|/A < |y'| < A|x| on
-    the positive side), 'cone_far_pos' / 'cone_far_neg' (cone portions with
-    |y'| < |x|/A on either side of the reflection hyperplane).
-    """
-
-    which: str
-    big_m: int
-    constants: SharpnessConstants
-    x_ref: HalfSpacePoint | None = None
-
-    def __post_init__(self):
-        if self.which not in ("band", "cone", "cone_near", "cone_far_pos", "cone_far_neg"):
-            raise DomainError(f"unknown region {self.which!r}")
-        if self.which != "band" and self.x_ref is None:
-            raise DomainError("|x|-dependent regions need a reference point")
-
-
 def _band_interval(constants: SharpnessConstants):
     """cos(theta') interval of the one-signed band.
 
@@ -176,38 +153,15 @@ def _band_interval(constants: SharpnessConstants):
     return -b1 / 2.0, -b1 / 3.0
 
 
-def region_contains(region: RegionSpec, yp) -> bool:
-    pts = np.atleast_2d(np.asarray(yp, dtype=float))
-    return bool(_region_mask(region, pts)[0])
-
-
-def _region_mask(region: RegionSpec, pts: np.ndarray) -> np.ndarray:
-    c = region.constants
-    x = region.x_ref
+def _far_cone_mask(constants: SharpnessConstants, x: HalfSpacePoint,
+                   pts: np.ndarray) -> np.ndarray:
+    """Points of the double cone's far parts at x: |y'| > 1,
+    |cos(theta')| > A^(-1/2) and |x| / |y'| > A, with A the cone ratio;
+    both halves of the cone, on either side of the origin, count."""
     norms = row_norms(pts)
-    if region.which == "band":
-        if region.big_m == 0:
-            return np.ones(len(pts), dtype=bool)
-        lo, hi = _band_interval(c)
-        cosp = cos_theta_prime_array(x if x is not None else _default_axis_point(pts), pts,
-                                     norms=norms)
-        return (cosp >= lo) & (cosp <= hi)
     cosp = cos_theta_prime_array(x, pts, norms=norms)
-    in_cone = (norms > 1.0) & (np.abs(cosp) > 1.0 / math.sqrt(c.cone_ratio))
-    if region.which == "cone":
-        return in_cone
-    s = x.r / np.where(norms > 0, norms, np.inf)
-    first = pts @ x.y_hat
-    if region.which == "cone_near":
-        return in_cone & (first > 0) & (s > 1.0 / c.cone_ratio) & (s < c.cone_ratio)
-    if region.which == "cone_far_pos":
-        return in_cone & (first > 0) & (s > c.cone_ratio)
-    return in_cone & (first < 0) & (s > c.cone_ratio)
-
-
-def _default_axis_point(pts: np.ndarray) -> HalfSpacePoint:
-    dim = pts.shape[-1] + 1
-    return HalfSpacePoint(n=dim, r=1.0, theta=0.9)
+    in_cone = (norms > 1.0) & (np.abs(cosp) > 1.0 / math.sqrt(constants.cone_ratio))
+    return in_cone & (x.r / np.where(norms > 0, norms, np.inf) > constants.cone_ratio)
 
 
 def sign_check_phi(lam: float, big_m: int, samples: int = 10_000, seed: int = 42,
@@ -412,12 +366,10 @@ def balanced_sign_integral(data: BoundaryData, lam: float, big_m: int,
     """
     spec = spec or QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8)
     constants = compute_constants(lam, big_m)
-    pos = RegionSpec("cone_far_pos", big_m, constants, x)
-    neg = RegionSpec("cone_far_neg", big_m, constants, x)
     params = KernelParams(lam, big_m)
 
     def masked_kernel(pts):
-        mask = _region_mask(pos, pts) | _region_mask(neg, pts)
-        return np.where(mask, kernel_KM_direct(params, x, pts), 0.0)
+        return np.where(_far_cone_mask(constants, x, pts),
+                        kernel_KM_direct(params, x, pts), 0.0)
 
     return integrate_weighted(data, masked_kernel, spec, x=x)

@@ -252,6 +252,29 @@ def harmonicity_solutions(seed: int = 42) -> CheckReport:
     return _report("harmonicity_solutions", worst, 1e-4)
 
 
+def harmonicity_stencil_order(seed: int = 42) -> CheckReport:
+    """The observed order of `check_harmonicity`'s stencil: log2 of its worst
+    residual at h = 4e-2 over that at 2e-2, on the harmonic non-polynomial
+    field (x_n + 1) / |x - (0, 0, -1)|^3 at five seeded points.  The stencil
+    is fourth order; the residual is minus the order, so it passes at an
+    order of 3.5 or more."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(5):
+        p = rng.normal(size=3)
+        p[-1] = abs(p[-1]) + 0.5
+        points.append(p)
+
+    def field(p):
+        d = p - np.array([0.0, 0.0, -1.0])
+        return (p[-1] + 1.0) / float(d @ d) ** 1.5
+
+    coarse, fine = (check_harmonicity(field, points, h=h, tol=1.0, name="stencil_order").residual
+                    for h in (4e-2, 2e-2))
+    order = math.log2(coarse / fine)
+    return _report("harmonicity_stencil_order", -order, -3.5, {"order": order})
+
+
 def boundary_dirichlet(seed: int = 42) -> CheckReport:
     return check_boundary("dirichlet", bump(3, radius=8.0), [0.0, 0.0], [0.1, 0.01, 0.001],
                           tol=1e-3)
@@ -474,7 +497,7 @@ SUITES = {
                          gegenbauer_majorisation, gegenbauer_contiguous_identities),
     "kernels": _suite(kernel_dual_definition, kernel_majorant),
     "harmonicity": _suite(harmonicity_polynomial_families, harmonicity_solutions,
-                          boundary_dirichlet, boundary_neumann),
+                          harmonicity_stencil_order, boundary_dirichlet, boundary_neumann),
     "prop31": _suite(*(partial(kernel_identity, i) for i in KERNEL_IDENTITIES)),
     "prop32": _suite(*(partial(neumann_representation, r) for r in NEUMANN_REPRESENTATIONS)),
     "growth": _suite(growth_modified_integral, growth_dirichlet_solution,

@@ -20,7 +20,7 @@ import numpy as np
 from .data import BoundaryData
 from .errors import DomainError
 from .geometry import HalfSpacePoint
-from .kernels import KernelParams, kernel_KM_direct, kernel_with_convention
+from .kernels import KernelParams, kernel_KM_direct
 from .quadrature import (
     QuadratureSpec,
     _problem,
@@ -34,8 +34,6 @@ from . import quad1d
 __all__ = [
     "CheckReport",
     "strictly_below",
-    "fd_laplacian",
-    "refinement_order",
     "check_harmonicity",
     "check_boundary",
     "check_kernel_identity",
@@ -82,27 +80,6 @@ def strictly_below(name: str, residual: float, bound: float,
     """
     return CheckReport(name=name, parameters=parameters or {}, residual=float(residual),
                        tolerance=math.nextafter(bound, -math.inf))
-
-
-def fd_laplacian(fn, x, h: float) -> float:
-    """Second-order central stencil for the Laplacian of a scalar field."""
-    x = np.asarray(x, dtype=float)
-    center = fn(x)
-    total = 0.0
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        total += fn(x + step) - 2.0 * center + fn(x - step)
-    return total / (h * h)
-
-
-def refinement_order(fn, exact_fn, x, h: float) -> float:
-    """Observed convergence order of the stencil between steps h and h/2."""
-    e1 = abs(fd_laplacian(fn, x, h) - exact_fn(x))
-    e2 = abs(fd_laplacian(fn, x, h / 2.0) - exact_fn(x))
-    if e2 == 0.0:
-        return float("inf")
-    return math.log2(e1 / e2)
 
 
 # Fourth-order central weights of 12 h^2 f'' at offsets 1 and 2 steps, applied
@@ -280,7 +257,8 @@ def check_kernel_identity(identity: str, lam: float, big_m: int, x: HalfSpacePoi
     params = KernelParams(lam, big_m)
     lhs = (kernel_KM_direct(params, *path(t0 + h))
            - kernel_KM_direct(params, *path(t0 - h))) / (2.0 * h)
-    km0, km1, km2 = (kernel_with_convention(lam + 1.0, big_m - k, x, yp) for k in range(3))
+    km0, km1, km2 = (kernel_KM_direct(KernelParams(lam + 1.0, max(big_m - k, 0)), x, yp)
+                     for k in range(3))
     rhs = 2.0 * lam * (a * km1 - b * km2 - c * km0)
 
     scale = max(1.0, abs(lhs), abs(rhs))

@@ -11,26 +11,21 @@ them); together they are the exit gate for the package.
 import time
 from functools import partial
 
-import numpy as np
-
 from modpoisson import suites
-from modpoisson.verification import refinement_order
 
 SEED = 2024       # criteria 3 and 5 sample; the other criteria ignore it
 SIGN_SEED = 42    # the criterion-8 sign checks
 
 
-def certify(criterion, checks, time_bound, seed=SEED, extra=None):
+def certify(criterion, checks, time_bound, seed=SEED):
     """Run each check at `seed` and assert that all pass within the time
-    bound; `extra()`, when given, is an inline check returning
-    (passed, detail) and counts toward the time."""
+    bound."""
     start = time.time()
     reports = [check(seed) for check in checks]
-    passed, detail = extra() if extra else (True, "")
     elapsed = time.time() - start
-    passed = passed and all(r.passed for r in reports) and elapsed < time_bound
+    passed = all(r.passed for r in reports) and elapsed < time_bound
     residuals = " ".join(f"{r.name}={r.residual:.2e}" for r in reports)
-    line = f"{'PASS' if passed else 'FAIL'} [{criterion}] {residuals} {detail} time={elapsed:.1f}s"
+    line = f"{'PASS' if passed else 'FAIL'} [{criterion}] {residuals} time={elapsed:.1f}s"
     print(line)
     assert passed, line
 
@@ -51,19 +46,10 @@ class TestCriterion2KernelDualDefinition:
 
 class TestCriterion3Harmonicity:
     def test_families_solutions_and_order(self):
-        def stencil_order():
-            # the stencil's own convergence order on a quartic, whose
-            # Laplacian is known in closed form
-            rng = np.random.default_rng(SEED)
-            orders = [refinement_order(lambda p: float(np.dot(p, p)) ** 2,
-                                       lambda p: 4.0 * (p.size + 2) * float(np.dot(p, p)),
-                                       rng.normal(size=3) + 1.0, 1e-2)
-                      for _ in range(5)]
-            return min(orders) >= 1.8, f"order={min(orders):.2f}"
-
         certify("criterion-3 harmonicity",
-                [suites.harmonicity_polynomial_families, suites.harmonicity_solutions],
-                time_bound=180.0, extra=stencil_order)
+                [suites.harmonicity_polynomial_families, suites.harmonicity_solutions,
+                 suites.harmonicity_stencil_order],
+                time_bound=180.0)
 
 
 class TestCriterion4BoundaryConditions:

@@ -171,6 +171,17 @@ class TestExpand:
         mags = [float(r["term_magnitude"]) for r in rows]
         assert mags[-1] > mags[5]
 
+    def test_divergence_table_far_orders(self, capsys):
+        # terms past the turning order underflow at r = 1e6 and would
+        # overflow at r = 1; neither raises
+        for r in ("1e6", "1"):
+            code = run_cli(["expand", "--divergence", "200", "--n", "3", "--r", r,
+                            "--format", "csv"])
+            assert code == 0
+            rows = list(csv.DictReader(capsys.readouterr().out.strip().splitlines()))
+            assert len(rows) == 201
+        assert float(rows[-1]["term_magnitude"]) == float("inf")
+
     def test_remainder_rows(self, capsys):
         code = run_cli([
             "expand", "--problem", "neumann", "--data", "exp_decay", "--n", "3",

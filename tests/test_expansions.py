@@ -9,14 +9,12 @@ from modpoisson.expansions import (
     AsymptoticExpansion,
     HarmonicFamilyTerm,
     addition_separation,
-    asymptotic_expansion,
     coefficient_Y0,
     coefficient_Y1,
     divergence_demo,
     exp_data_neumann_coefficient,
     gamma_addition,
     harmonic_term,
-    zonal_harmonic,
 )
 from modpoisson import gegenbauer as gg
 from modpoisson.geometry import HalfSpacePoint
@@ -40,7 +38,7 @@ class TestHarmonicTerm:
     @pytest.mark.parametrize("family,m", [("dirichlet", 3), ("neumann", 4)])
     def test_homogeneity(self, family, m):
         term = HarmonicFamilyTerm(family, m, 4)
-        deg = term.degree
+        deg = m + (family == "dirichlet")  # the Dirichlet family carries x_n
         for c in (2.0, 0.5):
             for _ in range(10):
                 x = RNG.normal(size=4)
@@ -168,21 +166,32 @@ class TestAdditionFormula:
 
 
 class TestZonal:
+    """The angular part of a solid harmonic about its pole: on the unit
+    sphere of the boundary hyperplane the Neumann term of R^n is the zonal
+    harmonic C_m^((n-2)/2)(pole . direction)."""
+
+    @staticmethod
+    def zonal(n, m, pole, direction):
+        term = HarmonicFamilyTerm("neumann", m, n, tuple(pole))
+        return harmonic_term(term, np.append(direction, 0.0))
+
     def test_coincident_poles(self):
-        u = np.array([0.6, 0.8])
-        assert zonal_harmonic(3, 4, u, u) == pytest.approx(gg.value_at_one(1.5, 4))
+        u = np.array([0.6, 0.8, 0.0, 0.0])
+        assert self.zonal(5, 4, u, u) == pytest.approx(gg.value_at_one(1.5, 4))
 
     def test_orthogonal_poles_odd_degree(self):
-        assert zonal_harmonic(3, 3, [1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0, abs=1e-14)
+        assert self.zonal(5, 3, [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]) == pytest.approx(
+            0.0, abs=1e-14)
 
     def test_rotation_invariance(self):
-        a = RNG.normal(size=3)
-        b = RNG.normal(size=3)
+        a = RNG.normal(size=4)
+        b = RNG.normal(size=4)
         a /= np.linalg.norm(a)
         b /= np.linalg.norm(b)
-        base = zonal_harmonic(4, 3, a, b)
-        q, _ = np.linalg.qr(RNG.normal(size=(3, 3)))
-        assert zonal_harmonic(4, 3, q @ a, q @ b) == pytest.approx(base, rel=1e-12)
+        base = self.zonal(5, 3, a, b)
+        assert base == pytest.approx(gg.value(1.5, 3, a @ b), rel=1e-12)
+        q, _ = np.linalg.qr(RNG.normal(size=(4, 4)))
+        assert self.zonal(5, 3, q @ a, q @ b) == pytest.approx(base, rel=1e-12)
 
 
 class TestExpDataClosedForm:
@@ -212,7 +221,8 @@ class TestAsymptoticExpansion:
     def test_empty_truncation(self):
         f = exp_decay(3)
         x = HalfSpacePoint(n=3, r=15.0, theta=0.4, y_hat=[1.0, 0.0])
-        partial, remainder = asymptotic_expansion("neumann", f, 0, x, SPEC)
+        exp = AsymptoticExpansion("neumann", f, 0, SPEC)
+        partial, remainder = exp.partial_sum(x), exp.remainder(x)
         assert partial == 0.0
         assert remainder == pytest.approx(neumann_N(f, x, SPEC), rel=1e-10)
 
@@ -220,7 +230,8 @@ class TestAsymptoticExpansion:
         f = exp_decay(3)
         x = HalfSpacePoint(n=3, r=12.0, theta=0.7, y_hat=[1.0, 0.0])
         for problem, direct_fn in (("dirichlet", dirichlet_D), ("neumann", neumann_N)):
-            partial, remainder = asymptotic_expansion(problem, f, 2, x, SPEC)
+            exp = AsymptoticExpansion(problem, f, 2, SPEC)
+            partial, remainder = exp.partial_sum(x), exp.remainder(x)
             assert partial + remainder == pytest.approx(direct_fn(f, x, SPEC), abs=1e-9)
 
     def test_remainder_matches_second_kind_integral(self):
@@ -230,7 +241,7 @@ class TestAsymptoticExpansion:
         f = exp_decay(3)
         x = HalfSpacePoint(n=3, r=9.0, theta=0.5, y_hat=[1.0, 0.0])
         big_m = 2
-        _, remainder = asymptotic_expansion("dirichlet", f, big_m, x, SPEC)
+        remainder = AsymptoticExpansion("dirichlet", f, big_m, SPEC).remainder(x)
         tail = alpha_n(3) * x.x_n * integral_F_second(
             KernelParams(1.5, big_m, "second"), f, x, SPEC
         )
@@ -252,7 +263,7 @@ class TestAsymptoticExpansion:
         x = HalfSpacePoint(n=3, r=20.0, theta=0.3, y_hat=[1.0, 0.0])
         exp.partial_sum(x)
         cached = dict(exp._cache)
-        exp.partial_sum(x.with_radius(40.0))
+        exp.partial_sum(HalfSpacePoint(n=3, r=40.0, theta=0.3, y_hat=[1.0, 0.0]))
         assert dict(exp._cache) == cached
 
 
@@ -285,3 +296,15 @@ class TestDivergenceDemo:
         assert np.any(ratios > 1)
         with pytest.raises(DomainError):
             divergence_demo(4, 10.0, 0.7, 5, problem="dirichlet")
+
+    def test_dirichlet_variant_far_orders(self):
+        # Gamma(m + n - 1) alone leaves the float range at k = 84; the term
+        # does not
+        terms = divergence_demo(5, 10.0, 0.7, 84, problem="dirichlet")
+        assert np.all(np.isfinite(terms)) and terms[84] > terms[40] > 1.0
+
+    def test_terms_beyond_float_range_read_inf(self):
+        terms = divergence_demo(3, 1.0, 0.0, 200)
+        assert np.all(np.isfinite(terms[:80])) and np.isposinf(terms[200])
+        far = divergence_demo(3, 1e6, 0.0, 200)
+        assert np.all(np.isfinite(far)) and far[0] == pytest.approx(1e-6)

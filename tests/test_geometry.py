@@ -5,11 +5,8 @@ from modpoisson.errors import DomainError
 from modpoisson.geometry import (
     BoundaryPoint,
     HalfSpacePoint,
-    AngleTriple,
-    big_theta,
-    reflect_across_first_axis,
+    cos_theta_prime_array,
     row_norms,
-    theta_prime,
 )
 
 RNG = np.random.default_rng(7)
@@ -54,28 +51,42 @@ class TestHalfSpacePoint:
         assert np.linalg.norm(p.y_hat) == pytest.approx(1.0, abs=1e-14)
 
 
+def cos_theta_prime(x, yp):
+    """cos(theta') of one boundary point through the production array path."""
+    return float(cos_theta_prime_array(x, np.atleast_2d(np.asarray(yp, dtype=float)))[0])
+
+
+def big_theta(x, yp):
+    """Theta = sin(theta) cos(theta'), as the kernels form it."""
+    return x.sin_theta * cos_theta_prime(x, yp)
+
+
 class TestThetaPrime:
     def test_parallel(self):
         x = HalfSpacePoint(n=3, r=1.0, theta=np.pi / 4, y_hat=[1.0, 0.0])
-        assert theta_prime(x, BoundaryPoint([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
+        assert cos_theta_prime(x, BoundaryPoint([1.0, 0.0])) == pytest.approx(1.0, abs=1e-15)
 
     def test_orthogonal(self):
         x = HalfSpacePoint(n=3, r=1.0, theta=np.pi / 4, y_hat=[1.0, 0.0])
-        assert theta_prime(x, BoundaryPoint([0.0, 1.0])) == pytest.approx(np.pi / 2)
+        assert cos_theta_prime(x, BoundaryPoint([0.0, 1.0])) == 0.0
 
     def test_axis_convention(self):
+        # theta = 0: y vanishes, so theta' = pi/2 for every boundary point
         x = HalfSpacePoint(n=3, r=1.0, theta=0.0)
-        assert theta_prime(x, BoundaryPoint([0.3, -2.0])) == pytest.approx(np.pi / 2)
+        assert cos_theta_prime(x, BoundaryPoint([0.3, -2.0])) == 0.0
+        pts = RNG.normal(size=(20, 2))
+        assert np.array_equal(cos_theta_prime_array(x, pts), np.zeros(20))
 
     def test_zero_boundary_point_convention(self):
         x = HalfSpacePoint(n=3, r=1.0, theta=0.5, y_hat=[0.0, 1.0])
-        assert theta_prime(x, BoundaryPoint([0.0, 0.0])) == pytest.approx(np.pi / 2)
+        assert cos_theta_prime(x, BoundaryPoint([0.0, 0.0])) == 0.0
 
     def test_n2_sign_convention(self):
+        # boundary dimension one: theta' is 0 on the same side, pi on the
+        # opposite side, pi/2 at the zero vector
         x = HalfSpacePoint(n=2, r=np.sqrt(2), theta=np.pi / 4, y_hat=[1.0])
-        assert theta_prime(x, BoundaryPoint([2.5])) == 0.0
-        assert theta_prime(x, BoundaryPoint([-2.5])) == np.pi
-        assert theta_prime(x, BoundaryPoint([0.0])) == pytest.approx(np.pi / 2)
+        got = cos_theta_prime_array(x, np.array([[2.5], [-2.5], [0.0]]))
+        assert np.array_equal(got, [1.0, -1.0, 0.0])
 
     def test_rotation_invariance(self):
         # simultaneous rotation of y_hat and y' about the normal axis
@@ -83,16 +94,17 @@ class TestThetaPrime:
             x = random_interior_point(n)
             while np.linalg.norm(x[:-1]) < 0.2:
                 x = random_interior_point(n)
-            yp = RNG.normal(size=n - 1)
+            yp = RNG.normal(size=(8, n - 1))
             p = HalfSpacePoint.from_cartesian(x)
-            base = theta_prime(p, yp)
+            base = cos_theta_prime_array(p, yp)
             for _ in range(5):
                 a = RNG.normal(size=(n - 1, n - 1))
                 q, _ = np.linalg.qr(a)
                 if np.linalg.det(q) < 0:
                     q[:, 0] = -q[:, 0]
                 p_rot = HalfSpacePoint(n=n, r=p.r, theta=p.theta, y_hat=q @ p.y_hat)
-                assert theta_prime(p_rot, q @ yp) == pytest.approx(base, abs=1e-10)
+                np.testing.assert_allclose(cos_theta_prime_array(p_rot, yp @ q.T), base,
+                                           rtol=0, atol=1e-12)
 
 
 class TestBigTheta:
@@ -117,29 +129,6 @@ class TestBigTheta:
             if x.theta > 0 and np.linalg.norm(yp) > 0:
                 expected = x.sin_theta * np.dot(x.y_hat, yp) / np.linalg.norm(yp)
                 assert val == pytest.approx(expected, abs=1e-12)
-
-
-class TestReflection:
-    def test_examples(self):
-        np.testing.assert_allclose(reflect_across_first_axis([3.0, 1.0]).coords, [-3.0, 1.0])
-        np.testing.assert_allclose(reflect_across_first_axis([0.0, 5.0]).coords, [0.0, 5.0])
-
-    def test_involution(self):
-        for _ in range(10):
-            p = RNG.normal(size=3)
-            np.testing.assert_allclose(
-                reflect_across_first_axis(reflect_across_first_axis(p)).coords, p
-            )
-
-
-class TestAngleTriple:
-    def test_consistent_triple(self):
-        t = AngleTriple(theta=0.5, theta_prime=1.0, big_theta=np.sin(0.5) * np.cos(1.0))
-        assert t.big_theta == pytest.approx(np.sin(0.5) * np.cos(1.0))
-
-    def test_inconsistent_triple_rejected(self):
-        with pytest.raises(DomainError):
-            AngleTriple(theta=0.5, theta_prime=1.0, big_theta=0.9)
 
 
 class TestRowNorms:

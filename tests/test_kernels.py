@@ -9,13 +9,22 @@ from modpoisson.kernels import (
     kernel_K,
     kernel_KM_direct,
     kernel_KM_integral,
-    kernel_KM_integral_poly,
     kernel_KM_second,
     kernel_bound_first,
-    kernel_with_convention,
 )
 
 RNG = np.random.default_rng(11)
+
+
+def kernel_KM_lambda_one(big_m, x, yp):
+    """K_M at lam = 1 in closed form: the weight of the integral
+    representation is then 1, so the zeta integral is the polynomial
+    C_M(Theta) s^M - C_(M-1)(Theta) s^(M+1), with s = |x| / |y'|."""
+    s = x.r / np.linalg.norm(yp)
+    theta_big = x.sin_theta * np.dot(x.y_hat, yp) / np.linalg.norm(yp)
+    integral = (gg.value(1.0, big_m, theta_big) * s**big_m
+                - gg.value(1.0, big_m - 1, theta_big) * s ** (big_m + 1))
+    return kernel_K(1.0, x, yp) * integral
 
 
 def point_with(s, theta_big, r=2.0, n=3, sin_theta=0.95):
@@ -147,7 +156,7 @@ class TestIntegralRepresentation:
             params = KernelParams(1.0, big_m)
             for s in (0.5, 1.2, 2.5):
                 x, yp = point_with(s, 0.4)
-                poly = kernel_KM_integral_poly(params, x, yp)
+                poly = kernel_KM_lambda_one(big_m, x, yp)
                 quad = kernel_KM_integral(params, x, yp, tol=1e-13)
                 assert quad == pytest.approx(poly, abs=1e-12)
                 assert poly == pytest.approx(kernel_KM_direct(params, x, yp), abs=1e-11)
@@ -230,14 +239,18 @@ class TestBoundFirstKind:
 
 class TestConvention:
     def test_nonpositive_orders_give_base_kernel(self):
+        # the kernel identities read K_m = K for m <= 0 as order max(m, 0)
         x = random_point()
         yp = RNG.normal(size=2)
         for m in (0, -1, -2):
-            assert kernel_with_convention(1.5, m, x, yp) == kernel_K(1.5, x, yp)
+            assert kernel_KM_direct(KernelParams(1.5, max(m, 0)), x, yp) == kernel_K(1.5, x, yp)
 
     def test_positive_orders_give_modified(self):
         x = random_point()
         yp = RNG.normal(size=2) * 2 + np.array([3.0, 0.0])
-        assert kernel_with_convention(1.5, 2, x, yp) == kernel_KM_direct(
-            KernelParams(1.5, 2), x, yp
-        )
+        norm = np.linalg.norm(yp)
+        theta_big = x.sin_theta * np.dot(x.y_hat, yp) / norm
+        tail = norm ** -3.0 * (1.0 + x.r / norm * gg.value(1.5, 1, theta_big))
+        base = kernel_K(1.5, x, yp)
+        assert kernel_KM_direct(KernelParams(1.5, 2), x, yp) == pytest.approx(
+            base - tail, rel=1e-12, abs=1e-14 * base)

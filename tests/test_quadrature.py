@@ -23,7 +23,6 @@ from modpoisson.kernels import KernelParams, kernel_K, kernel_KM_second
 from modpoisson.quadrature import (
     QuadratureSpec,
     alpha_n,
-    cutoff_w,
     dirichlet_D,
     dirichlet_DM,
     integral_F,
@@ -38,6 +37,13 @@ from modpoisson.quadrature import (
     unit_ball_volume,
 )
 from modpoisson.verification import check_boundary
+
+
+def cutoff_w(pts):
+    """The cutoff w of `solution_u`: 0 on the unit ball, 1 outside radius 2,
+    and 3t^2 - 2t^3 with t = |y'| - 1 between."""
+    t = np.clip(np.linalg.norm(pts, axis=-1) - 1.0, 0.0, 1.0)
+    return t * t * (3.0 - 2.0 * t)
 
 RNG = np.random.default_rng(3)
 SPEC = QuadratureSpec()
@@ -136,18 +142,20 @@ class TestSupport:
 
 
 class TestCutoff:
+    # the production ramp of the assembled solutions, as a function of |y'|
     def test_plateaus(self):
-        assert cutoff_w(np.array([0.5, 0.0])) == 0.0
-        assert cutoff_w(np.array([3.0, 0.0])) == 1.0
+        assert quad._ramp(0.5) == 0.0
+        assert quad._ramp(3.0) == 1.0
 
     def test_midpoint(self):
-        assert cutoff_w(np.array([1.5, 0.0])) == pytest.approx(0.5)
+        assert quad._ramp(1.5) == pytest.approx(0.5)
 
     def test_monotone_continuous(self):
         rho = np.linspace(0.8, 2.2, 200)
-        vals = np.array([cutoff_w(np.array([r, 0.0])) for r in rho])
+        vals = quad._ramp(rho)
         assert np.all(np.diff(vals) >= -1e-15)
         assert np.max(np.abs(np.diff(vals))) < 0.02
+        np.testing.assert_allclose(vals, cutoff_w(rho[:, None]), rtol=0, atol=1e-15)
 
 
 class TestIntegralF:
@@ -532,7 +540,6 @@ class TestSecondKind:
 
     def test_far_field_midpoint_approximation(self):
         f = bump(3, center=[1.2, 0.0], radius=0.02, normalized=True)
-        x = HalfSpacePoint.from_cartesian([0.0, 0.0, 1.0]).with_radius(1.0)
         x = HalfSpacePoint(n=3, r=50.0 * 0.02, theta=0.9, y_hat=np.array([1.0, 0.0]))
         params = KernelParams(1.5, 1, "second")
         got = integral_F_second(params, f, x, SPEC)

@@ -5,17 +5,17 @@ import pytest
 
 from modpoisson import gegenbauer as gg
 from modpoisson.errors import ConstructionError, DomainError
-from modpoisson.geometry import HalfSpacePoint, reflect_across_first_axis
+from modpoisson.geometry import HalfSpacePoint
 from modpoisson.quadrature import QuadratureSpec
 from modpoisson.sharpness import (
-    RegionSpec,
+    _band_interval,
+    _far_cone_mask,
     balanced_sign_integral,
     compute_constants,
     data_balls_super_extension,
     data_half_balls,
     lower_bound_report,
     reference_point,
-    region_contains,
     sign_check_km_cone,
     sign_check_phi,
 )
@@ -72,50 +72,29 @@ class TestConstants:
 class TestRegions:
     def test_band_membership_even_order(self):
         c = compute_constants(1.0, 2)
-        x = HalfSpacePoint(n=3, r=2.5, theta=0.8, y_hat=[1.0, 0.0])
-        region = RegionSpec("band", 2, c, x)
-        angle = math.acos(c.beta1 / 2.5)
-        inside = 3.0 * np.array([math.cos(angle), math.sin(angle)])
-        assert region_contains(region, inside)
-        assert not region_contains(region, np.array([3.0, 0.0]))
+        lo, hi = _band_interval(c)
+        assert lo <= c.beta1 / 2.5 <= hi
+        assert not lo <= 1.0 <= hi
 
     def test_band_membership_odd_order_uses_mirrored_side(self):
         c = compute_constants(1.0, 3)
-        x = HalfSpacePoint(n=3, r=2.5, theta=0.8, y_hat=[1.0, 0.0])
-        region = RegionSpec("band", 3, c, x)
-        angle = math.acos(c.beta1 / 2.5)
-        assert region_contains(region, 3.0 * np.array([-math.cos(angle), math.sin(angle)]))
-        assert not region_contains(region, 3.0 * np.array([math.cos(angle), math.sin(angle)]))
+        lo, hi = _band_interval(c)
+        assert lo <= -c.beta1 / 2.5 <= hi
+        assert not lo <= c.beta1 / 2.5 <= hi
 
     def test_cone_contains_axis_ray(self):
         c = compute_constants(1.5, 1)
         x = reference_point(3, 10.0, 1.4)
-        region = RegionSpec("cone", 1, c, x)
-        assert region_contains(region, np.array([5.0, 0.0]))
-        assert not region_contains(region, np.array([0.5, 0.0]))
-        assert not region_contains(region, np.array([0.0, 5.0]))
-
-    def test_cone_near_needs_positive_side_and_radius_window(self):
-        c = compute_constants(1.5, 1)
-        x = reference_point(3, 10.0, 1.4)
-        region = RegionSpec("cone_near", 1, c, x)
-        a = c.cone_ratio
-        assert region_contains(region, np.array([10.0, 0.0]))
-        assert not region_contains(region, np.array([-10.0, 0.0]))
-        assert not region_contains(region, np.array([10.0 / a**2, 0.0]))
-        assert not region_contains(region, np.array([10.0 * a**2, 0.0]))
+        inside = _far_cone_mask(c, x, np.array([[5.0, 0.0], [0.5, 0.0], [0.0, 5.0]]))
+        assert inside.tolist() == [True, False, False]
 
     def test_far_portions_are_reflections(self):
         c = compute_constants(1.5, 1)
         x = reference_point(3, 30.0, 1.4)
-        pos = RegionSpec("cone_far_pos", 1, c, x)
-        neg = RegionSpec("cone_far_neg", 1, c, x)
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            p = rng.normal(size=2) * 12.0
-            assert region_contains(pos, p) == region_contains(
-                neg, reflect_across_first_axis(p).coords
-            )
+        pts = np.random.default_rng(5).normal(size=(200, 2)) * 12.0
+        mask = _far_cone_mask(c, x, pts)
+        assert np.array_equal(mask, _far_cone_mask(c, x, pts * [-1.0, 1.0]))
+        assert mask[pts[:, 0] > 0].any() and mask[pts[:, 0] < 0].any()
 
 
 class TestSignChecks:
