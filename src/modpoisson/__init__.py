@@ -65,16 +65,16 @@ from .sharpness import (
     compute_constants,
     data_balls_super_extension,
     data_half_balls,
-    sign_check_km_cone,
-    sign_check_phi,
+    km_cone_minimum,
+    phi_band_minimum,
 )
 from .verification import (
     CheckReport,
     check_boundary,
-    check_harmonicity,
-    check_kernel_identity,
-    check_neumann_representation,
     growth_sweep,
+    harmonicity_residual,
+    kernel_identity_residual,
+    neumann_representation_residual,
 )
 
 __version__ = "0.1.0"

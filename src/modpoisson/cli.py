@@ -3,8 +3,7 @@ and run the verification suites.
 
 Outputs are machine-readable: CSV with a header row or JSON lines, with
 floats serialized at full precision so files round-trip exactly.  Exit
-codes: 0 all checks pass, 1 any failure, 2 inconclusive results only,
-64 usage or validation error.
+codes: 0 all checks pass, 1 any failure, 64 usage or validation error.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -43,7 +41,7 @@ from .quadrature import (
     solution_u,
     solution_v,
 )
-from .suites import SUITES, run_suite, suite_names
+from .suites import SUITES, run_suite
 
 USAGE_ERROR = 64
 
@@ -233,38 +231,30 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def _run_one_suite(task):
-    name, seed = task
-    return name, [r.as_record() for r in run_suite(name, seed)]
+def _suite_records(name: str, seed: int) -> list[dict]:
+    return [r.as_record() for r in run_suite(name, seed)]
 
 
 def cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
+    seeds = [args.seed] * len(names)
     if args.jobs > 1 and len(names) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = dict(pool.map(_run_one_suite, [(n, args.seed) for n in names]))
-        records = [rec for n in names for rec in results[n]]
+            per_suite = list(pool.map(_suite_records, names, seeds))
     else:
-        records = []
-        for n in names:
-            records.extend(r.as_record() for r in run_suite(n, args.seed))
+        per_suite = list(map(_suite_records, names, seeds))
+    records = [rec for suite_records in per_suite for rec in suite_records]
     lines = [json.dumps(rec) for rec in records]
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("\n".join(lines) + "\n")
     for rec in records:
-        status = "PASS" if rec["pass"] else ("INCONCLUSIVE" if rec["inconclusive"] else "FAIL")
+        status = "PASS" if rec["pass"] else "FAIL"
         print(f"{status:12s} {rec['name']}  residual={rec['residual']:.3e} "
               f"tol={rec['tolerance']:.3e}")
-    failed = [r for r in records if not r["pass"] and not r["inconclusive"]]
-    inconclusive = [r for r in records if r["inconclusive"]]
-    print(f"{len(records)} checks: {len(records) - len(failed) - len(inconclusive)} passed, "
-          f"{len(failed)} failed, {len(inconclusive)} inconclusive")
-    if failed:
-        return 1
-    if inconclusive:
-        return 2
-    return 0
+    failed = sum(not rec["pass"] for rec in records)
+    print(f"{len(records)} checks: {len(records) - failed} passed, {failed} failed")
+    return 1 if failed else 0
 
 
 def _apply_config(argv: list[str]) -> list[str]:
@@ -297,7 +287,6 @@ def build_parser() -> _Parser:
 
     def output(p):
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--config", default=None, help=argparse.SUPPRESS)
 
     def common(p):
         output(p)
@@ -345,10 +334,9 @@ def build_parser() -> _Parser:
     # the suites fix their own dimensions, tolerances and output format
     p_ver = sub.add_parser("verify", help="run a certification suite")
     output(p_ver)
-    p_ver.add_argument("--suite", choices=suite_names(), default="all")
+    p_ver.add_argument("--suite", choices=sorted(SUITES) + ["all"], default="all")
     p_ver.add_argument("--seed", type=int, default=42)
-    p_ver.add_argument("--jobs", type=int,
-                       default=int(os.environ.get("MODPOISSON_JOBS", "1")))
+    p_ver.add_argument("--jobs", type=int, default=1)
     return parser
 
 

@@ -268,13 +268,17 @@ def exp_data_neumann_coefficient(n: int, order: int, theta: float) -> float:
     Odd orders vanish; order 2k evaluates to
     2^(n-2) Gamma(n/2-1) (-1)^k (2k)! Gamma(k+n/2) C_{2k}^((n-2)/2)(cos
     theta) / (pi k!), the zonal average times (2/pi) (k+n/2-1)
-    Gamma(2k+n-2), computed in log space.
+    Gamma(2k+n-2), computed in log space; a coefficient beyond the float
+    range reads as inf of its sign.
     """
     _problem("neumann", n)
     if order < 0:
         raise DomainError("order must be non-negative")
     sign, log_mag = _exp_data_log_neumann(n, order, theta)
-    return sign * math.exp(log_mag)
+    try:
+        return sign * math.exp(log_mag)
+    except OverflowError:
+        return math.copysign(math.inf, sign)
 
 
 def divergence_demo(n: int, r: float, theta: float, k_max: int,

@@ -1,16 +1,17 @@
-"""Sign constants, sign checks, and data families certifying growth sharpness.
+"""Sign constants, sign measurements, and data families for growth sharpness.
 
 The modified kernels are not of one sign, so lower bounds on the solution
 integrals require regions of the boundary where the sign is controlled.
-Two are checked by sampling: a band of directions nearly orthogonal to the
+Two are measured by sampling: a band of directions nearly orthogonal to the
 field point's projection, where the Gegenbauer combination is one-signed
-(`sign_check_phi`), and the part of a double cone around the projection
+(`phi_band_minimum`), and the part of a double cone around the projection
 direction near the kernel's contact sphere, where the base kernel dominates
-its subtracted tail (`sign_check_km_cone`).  On the cone's far parts the
+its subtracted tail (`km_cone_minimum`).  On the cone's far parts the
 kernel's sign is unknown; `balanced_sign_integral` measures f K_M over
 them.  The data families supported on half balls and on reflected ball
-pairs realize the lower bounds; their amplitudes are chosen so the finite
-prefixes here extend to summable sequences.
+pairs realize the lower bounds (`lower_bound_ratio`); their amplitudes are
+chosen so the finite prefixes here extend to summable sequences.  The
+functions here return what they measure; `modpoisson.suites` judges it.
 """
 
 from __future__ import annotations
@@ -26,16 +27,15 @@ from .errors import ConstructionError, DomainError
 from .geometry import HalfSpacePoint, cos_theta_prime_array, row_norms
 from .kernels import KernelParams, kernel_K, kernel_KM_direct
 from .quadrature import QuadratureSpec, integral_F, integrate_weighted
-from .verification import CheckReport, strictly_below
 
 __all__ = [
     "SharpnessConstants",
     "compute_constants",
-    "sign_check_phi",
-    "sign_check_km_cone",
+    "phi_band_minimum",
+    "km_cone_minimum",
     "data_half_balls",
     "data_balls_super_extension",
-    "lower_bound_report",
+    "lower_bound_ratio",
     "balanced_sign_integral",
 ]
 
@@ -164,13 +164,13 @@ def _far_cone_mask(constants: SharpnessConstants, x: HalfSpacePoint,
     return in_cone & (x.r / np.where(norms > 0, norms, np.inf) > constants.cone_ratio)
 
 
-def sign_check_phi(lam: float, big_m: int, samples: int = 10_000, seed: int = 42,
-                   control: bool = False) -> CheckReport:
-    """Sample the signed Gegenbauer combination over the band's parameters.
+def phi_band_minimum(lam: float, big_m: int, samples: int = 10_000, seed: int = 42,
+                     control: bool = False) -> float:
+    """Sampled minimum of the signed Gegenbauer combination over the band's
+    parameters.
 
-    Draws (theta, cos(theta') in the band, zeta in [0,1], s in [0,10]) and
-    reports the minimum of the signed combination (parameter `min_value`;
-    the residual is its negative); passing means strictly positive.  With
+    Draws (theta, cos(theta') in the band, zeta in [0,1], s in [0,10]); the
+    band is one-signed when the minimum is strictly positive.  With
     control=True the directions are drawn outside the band (near the
     projection axis), where sign changes must appear.
     """
@@ -186,15 +186,12 @@ def sign_check_phi(lam: float, big_m: int, samples: int = 10_000, seed: int = 42
     s = rng.uniform(0.0, 10.0, samples)
     theta_big = np.sin(theta) * cosp
     signed = constants.half_sign * gegenbauer.phi_pm(lam, big_m, theta_big, s * zeta, -1)
-    min_value = float(np.min(signed))
-    return strictly_below("phi_band_sign" + ("_control" if control else ""), -min_value, 0.0,
-                          {"lam": lam, "M": big_m, "control": control, "samples": samples,
-                           "min_value": min_value})
+    return float(np.min(signed))
 
 
-def sign_check_km_cone(lam: float, big_m: int, x: HalfSpacePoint,
-                       samples: int = 10_000, seed: int = 42) -> CheckReport:
-    """Sample K_M / (K s^M) over the near-contact cone portion.
+def km_cone_minimum(lam: float, big_m: int, x: HalfSpacePoint,
+                    samples: int = 10_000, seed: int = 42) -> float:
+    """Sampled minimum of K_M / (K s^M) over the near-contact cone portion.
 
     The reference point must satisfy sin(theta) >= sin(theta0); the ratio is
     the kernel's integral factor, which stays positive on the closed region.
@@ -220,10 +217,7 @@ def sign_check_km_cone(lam: float, big_m: int, x: HalfSpacePoint,
     pts = (x.r / s)[:, None] * directions
     params = KernelParams(lam, big_m)
     ratio = kernel_KM_direct(params, x, pts) / (kernel_K(lam, x, pts) * s**big_m)
-    min_value = float(np.min(ratio))
-    return strictly_below("km_cone_sign", -min_value, 0.0,
-                          {"lam": lam, "M": big_m, "theta": x.theta, "r": x.r,
-                           "samples": samples, "min_value": min_value})
+    return float(np.min(ratio))
 
 
 # ---------------------------------------------------------------------------
@@ -343,18 +337,13 @@ def reference_point(n: int, c: float, theta: float, axis: int = 0) -> HalfSpaceP
     return HalfSpacePoint(n=n, r=c, theta=theta, y_hat=y_hat)
 
 
-def lower_bound_report(data: BoundaryData, lam: float, big_m: int,
-                       x: HalfSpacePoint, scale: float,
-                       spec: QuadratureSpec | None = None) -> CheckReport:
+def lower_bound_ratio(data: BoundaryData, lam: float, big_m: int,
+                      x: HalfSpacePoint, scale: float,
+                      spec: QuadratureSpec | None = None) -> float:
     """Measured ratio of the signed F-integral to its predicted lower-bound
-    scale (parameter `ratio`; the residual is its negative); strictly
-    positive ratios certify the construction."""
+    scale; strictly positive ratios certify the construction."""
     spec = spec or QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8)
-    value = integral_F(KernelParams(lam, big_m), data, x, spec)
-    ratio = value / scale
-    return strictly_below("lower_bound", -ratio, 0.0,
-                          {"lam": lam, "M": big_m, "r": x.r, "theta": x.theta,
-                           "data": data.name, "value": value, "ratio": ratio})
+    return integral_F(KernelParams(lam, big_m), data, x, spec) / scale
 
 
 def balanced_sign_integral(data: BoundaryData, lam: float, big_m: int,

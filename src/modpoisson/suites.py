@@ -3,13 +3,15 @@
 Each check is one function `(seed) -> CheckReport`, named after the report
 it returns, and is the only implementation of its criterion: `modpoisson
 verify` runs it through `SUITES`, and the acceptance tests call it with the
-seed and wall-time bound they pin.  A sampling check draws from a fresh
-generator at `seed`, so its result does not depend on what ran before it;
-checks without samples ignore the seed.  Where checks share one sample
-stream (the eight kernel identities; the harmonic families and the solution
-points), each replays the draws of the checks before it in that stream.
-Each suite returns its reports sorted by name, so aggregation is
-deterministic under any execution order.
+seed and wall-time bound they pin.  The measurements it draws on
+(`modpoisson.verification`, `modpoisson.sharpness`) return numbers; each
+check here states its tolerance once and builds its one report.  A
+sampling check draws from a fresh generator at `seed`, so its result does
+not depend on what ran before it; checks without samples ignore the seed.
+Where checks share one sample stream (the eight kernel identities; the
+harmonic families and the solution points), each replays the draws of the
+checks before it in that stream.  Each suite returns its reports sorted by
+name, so aggregation is deterministic under any execution order.
 """
 
 from __future__ import annotations
@@ -40,32 +42,27 @@ from .sharpness import (
     compute_constants,
     data_balls_super_extension,
     data_half_balls,
-    lower_bound_report,
+    km_cone_minimum,
+    lower_bound_ratio,
+    phi_band_minimum,
     reference_point,
-    sign_check_km_cone,
-    sign_check_phi,
 )
 from .verification import (
     CheckReport,
     check_boundary,
-    check_harmonicity,
-    check_kernel_identity,
-    check_neumann_representation,
     growth_sweep,
+    harmonicity_residual,
+    kernel_identity_residual,
+    neumann_representation_residual,
     strictly_below,
 )
 
-__all__ = ["SUITES", "run_suite", "suite_names"]
+__all__ = ["SUITES", "run_suite"]
 
 KERNEL_IDENTITIES = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii")
 NEUMANN_REPRESENTATIONS = ("i", "ii", "iii", "iv", "v")
 _LAMBDAS = (0.5, 1.0, 1.5, 2.5)
 _GRID = np.linspace(-1.0, 1.0, 101)
-
-
-def _report(name, residual, tol, parameters=None) -> CheckReport:
-    return CheckReport(name=name, parameters=parameters or {}, residual=float(residual),
-                       tolerance=tol)
 
 
 def _unit(rng, k):
@@ -84,7 +81,7 @@ def gegenbauer_generating_oracle(seed: int = 42) -> CheckReport:
             lhs = gg.weighted_sum(lam, 200, _GRID, z)
             rhs = gg.generating_closed_form(lam, _GRID, z)
             worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.abs(rhs))))
-    return _report("gegenbauer_generating_oracle", worst, 1e-8)
+    return CheckReport("gegenbauer_generating_oracle", worst, 1e-8)
 
 
 def gegenbauer_parity(seed: int = 42) -> CheckReport:
@@ -93,7 +90,7 @@ def gegenbauer_parity(seed: int = 42) -> CheckReport:
         for m in range(13):
             diff = gg.value(lam, m, -_GRID) - (-1.0) ** m * gg.value(lam, m, _GRID)
             worst = max(worst, float(np.max(np.abs(diff))))
-    return _report("gegenbauer_parity", worst, 1e-10)
+    return CheckReport("gegenbauer_parity", worst, 1e-10)
 
 
 def gegenbauer_majorisation(seed: int = 42) -> CheckReport:
@@ -102,7 +99,7 @@ def gegenbauer_majorisation(seed: int = 42) -> CheckReport:
         for m in range(13):
             excess = np.max(np.abs(gg.value(lam, m, _GRID))) - gg.value_at_one(lam, m)
             worst = max(worst, float(excess))
-    return _report("gegenbauer_majorisation", worst, 1e-10)
+    return CheckReport("gegenbauer_majorisation", worst, 1e-10)
 
 
 def gegenbauer_contiguous_identities(seed: int = 42) -> CheckReport:
@@ -121,7 +118,7 @@ def gegenbauer_contiguous_identities(seed: int = 42) -> CheckReport:
                 - 2 * lam * (1 - grid**2) * gg.value(lam + 1, m - 2, grid)
             )
             worst = max(worst, float(np.max(np.abs([r1, r2, r3]))))
-    return _report("gegenbauer_contiguous_identities", worst, 1e-10)
+    return CheckReport("gegenbauer_contiguous_identities", worst, 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +146,7 @@ def kernel_dual_definition(seed: int = 42) -> CheckReport:
                     direct = kernel_KM_direct(params, x, yp)
                     integral = kernel_KM_integral(params, x, yp, tol=1e-10)
                     worst = max(worst, abs(direct - integral))
-    return _report("kernel_dual_definition", worst, 1e-8)
+    return CheckReport("kernel_dual_definition", worst, 1e-8)
 
 
 def kernel_majorant(seed: int = 42) -> CheckReport:
@@ -165,7 +162,7 @@ def kernel_majorant(seed: int = 42) -> CheckReport:
             params = KernelParams(1.5, big_m)
             excess = abs(kernel_KM_direct(params, x, yp)) - kernel_bound_first(params, x, yp)
             worst = max(worst, excess)
-    return _report("kernel_majorant", max(worst, 0.0), 1e-12)
+    return CheckReport("kernel_majorant", max(worst, 0.0), 1e-12)
 
 
 def _identity_samples(identity, seed):
@@ -190,9 +187,8 @@ def _identity_samples(identity, seed):
 def kernel_identity(identity: str, seed: int = 42) -> CheckReport:
     worst = 0.0
     for lam, big_m, x, yp in _identity_samples(identity, seed):
-        rep = check_kernel_identity(identity, lam, big_m, x, yp, h=1e-4, tol=1e-6)
-        worst = max(worst, rep.residual)
-    return _report(f"kernel_identity_{identity}", worst, 1e-6)
+        worst = max(worst, kernel_identity_residual(identity, lam, big_m, x, yp, h=1e-4))
+    return CheckReport(f"kernel_identity_{identity}", worst, 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +216,9 @@ def harmonicity_polynomial_families(seed: int = 42) -> CheckReport:
     worst = 0.0
     for term, point, sphere in _harmonic_families(np.random.default_rng(seed)):
         fn = partial(harmonic_term, term)
-        scale = max(abs(fn(p)) for p in sphere)
-        rep = check_harmonicity(fn, [point], h=1e-3, tol=1e-6,
-                                name="harmonic_families", scale=scale)
-        worst = max(worst, rep.residual)
-    return _report("harmonicity_polynomial_families", worst, 1e-6)
+        worst = max(worst, harmonicity_residual(fn, [point], h=1e-3,
+                                                scale=max(abs(fn(p)) for p in sphere)))
+    return CheckReport("harmonicity_polynomial_families", worst, 1e-6)
 
 
 def harmonicity_solutions(seed: int = 42) -> CheckReport:
@@ -244,16 +238,14 @@ def harmonicity_solutions(seed: int = 42) -> CheckReport:
     worst = 0.0
     for solution in (solution_u, solution_v):
         for i, big_m in enumerate((0, 1, 2)):
-            rep = check_harmonicity(
+            worst = max(worst, harmonicity_residual(
                 lambda p: solution(f, big_m, HalfSpacePoint.from_cartesian(p), spec),
-                points[i::3], h=5e-3, tol=1e-4, name="solutions",
-            )
-            worst = max(worst, rep.residual)
-    return _report("harmonicity_solutions", worst, 1e-4)
+                points[i::3], h=5e-3))
+    return CheckReport("harmonicity_solutions", worst, 1e-4)
 
 
 def harmonicity_stencil_order(seed: int = 42) -> CheckReport:
-    """The observed order of `check_harmonicity`'s stencil: log2 of its worst
+    """The observed order of `harmonicity_residual`'s stencil: log2 of its worst
     residual at h = 4e-2 over that at 2e-2, on the harmonic non-polynomial
     field (x_n + 1) / |x - (0, 0, -1)|^3 at five seeded points.  The stencil
     is fourth order; the residual is minus the order, so it passes at an
@@ -269,10 +261,9 @@ def harmonicity_stencil_order(seed: int = 42) -> CheckReport:
         d = p - np.array([0.0, 0.0, -1.0])
         return (p[-1] + 1.0) / float(d @ d) ** 1.5
 
-    coarse, fine = (check_harmonicity(field, points, h=h, tol=1.0, name="stencil_order").residual
-                    for h in (4e-2, 2e-2))
+    coarse, fine = (harmonicity_residual(field, points, h=h) for h in (4e-2, 2e-2))
     order = math.log2(coarse / fine)
-    return _report("harmonicity_stencil_order", -order, -3.5, {"order": order})
+    return CheckReport("harmonicity_stencil_order", -order, -3.5, {"order": order})
 
 
 def boundary_dirichlet(seed: int = 42) -> CheckReport:
@@ -300,10 +291,9 @@ def neumann_representation(representation: str, seed: int = 42) -> CheckReport:
     }[representation]
     worst = 0.0
     for big_m in (1, 2):
-        rep = check_neumann_representation(representation, data, big_m, x, anchor,
-                                           QuadratureSpec(), tol=1e-5)
-        worst = max(worst, rep.residual)
-    return _report(f"neumann_representation_{representation}", worst, 1e-5)
+        worst = max(worst, neumann_representation_residual(representation, data, big_m, x,
+                                                           anchor, QuadratureSpec()))
+    return CheckReport(f"neumann_representation_{representation}", worst, 1e-5)
 
 
 _THETAS = [0.0, 0.3, 0.6, 0.9, 1.2, 1.45]
@@ -311,7 +301,7 @@ _THETAS = [0.0, 0.3, 0.6, 0.9, 1.2, 1.45]
 
 def _growth(name, target, radii, weight_exponent, radial_exponent, **parameters):
     return growth_sweep(target, radii, _THETAS, weight_exponent, radial_exponent, name,
-                        {"n": 3, **parameters}, n=3)
+                        {"n": 3, **parameters}, drop=0.2, n=3)
 
 
 def growth_modified_integral(seed: int = 42) -> CheckReport:
@@ -365,43 +355,43 @@ def sharpness_constants(seed: int = 42) -> CheckReport:
     x = HalfSpacePoint.from_cartesian([60.0, 0.0, 4.5])
     errors.append((max(0.0, -balanced_sign_integral(balls, 1.5, 1, x)), 1e-10))
     worst = max(err / bound for err, bound in errors) if c1.beta1 == 1.0 else math.inf
-    return _report("sharpness_constants", worst, 1.0)
+    return CheckReport("sharpness_constants", worst, 1.0)
 
 
-def _positive_minimum(name, reports) -> CheckReport:
-    low = min(rep.parameters["min_value"] for rep in reports)
+def _positive_minimum(name, minima) -> CheckReport:
+    low = min(minima)
     return strictly_below(name, -low, 0.0, {"min_value": low})
 
 
 def sharpness_band_sign(seed: int = 42) -> CheckReport:
     return _positive_minimum("sharpness_band_sign",
-                             [sign_check_phi(lam, big_m, samples=10_000, seed=seed)
+                             [phi_band_minimum(lam, big_m, samples=10_000, seed=seed)
                               for lam in _LAMBDAS for big_m in (1, 2, 3, 4)])
 
 
 def sharpness_band_sign_control(seed: int = 42) -> CheckReport:
     """Outside the band the combination must change sign: passes when the
     sampled minimum is strictly negative."""
-    low = sign_check_phi(1.5, 1, samples=10_000, seed=seed, control=True).parameters["min_value"]
+    low = phi_band_minimum(1.5, 1, samples=10_000, seed=seed, control=True)
     return strictly_below("sharpness_band_sign_control", low, 0.0, {"min_value": low})
 
 
 def sharpness_cone_sign(seed: int = 42) -> CheckReport:
-    reports = []
+    minima = []
     for n in (3, 4):
         for lam in (n / 2.0, (n - 2) / 2.0):
             for big_m in (1, 2):
                 theta = max(1.45, compute_constants(lam, big_m).theta0 + 0.01)
                 x = reference_point(n, 12.0, theta)
-                reports.append(sign_check_km_cone(lam, big_m, x, samples=10_000, seed=seed))
-    return _positive_minimum("sharpness_cone_sign", reports)
+                minima.append(km_cone_minimum(lam, big_m, x, samples=10_000, seed=seed))
+    return _positive_minimum("sharpness_cone_sign", minima)
 
 
 def sharpness_half_ball_lower_bound(seed: int = 42) -> CheckReport:
     lam, big_m = 0.5, 1
     half = data_half_balls(3, [1.0, 1.0], [4.0, 16.0], lam, big_m)
-    ratios = [lower_bound_report(half, lam, big_m, reference_point(3, c, 0.3),
-                                 scale=1.0).parameters["ratio"] for c in (4.0, 16.0)]
+    ratios = [lower_bound_ratio(half, lam, big_m, reference_point(3, c, 0.3), scale=1.0)
+              for c in (4.0, 16.0)]
     return strictly_below("sharpness_half_ball_lower_bound", -min(ratios), 0.0,
                           {"ratios": ratios})
 
@@ -409,8 +399,8 @@ def sharpness_half_ball_lower_bound(seed: int = 42) -> CheckReport:
 def sharpness_super_ball_lower_bound(seed: int = 42) -> CheckReport:
     lam, big_m = 1.5, 1
     balls = data_balls_super_extension(3, [20.0, 60.0], [1.5, 4.5], [1.0, 1.0], lam, big_m)
-    ratios = [lower_bound_report(balls, lam, big_m, HalfSpacePoint.from_cartesian([a, 0.0, b]),
-                                 scale=b ** (3 - 1 - 2 * lam)).parameters["ratio"]
+    ratios = [lower_bound_ratio(balls, lam, big_m, HalfSpacePoint.from_cartesian([a, 0.0, b]),
+                                scale=b ** (3 - 1 - 2 * lam))
               for a, b in ((20.0, 1.5), (60.0, 4.5))]
     return strictly_below("sharpness_super_ball_lower_bound", -min(ratios), 0.0,
                           {"ratios": ratios})
@@ -423,11 +413,12 @@ def sharpness_super_ball_lower_bound(seed: int = 42) -> CheckReport:
 def expansion_leading_coefficient(seed: int = 42) -> CheckReport:
     closed = exp_data_neumann_coefficient(3, 0, 0.7)
     quad = coefficient_Y1(0, exp_decay(3), 0.7)
-    return _report("expansion_leading_coefficient", abs(quad - closed) / abs(closed), 1e-5)
+    return CheckReport("expansion_leading_coefficient", abs(quad - closed) / abs(closed), 1e-5)
 
 
 def expansion_odd_coefficient(seed: int = 42) -> CheckReport:
-    return _report("expansion_odd_coefficient", abs(coefficient_Y1(1, exp_decay(3), 0.6)), 1e-8)
+    return CheckReport("expansion_odd_coefficient", abs(coefficient_Y1(1, exp_decay(3), 0.6)),
+                       1e-8)
 
 
 def expansion_addition_reassembly(seed: int = 42) -> CheckReport:
@@ -437,7 +428,7 @@ def expansion_addition_reassembly(seed: int = 42) -> CheckReport:
         direct = coefficient_Y0(m, f3, 0.8)
         reassembled = addition_separation(3, m, 0.8, None, f3)
         worst = max(worst, abs(direct - reassembled))
-    return _report("expansion_addition_reassembly", worst, 1e-8)
+    return CheckReport("expansion_addition_reassembly", worst, 1e-8)
 
 
 def expansion_addition_pointwise(seed: int = 42) -> CheckReport:
@@ -451,7 +442,7 @@ def expansion_addition_pointwise(seed: int = 42) -> CheckReport:
                 for ell in range(m // 2 + 1)
             )
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return _report("expansion_addition_pointwise", worst, 1e-10)
+    return CheckReport("expansion_addition_pointwise", worst, 1e-10)
 
 
 def expansion_remainder_decay(seed: int = 42) -> CheckReport:
@@ -511,16 +502,7 @@ SUITES = {
 }
 
 
-def suite_names() -> list[str]:
-    return sorted(SUITES) + ["all"]
-
-
 def run_suite(name: str, seed: int = 42) -> list[CheckReport]:
-    if name == "all":
-        reports = []
-        for key in sorted(SUITES):
-            reports.extend(SUITES[key](seed))
-        return reports
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choices: {suite_names()}")
+        raise KeyError(f"unknown suite {name!r}; choices: {sorted(SUITES)}")
     return SUITES[name](seed)

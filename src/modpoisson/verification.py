@@ -1,13 +1,16 @@
-"""Numerical certification: finite differences, identities, growth sweeps.
+"""Numerical certification measurements: finite differences, identities,
+growth sweeps.
 
-Every check produces a CheckReport with a residual, a tolerance, and a pass
-flag; a check whose finite-difference signal is drowned by quadrature noise
-reports itself inconclusive rather than silently passing.  Quadrature
-tolerances feeding a finite difference are kept at least two orders tighter
-than the difference tolerance.  The harmonicity check uses a fourth-order
-stencil, so its own truncation error sits far below its tolerance and a
-residual above it means the field is not harmonic (or the quadrature
-feeding it is too coarse), not that the stencil is.
+The measurements here return the number they measure: a harmonicity
+residual, the relative residual of a kernel identity or of a Neumann
+representation.  Their verdicts, and every tolerance they are judged
+against, live in `modpoisson.suites`, which builds the one `CheckReport` of
+each check.  Quadrature tolerances feeding a finite difference are kept at
+least two orders tighter than the difference tolerance.  The harmonicity
+measurement uses a fourth-order stencil, so its own truncation error sits
+far below the suites' tolerances and a residual above them means the field
+is not harmonic (or the quadrature feeding it is too coarse), not that the
+stencil is; `suites.harmonicity_stencil_order` measures that order.
 """
 
 from __future__ import annotations
@@ -34,10 +37,11 @@ from . import quad1d
 __all__ = [
     "CheckReport",
     "strictly_below",
+    "harmonicity_residual",
     "check_harmonicity",
     "check_boundary",
-    "check_kernel_identity",
-    "check_neumann_representation",
+    "kernel_identity_residual",
+    "neumann_representation_residual",
     "growth_sweep",
 ]
 
@@ -51,14 +55,14 @@ class CheckReport:
     """
 
     name: str
-    parameters: dict
     residual: float
     tolerance: float
+    parameters: dict = field(default_factory=dict)
     passed: bool = field(init=False)
-    inconclusive: bool = False
 
     def __post_init__(self):
-        self.passed = bool(self.residual <= self.tolerance) and not self.inconclusive
+        self.residual = float(self.residual)
+        self.passed = bool(self.residual <= self.tolerance)
 
     def as_record(self) -> dict:
         return {
@@ -67,7 +71,6 @@ class CheckReport:
             "residual": self.residual,
             "tolerance": self.tolerance,
             "pass": self.passed,
-            "inconclusive": self.inconclusive,
         }
 
 
@@ -78,23 +81,16 @@ def strictly_below(name: str, residual: float, bound: float,
     Sign checks use it with bound 0 and residual minus the measured minimum,
     so a minimum of exactly 0.0 fails.
     """
-    return CheckReport(name=name, parameters=parameters or {}, residual=float(residual),
-                       tolerance=math.nextafter(bound, -math.inf))
+    return CheckReport(name, residual, math.nextafter(bound, -math.inf), parameters or {})
 
 
 # Fourth-order central weights of 12 h^2 f'' at offsets 1 and 2 steps, applied
 # to differences from the centre value (Fornberg 1988); equal to Richardson's
 # (4 L(h) - L(2h)) / 3 of the second-order stencil.
 _FOURTH_ORDER_WEIGHTS = ((1, 16.0), (2, -1.0))
-# sum of |weights| of the fourth-order Laplacian over that of the second-order
-# one: 64n/12 against 4n
-_NOISE_AMPLIFICATION = 4.0 / 3.0
 
 
-def check_harmonicity(fn, points, h: float, tol: float, name: str,
-                      parameters: dict | None = None,
-                      noise_floor: float = 0.0,
-                      scale: float | None = None) -> CheckReport:
+def harmonicity_residual(fn, points, h: float, scale: float | None = None) -> float:
     """Max normalized FD-Laplacian residual of a claimed-harmonic field.
 
     The Laplacian comes from the fourth-order central stencil at offsets
@@ -106,10 +102,6 @@ def check_harmonicity(fn, points, h: float, tol: float, name: str,
     The residual is normalized by the local field magnitude: the maximum
     |fn| over the stencil points by default, or an explicit `scale` (for
     fields with deep zeros, pass the sup over the evaluation sphere).
-    noise_floor is the caller's expected quadrature noise amplification
-    eps / h^2 of a second-order stencil; the check scales it by 4/3, the
-    larger weight sum of the fourth-order stencil, and when the result
-    exceeds the tolerance the check is inconclusive by design.
     """
     worst = 0.0
     for x in points:
@@ -133,18 +125,17 @@ def check_harmonicity(fn, points, h: float, tol: float, name: str,
         else:
             local = scale
         worst = max(worst, abs(lap) / local)
-    return CheckReport(
-        name=name,
-        parameters=parameters or {},
-        residual=worst,
-        tolerance=tol,
-        inconclusive=noise_floor * _NOISE_AMPLIFICATION > tol,
-    )
+    return worst
+
+
+def check_harmonicity(fn, points, h: float, tol: float, name: str) -> CheckReport:
+    """`harmonicity_residual` with its stencil-normalized residual judged
+    against tol."""
+    return CheckReport(name, harmonicity_residual(fn, points, h), tol)
 
 
 def check_boundary(problem: str, data: BoundaryData, y, xn_sequence,
-                   spec: QuadratureSpec | None = None,
-                   tol: float = 1e-3) -> CheckReport:
+                   spec: QuadratureSpec | None = None, *, tol: float) -> CheckReport:
     """Boundary recovery: the Dirichlet solution approaches the data value,
     the Neumann solution's normal derivative approaches its negative.
 
@@ -168,13 +159,9 @@ def check_boundary(problem: str, data: BoundaryData, y, xn_sequence,
             dv = (solution_v(data, 1, above, spec) - solution_v(data, 1, below, spec)) / (2 * h)
             gaps.append(abs(dv + f_at_y))
     decreasing = all(b <= a * 1.05 for a, b in zip(gaps[:-1], gaps[1:]))
-    return CheckReport(
-        name=f"boundary_{problem}",
-        parameters={"y": list(y), "xn": list(xn_sequence), "gaps": gaps,
-                    "decreasing": decreasing},
-        residual=gaps[-1] if decreasing else float("inf"),
-        tolerance=tol,
-    )
+    return CheckReport(f"boundary_{problem}", gaps[-1] if decreasing else math.inf, tol,
+                       {"y": list(y), "xn": list(xn_sequence), "gaps": gaps,
+                        "decreasing": decreasing})
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +208,7 @@ def _rotation_path(x: HalfSpacePoint, yp: np.ndarray):
 
 
 # identity -> (x, y') -> (t0, t -> (x(t), y'(t)), (a, b, c)); see
-# check_kernel_identity
+# kernel_identity_residual
 _IDENTITY_PATHS = {
     "i": lambda x, yp: (x.theta, lambda t: (replace(x, theta=t), yp),
                         (x.x_n * float(np.dot(x.y_hat, yp)), 0.0, 0.0)),
@@ -237,9 +224,10 @@ _IDENTITY_PATHS = {
 }
 
 
-def check_kernel_identity(identity: str, lam: float, big_m: int, x: HalfSpacePoint,
-                 yp, h: float = 1e-4, tol: float = 1e-6) -> CheckReport:
-    """One differential-difference identity of the modified kernel.
+def kernel_identity_residual(identity: str, lam: float, big_m: int, x: HalfSpacePoint,
+                             yp, h: float = 1e-4) -> float:
+    """Relative residual of one differential-difference identity of the
+    modified kernel: |lhs - rhs| / max(1, |lhs|, |rhs|).
 
     Each identity is a path t -> (x(t), y'(t)) through (x, y') at t0 and
     three coefficients (a, b, c), from the table `_IDENTITY_PATHS`: (i)
@@ -261,13 +249,7 @@ def check_kernel_identity(identity: str, lam: float, big_m: int, x: HalfSpacePoi
                      for k in range(3))
     rhs = 2.0 * lam * (a * km1 - b * km2 - c * km0)
 
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return CheckReport(
-        name=f"kernel_identity_{identity}",
-        parameters={"lam": lam, "M": big_m, "r": x.r, "theta": x.theta},
-        residual=abs(lhs - rhs) / scale,
-        tolerance=tol,
-    )
+    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +262,7 @@ def _directional_data(data: BoundaryData, vec: np.ndarray) -> BoundaryData:
 
 
 # representation -> (x, axis) -> (end, t -> x(t), direction e, a(t), b(t));
-# see check_neumann_representation
+# see neumann_representation_residual
 _REPRESENTATION_PATHS = {
     "i": lambda x, axis: (x.theta, lambda t: replace(x, theta=t), x.y_hat,
                           lambda t: 1.0, lambda t: 0.0),
@@ -295,12 +277,13 @@ _REPRESENTATION_PATHS = {
 }
 
 
-def check_neumann_representation(representation: str, data: BoundaryData, big_m: int,
-                 x: HalfSpacePoint, anchor: float,
-                 spec: QuadratureSpec | None = None, tol: float = 1e-5,
-                 axis: int = 0) -> CheckReport:
-    """One integral representation of the modified Neumann solution through
-    modified Dirichlet integrals, checked against direct evaluation.
+def neumann_representation_residual(representation: str, data: BoundaryData, big_m: int,
+                                    x: HalfSpacePoint, anchor: float,
+                                    spec: QuadratureSpec | None = None,
+                                    axis: int = 0) -> float:
+    """Relative residual |value - direct| / max(1, |direct|) of one integral
+    representation of the modified Neumann solution through modified
+    Dirichlet integrals against direct evaluation.
 
     Each representation is a path t -> x(t) ending at x, a direction e and
     two coefficients a(t), b(t), from the table `_REPRESENTATION_PATHS`: the
@@ -332,13 +315,7 @@ def check_neumann_representation(representation: str, data: BoundaryData, big_m:
     half, mid = 0.5 * (end - anchor), 0.5 * (end + anchor)
     contrib = half * sum(w * integrand(mid + half * t) for t, w in zip(glx, glw))
     value = contrib + neumann_NM(big_m, data, path(anchor), spec)
-    scale = max(1.0, abs(direct))
-    return CheckReport(
-        name=f"neumann_representation_{representation}",
-        parameters={"M": big_m, "anchor": anchor, "r": x.r, "theta": x.theta},
-        residual=abs(value - direct) / scale,
-        tolerance=tol,
-    )
+    return abs(value - direct) / max(1.0, abs(direct))
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +324,8 @@ def check_neumann_representation(representation: str, data: BoundaryData, big_m:
 
 def growth_sweep(target, radii, thetas, weight_exponent: float,
                  radial_exponent: float, name: str,
-                 parameters: dict | None = None,
-                 wiggle: float = 1.05, drop: float = 0.2, *, n: int = 3) -> CheckReport:
+                 parameters: dict | None = None, wiggle: float = 1.05, *, drop: float,
+                 n: int = 3) -> CheckReport:
     """Weighted supremum sweep certifying an order relation.
 
     target(x) evaluates the integral at a point x of the n-dimensional half
@@ -371,10 +348,5 @@ def growth_sweep(target, radii, thetas, weight_exponent: float,
     else:
         monotone = all(b <= a * wiggle for a, b in zip(seq[1:-1], seq[2:]))
         residual = seq[-1] / seq[0] if monotone else float("inf")
-    return CheckReport(
-        name=name,
-        parameters={**(parameters or {}), "radii": radii,
-                    "weighted_sequence": seq},
-        residual=residual,
-        tolerance=drop,
-    )
+    return CheckReport(name, residual, drop,
+                       {**(parameters or {}), "radii": radii, "weighted_sequence": seq})

@@ -203,6 +203,13 @@ class TestExpDataClosedForm:
         for order in (1, 3, 5, 7):
             assert exp_data_neumann_coefficient(3, order, 0.4) == 0.0
 
+    def test_beyond_float_range_reads_signed_inf(self):
+        # order 2k carries the sign (-1)^k at theta = 0
+        assert exp_data_neumann_coefficient(3, 300, 0.0) == math.inf
+        assert exp_data_neumann_coefficient(3, 302, 0.0) == -math.inf
+        assert exp_data_neumann_coefficient(3, 301, 0.0) == 0.0
+        assert math.isfinite(exp_data_neumann_coefficient(3, 150, 0.0))
+
     def test_against_quadrature_n3(self):
         f = exp_decay(3)
         for order, theta in ((2, 0.0), (2, 0.9), (4, 0.3)):
