@@ -342,8 +342,11 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    argv = _apply_config(argv)
     parser = build_parser()
+    try:
+        argv = _apply_config(argv)
+    except OSError as exc:
+        parser.error(f"cannot read --config file: {exc}")
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":

@@ -2,9 +2,18 @@
 
 Every integral operator in the package consumes a BoundaryData, which couples
 a vectorized evaluator with the metadata the quadrature needs: a growth
-exponent, a support descriptor (with kink radii for panel alignment), and,
-for union-of-balls supports, the explicit ball list so integration can run
-in ball-local coordinates.
+exponent, a support descriptor (with kink radii for panel alignment), for
+union-of-balls supports the explicit ball list so integration can run in
+ball-local coordinates, and whether the data are radial.
+
+`BoundaryData.radial` describes the data, not a solver option: f(y) depends
+on |y| alone.  On a grid about the origin the quadrature then calls the
+evaluator once per radial node, at |y| times the first axis, instead of at
+every grid point; a wrapper of the evaluator still sees every call.  The
+radially symmetric constructors (`constant`, `shell_bump`, `bump_train`,
+`exp_decay`, `poly_growth`, and `bump` about the origin) declare it;
+`scaled_by` clears it, and `dataclasses.replace(data, evaluator=...)` keeps
+it, so a replacement evaluator must stay radial.
 """
 
 from __future__ import annotations
@@ -70,7 +79,9 @@ class BoundaryData:
 
     evaluator takes an array of shape (..., n-1) and returns values of shape
     (...).  growth_exponent is the smallest g with |f(y)| <= C (1+|y|)^g;
-    decaying data may declare -inf.
+    decaying data may declare -inf.  radial declares that f depends on |y|
+    alone, so a grid about the origin evaluates it once per radius, at
+    |y| times the first axis.
     """
 
     n: int
@@ -79,6 +90,7 @@ class BoundaryData:
     support: Support
     name: str = ""
     amplitude: float = 1.0
+    radial: bool = False
 
     def __call__(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -97,7 +109,8 @@ class BoundaryData:
         return self.growth_exponent + (big_m - 1.0) + (self.n - 2.0) < -1.0
 
     def scaled_by(self, factor_fn, name_suffix="*", growth_shift=0.0) -> "BoundaryData":
-        """New data multiplying this one by a vectorized factor function."""
+        """New data multiplying this one by a vectorized factor function; the
+        product is not declared radial, whatever the factor."""
         inner = self.evaluator
 
         def evaluator(pts):
@@ -108,6 +121,7 @@ class BoundaryData:
             evaluator=evaluator,
             growth_exponent=self.growth_exponent + growth_shift,
             name=self.name + name_suffix,
+            radial=False,
         )
 
 
@@ -124,6 +138,7 @@ def constant(n: int, value: float = 1.0) -> BoundaryData:
         support=Support("global"),
         name=f"constant({value})",
         amplitude=abs(value),
+        radial=True,
     )
 
 
@@ -164,6 +179,7 @@ def bump(n: int, center=None, radius: float = 1.0, height: float = 1.0,
         support=Support("compact", balls=((center, radius),)),
         name=f"bump(r={radius})",
         amplitude=abs(height),
+        radial=not np.any(center),
     )
 
 
@@ -205,6 +221,7 @@ def shell_bump(n: int, r_in: float, r_out: float, height: float = 1.0,
         ),
         name=f"shell({r_in},{r_out})",
         amplitude=abs(height),
+        radial=True,
     )
 
 
@@ -242,6 +259,7 @@ def bump_train(n: int, radii=(4.0, 16.0, 64.0), width: float = 0.5,
         ),
         name=f"bump_train(g={growth})",
         amplitude=max(amps),
+        radial=True,
     )
 
 
@@ -260,6 +278,7 @@ def exp_decay(n: int, rate: float = 1.0) -> BoundaryData:
         support=Support("global"),
         name=f"exp_decay({rate})",
         amplitude=1.0,
+        radial=True,
     )
 
 
@@ -277,6 +296,7 @@ def poly_growth(n: int, exponent: float = 1.0) -> BoundaryData:
         support=Support("global"),
         name=f"poly_growth({exponent})",
         amplitude=1.0,
+        radial=True,
     )
 
 

@@ -3,8 +3,12 @@
 Both modified kinds subtract a Gegenbauer tail from the base kernel through
 one formula, `_kernel_minus_tail`: the first kind in powers of |x|/|y'|
 (useful for growing data), the second in powers of |y'|/|x| (useful for
-decaying data and expansions).  The one-dimensional integral form of the
-first kind exists for cross-verification.
+decaying data and expansions).  The formula takes the polar variables |y'|
+and Theta as broadcastable arrays, so a quadrature grid of radii times
+angular nodes passes |y'| per row and Theta per column; the Cartesian
+entries compute both from boundary points and call the same formula.  The
+one-dimensional integral form of the first kind exists for
+cross-verification.
 """
 
 from __future__ import annotations
@@ -67,10 +71,7 @@ def kernel_K(lam: float, x: HalfSpacePoint, yp):
     Computed in polar form |y'|^2 - 2|y'||x|Theta + |x|^2, which avoids the
     cancellation of the Cartesian form when |y' - y| is tiny against |x|.
     """
-    if not lam > 0:
-        raise DomainError(f"kernel exponent must be positive, got {lam}")
-    norms, cosp, scalar = _prepare(x, yp)
-    return _out(_base(lam, x, norms, x.sin_theta * cosp), scalar)
+    return _at_points(KernelParams(lam, 0), x, yp)
 
 
 def _base(lam: float, x: HalfSpacePoint, norms, theta_big):
@@ -86,7 +87,7 @@ def kernel_KM_direct(params: KernelParams, x: HalfSpacePoint, yp):
     of |x|^m |y'|^-(m+2*lam) C_m^lam(Theta); M = 0 is the base kernel."""
     if params.kind != "first":
         raise DomainError("kernel_KM_direct takes first-kind parameters")
-    return _kernel_minus_tail(params, x, yp)
+    return _at_points(params, x, yp)
 
 
 def kernel_KM_second(params: KernelParams, x: HalfSpacePoint, yp):
@@ -94,34 +95,54 @@ def kernel_KM_second(params: KernelParams, x: HalfSpacePoint, yp):
     |y'|^m |x|^-(m+2*lam) C_m^lam(Theta)."""
     if params.kind != "second":
         raise DomainError("kernel_KM_second takes second-kind parameters")
-    return _kernel_minus_tail(params, x, yp)
+    return _at_points(params, x, yp)
 
 
-def _kernel_minus_tail(params: KernelParams, x: HalfSpacePoint, yp, ramp=None,
-                       base: bool = True):
-    """K - c b^(-2 lam) sum over m < M of (a/b)^m C_m^lam(Theta), the one tail
-    formula of both kinds: (a, b) = (|x|, |y'|) for the first kind and
-    (|y'|, |x|) for the second.  c = ramp(|y'|), or 1 when ramp is None;
-    base=False drops K, leaving the weighted tail alone.
+def _at_points(params: KernelParams, x: HalfSpacePoint, yp):
+    """`_kernel_minus_tail` at Cartesian boundary points; a float for one point."""
+    norms, cosp, scalar = _prepare(x, yp)
+    return _out(_kernel_minus_tail(params, x, norms, x.sin_theta * cosp), scalar)
 
-    c = 1 gives K_M and K~_M; the cutoff's ramp gives the kernel of the
-    assembled solutions, which is K on the unit ball and K_M outside radius
-    2.  Only the first kind is singular at |y'| = 0.
+
+def _kernel_minus_tail(params: KernelParams, x: HalfSpacePoint, rho, theta_big, c=1.0,
+                       base: bool = True, cm=None):
+    """K - c b^(-2 lam) sum over m < M of (a/b)^m C_m^lam(Theta), the one
+    kernel formula of both kinds in the polar variables rho = |y'| and
+    Theta: (a, b) = (|x|, rho) for the first kind and (rho, |x|) for the
+    second.  base=False drops K, leaving the weighted tail alone.
+
+    rho and theta_big broadcast against each other, and so does c.  c = 1
+    gives K_M and K~_M (the base kernel at M = 0); the cutoff's ramp at rho
+    gives the kernel of the assembled solutions, which is K on the unit ball
+    and K_M outside radius 2.  Only the first kind is singular at rho = 0.
+
+    cm, when given, is the stack of C_m^lam(t) for m < M, shape (M, cols),
+    at the angles t of a row theta_big of shape (1, cols), and rho is a
+    column of shape (rows, 1): the sum is then one matrix product
+    (rows x M) @ (M x cols), with each C_m computed once per angular node
+    rather than once per point.
     """
     lam, big_m = params.lam, params.big_m
-    norms, cosp, scalar = _prepare(x, yp)
-    theta_big = x.sin_theta * cosp
-    out = _base(lam, x, norms, theta_big) if base else np.zeros_like(norms)
-    c = 1.0 if ramp is None else ramp(norms)
+    if base:
+        out = _base(lam, x, rho, theta_big)
+    else:
+        out = np.zeros(np.broadcast(rho, theta_big).shape)
     if big_m and np.any(c):
         if params.kind == "first":
-            if np.any(norms == 0.0):
+            if np.any(rho == 0.0):
                 raise SingularityError("modified kernel is singular at the boundary origin")
-            a, b = x.r, norms
+            a, b = x.r, rho
         else:
-            a, b = norms, x.r
-        out = out - c * b ** (-2.0 * lam) * gegenbauer.weighted_sum(lam, big_m, theta_big, a / b)
-    return _out(out, scalar)
+            a, b = rho, x.r
+        z = a / b
+        if cm is None:
+            tail = gegenbauer.weighted_sum(lam, big_m, theta_big, z)
+        else:
+            powers = np.ones((np.size(z), big_m))
+            powers[:, 1:] = np.reshape(z, (-1, 1))
+            tail = np.cumprod(powers, axis=1) @ cm
+        out = out - c * b ** (-2.0 * lam) * tail
+    return out
 
 
 def _phi_minus_coeffs(lam: float, big_m: int, theta_big: float):

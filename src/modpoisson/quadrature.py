@@ -11,6 +11,15 @@ the angular weights at once, so memory stays O(block).
 Error control is by whole-grid refinement comparison; evaluations never
 sample randomly, so results are reproducible bit for bit.
 
+A grid about the origin (a region with no centre or the zero vector, and
+no cuts) runs the solution maps' integrand in polar variables: the kernel
+gets |y'| per radial row and Theta per angular node, with cos(theta') and
+the Gegenbauer tail's C_m^lam(Theta) computed once per sphere rule, and
+data declaring `BoundaryData.radial` are evaluated once per radial node.
+Other data get the grid's Cartesian points.  Cut regions, the
+near-boundary ball and `integrate_weighted` keep Cartesian points; no
+option selects the path.
+
 A ball crossed by a kink circle it is not centred on (a "cut" region, such
 as an off-centre data ball crossed by the cutoff's circles |y'| = 1, 2) gets
 radial panel edges per angular ray where the ray crosses the circle; the
@@ -45,11 +54,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import betainc
 
-from . import quad1d
+from . import gegenbauer, quad1d
 from .data import BoundaryData, Support
 from .errors import AccuracyError, DomainError
-from .geometry import HalfSpacePoint, row_norms
-from .kernels import KernelParams, _kernel_minus_tail, kernel_K
+from .geometry import HalfSpacePoint, cos_theta_prime_array
+from .kernels import KernelParams, _kernel_minus_tail, _prepare, kernel_K
 
 __all__ = [
     "QuadratureSpec",
@@ -430,7 +439,11 @@ def _eval_region(g, n: int, region: _Region, spec, level: int) -> float:
     _BLOCK_POINTS nodes each (one row when the sphere rule is larger), the
     cap that also bounds the cut evaluator's ray blocks; each block is
     reduced against the angular weights at once, so memory is O(block), not
-    O(grid).  Regions with cuts go to `_eval_region_cut`.
+    O(grid).  On a grid about the origin a `_KernelIntegrand` takes the
+    polar path: it gets the rule's unit vectors once and then the radii of
+    each block, and builds Cartesian points only for data that need them.
+    Other integrands get Cartesian points, and regions with cuts go to
+    `_eval_region_cut`.
     """
     if region.cuts:
         return _eval_region_cut(g, n, region, spec, level)
@@ -445,13 +458,19 @@ def _eval_region(g, n: int, region: _Region, spec, level: int) -> float:
     pts_ang, w_ang = sphere_rule(
         n, _angular_order(n, spec, level), pole=region.pole, pole_angles=region.pole_angles
     )
+    if isinstance(g, _KernelIntegrand) and (region.center is None
+                                            or not np.any(region.center)):
+        rows_of = g.polar(pts_ang, w_ang)
+    else:
+        def rows_of(radii):
+            pts = radii[:, None, None] * pts_ang[None, :, :]
+            if region.center is not None:
+                pts = pts + region.center
+            return g(pts.reshape(-1, n - 1)).reshape(-1, len(w_ang)) @ w_ang
     rows = max(1, _BLOCK_POINTS // len(w_ang))
     ray = np.empty(rho.size)
     for start in range(0, rho.size, rows):
-        pts = rho[start:start + rows, None, None] * pts_ang[None, :, :]
-        if region.center is not None:
-            pts = pts + region.center
-        ray[start:start + rows] = g(pts.reshape(-1, n - 1)).reshape(-1, len(w_ang)) @ w_ang
+        ray[start:start + rows] = rows_of(rho[start:start + rows])
     return float(np.dot(wr * rho ** (n - 2), ray))
 
 
@@ -598,6 +617,66 @@ def _kernel_mass_within(n: int, x_n: float, radius: float) -> float:
     return float(1.0 - betainc(0.5, (n - 1) / 2.0, x_n * x_n / (radius * radius + x_n * x_n)))
 
 
+@dataclass(frozen=True)
+class _KernelIntegrand:
+    """f times the kernel K - c T_M of `_solve` (see
+    `kernels._kernel_minus_tail`) on |y'| > r_lo, zero inside.
+
+    Called on Cartesian points it computes |y'| once per block, for the
+    mask, the ramp and the kernel (the data's evaluator takes its own).  On
+    a grid about the origin `polar` reads |y'| per row and Theta per column.
+    """
+
+    params: KernelParams
+    data: BoundaryData
+    x: HalfSpacePoint
+    ramp: object = None
+    base: bool = True
+    r_lo: float = 0.0
+
+    def _kernel(self, rho, theta_big, cm=None):
+        c = 1.0 if self.ramp is None else self.ramp(rho)
+        return _kernel_minus_tail(self.params, self.x, rho, theta_big, c, self.base, cm)
+
+    def __call__(self, pts):
+        norms, cosp, _ = _prepare(self.x, pts)
+        theta_big = self.x.sin_theta * cosp
+        if self.r_lo <= self.data.support.inner_radius:
+            return self.data(pts) * self._kernel(norms, theta_big)
+        out = np.zeros(pts.shape[:-1])
+        keep = norms > self.r_lo
+        if np.any(keep):
+            out[keep] = self.data(pts[keep]) * self._kernel(norms[keep], theta_big[keep])
+        return out
+
+    def polar(self, units, weights):
+        """For a sphere rule's unit vectors and weights, the function taking
+        a block of radii to the rule's integral of f * kernel on each of
+        their spheres.  cos(theta') and the tail's C_m^lam(Theta) are
+        computed here, once per rule; radial data are evaluated once per
+        radius, other data at the block's Cartesian points."""
+        x, data, big_m = self.x, self.data, self.params.big_m
+        theta_big = x.sin_theta * cos_theta_prime_array(x, units)[None, :]
+        cm = np.array([gegenbauer.value(self.params.lam, m, theta_big[0])
+                       for m in range(big_m)]) if big_m else None
+        axis = np.eye(data.n - 1)[0]
+
+        def rows_of(rho):
+            out = np.zeros(rho.size)
+            keep = rho > self.r_lo
+            if np.any(keep):
+                r = rho[keep][:, None]
+                kernel = self._kernel(r, theta_big, cm)
+                if data.radial:
+                    out[keep] = data(r * axis) * (kernel @ weights)
+                else:
+                    f = data((r[:, :, None] * units).reshape(-1, data.n - 1))
+                    out[keep] = (f.reshape(kernel.shape) * kernel) @ weights
+            return out
+
+        return rows_of
+
+
 def _solve(params: KernelParams, data: BoundaryData, x: HalfSpacePoint,
            spec: QuadratureSpec, prefactor: float, r_lo: float = 0.0,
            ramp=None, near: str | None = None):
@@ -615,22 +694,9 @@ def _solve(params: KernelParams, data: BoundaryData, x: HalfSpacePoint,
     there and is one more solve over the data's regions; the estimate is
     the sum of the two solves'.
     """
-    def kernel(pts):
-        return _kernel_minus_tail(params, x, pts, ramp, base=near is None)
-
-    masked = r_lo > data.support.inner_radius
-
-    def g(pts):
-        if not masked:
-            return data(pts) * kernel(pts)
-        out = np.zeros(pts.shape[:-1])
-        keep = row_norms(pts) > r_lo
-        if np.any(keep):
-            out[keep] = data(pts[keep]) * kernel(pts[keep])
-        return out
-
     value = est = offset = 0.0
     if near is None or params.big_m:
+        g = _KernelIntegrand(params, data, x, ramp, near is None, r_lo)
         kinks = (1.0, 2.0) if ramp is not None and params.big_m else ()
         regions = _regions(data, x if near is None else None, spec, r_lo,
                            _kernel_decay(params, x), kinks)

@@ -55,6 +55,7 @@ from .verification import (
     kernel_identity_residual,
     neumann_representation_residual,
     strictly_below,
+    worst,
 )
 
 __all__ = ["SUITES", "run_suite"]
@@ -75,36 +76,30 @@ def _unit(rng, k):
 
 
 def gegenbauer_generating_oracle(seed: int = 42) -> CheckReport:
-    worst = 0.0
+    errors = []
     for lam in _LAMBDAS:
         for z in (-0.6, -0.3, 0.25, 0.3, 0.6):
             lhs = gg.weighted_sum(lam, 200, _GRID, z)
             rhs = gg.generating_closed_form(lam, _GRID, z)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.abs(rhs))))
-    return CheckReport("gegenbauer_generating_oracle", worst, 1e-8)
+            errors.append(np.max(np.abs(lhs - rhs) / np.abs(rhs)))
+    return CheckReport("gegenbauer_generating_oracle", worst(errors), 1e-8)
 
 
 def gegenbauer_parity(seed: int = 42) -> CheckReport:
-    worst = 0.0
-    for lam in _LAMBDAS:
-        for m in range(13):
-            diff = gg.value(lam, m, -_GRID) - (-1.0) ** m * gg.value(lam, m, _GRID)
-            worst = max(worst, float(np.max(np.abs(diff))))
-    return CheckReport("gegenbauer_parity", worst, 1e-10)
+    return CheckReport("gegenbauer_parity", worst(
+        np.max(np.abs(gg.value(lam, m, -_GRID) - (-1.0) ** m * gg.value(lam, m, _GRID)))
+        for lam in _LAMBDAS for m in range(13)), 1e-10)
 
 
 def gegenbauer_majorisation(seed: int = 42) -> CheckReport:
-    worst = 0.0
-    for lam in _LAMBDAS:
-        for m in range(13):
-            excess = np.max(np.abs(gg.value(lam, m, _GRID))) - gg.value_at_one(lam, m)
-            worst = max(worst, float(excess))
-    return CheckReport("gegenbauer_majorisation", worst, 1e-10)
+    return CheckReport("gegenbauer_majorisation", worst(
+        np.max(np.abs(gg.value(lam, m, _GRID))) - gg.value_at_one(lam, m)
+        for lam in _LAMBDAS for m in range(13)), 1e-10)
 
 
 def gegenbauer_contiguous_identities(seed: int = 42) -> CheckReport:
     grid = _GRID
-    worst = 0.0
+    residuals = []
     for lam in _LAMBDAS:
         for m in range(13):
             r1 = m * gg.value(lam, m, grid) - 2 * lam * (
@@ -117,8 +112,8 @@ def gegenbauer_contiguous_identities(seed: int = 42) -> CheckReport:
                 (2 * lam + m - 1) * grid * gg.value(lam, m - 1, grid)
                 - 2 * lam * (1 - grid**2) * gg.value(lam + 1, m - 2, grid)
             )
-            worst = max(worst, float(np.max(np.abs([r1, r2, r3]))))
-    return CheckReport("gegenbauer_contiguous_identities", worst, 1e-10)
+            residuals.append(np.max(np.abs([r1, r2, r3])))
+    return CheckReport("gegenbauer_contiguous_identities", worst(residuals), 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +131,7 @@ def _point_realizing(s, theta_big, r=2.0, n=3, sin_theta=0.95):
 
 
 def kernel_dual_definition(seed: int = 42) -> CheckReport:
-    worst = 0.0
+    gaps = []
     for lam in (0.25, 0.4, 0.5, 1.0, 1.5, 2.5):
         for big_m in (1, 2, 3):
             params = KernelParams(lam, big_m)
@@ -145,13 +140,13 @@ def kernel_dual_definition(seed: int = 42) -> CheckReport:
                     x, yp = _point_realizing(s, tb)
                     direct = kernel_KM_direct(params, x, yp)
                     integral = kernel_KM_integral(params, x, yp, tol=1e-10)
-                    worst = max(worst, abs(direct - integral))
-    return CheckReport("kernel_dual_definition", worst, 1e-8)
+                    gaps.append(abs(direct - integral))
+    return CheckReport("kernel_dual_definition", worst(gaps), 1e-8)
 
 
 def kernel_majorant(seed: int = 42) -> CheckReport:
     rng = np.random.default_rng(seed)
-    worst = -np.inf
+    excesses = []
     for _ in range(2000):
         x = HalfSpacePoint(n=3, r=rng.uniform(0.2, 3.0), theta=rng.uniform(0.0, 1.5),
                            y_hat=np.array([1.0, 0.0]))
@@ -160,9 +155,9 @@ def kernel_majorant(seed: int = 42) -> CheckReport:
             continue
         for big_m in (1, 2, 3):
             params = KernelParams(1.5, big_m)
-            excess = abs(kernel_KM_direct(params, x, yp)) - kernel_bound_first(params, x, yp)
-            worst = max(worst, excess)
-    return CheckReport("kernel_majorant", max(worst, 0.0), 1e-12)
+            excesses.append(abs(kernel_KM_direct(params, x, yp))
+                            - kernel_bound_first(params, x, yp))
+    return CheckReport("kernel_majorant", worst(excesses), 1e-12)
 
 
 def _identity_samples(identity, seed):
@@ -185,10 +180,9 @@ def _identity_samples(identity, seed):
 
 
 def kernel_identity(identity: str, seed: int = 42) -> CheckReport:
-    worst = 0.0
-    for lam, big_m, x, yp in _identity_samples(identity, seed):
-        worst = max(worst, kernel_identity_residual(identity, lam, big_m, x, yp, h=1e-4))
-    return CheckReport(f"kernel_identity_{identity}", worst, 1e-6)
+    return CheckReport(f"kernel_identity_{identity}", worst(
+        kernel_identity_residual(identity, lam, big_m, x, yp, h=1e-4)
+        for lam, big_m, x, yp in _identity_samples(identity, seed)), 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +207,12 @@ def _harmonic_families(rng):
 
 
 def harmonicity_polynomial_families(seed: int = 42) -> CheckReport:
-    worst = 0.0
-    for term, point, sphere in _harmonic_families(np.random.default_rng(seed)):
+    def residual(term, point, sphere):
         fn = partial(harmonic_term, term)
-        worst = max(worst, harmonicity_residual(fn, [point], h=1e-3,
-                                                scale=max(abs(fn(p)) for p in sphere)))
-    return CheckReport("harmonicity_polynomial_families", worst, 1e-6)
+        return harmonicity_residual(fn, [point], h=1e-3, scale=worst(abs(fn(p)) for p in sphere))
+
+    return CheckReport("harmonicity_polynomial_families", worst(
+        residual(*sample) for sample in _harmonic_families(np.random.default_rng(seed))), 1e-6)
 
 
 def harmonicity_solutions(seed: int = 42) -> CheckReport:
@@ -235,13 +229,11 @@ def harmonicity_solutions(seed: int = 42) -> CheckReport:
             points.append(p)
     f = bump(3, center=[2.0, 0.0], radius=1.0)
     spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
-    worst = 0.0
-    for solution in (solution_u, solution_v):
-        for i, big_m in enumerate((0, 1, 2)):
-            worst = max(worst, harmonicity_residual(
-                lambda p: solution(f, big_m, HalfSpacePoint.from_cartesian(p), spec),
-                points[i::3], h=5e-3))
-    return CheckReport("harmonicity_solutions", worst, 1e-4)
+    return CheckReport("harmonicity_solutions", worst(
+        harmonicity_residual(
+            lambda p: solution(f, big_m, HalfSpacePoint.from_cartesian(p), spec),
+            points[i::3], h=5e-3)
+        for solution in (solution_u, solution_v) for i, big_m in enumerate((0, 1, 2))), 1e-4)
 
 
 def harmonicity_stencil_order(seed: int = 42) -> CheckReport:
@@ -289,11 +281,9 @@ def neumann_representation(representation: str, seed: int = 42) -> CheckReport:
         "iv": (x.r * x.sin_theta) / 2.0,
         "v": 2.0 * x.x_n,
     }[representation]
-    worst = 0.0
-    for big_m in (1, 2):
-        worst = max(worst, neumann_representation_residual(representation, data, big_m, x,
-                                                           anchor, QuadratureSpec()))
-    return CheckReport(f"neumann_representation_{representation}", worst, 1e-5)
+    return CheckReport(f"neumann_representation_{representation}", worst(
+        neumann_representation_residual(representation, data, big_m, x, anchor,
+                                        QuadratureSpec()) for big_m in (1, 2)), 1e-5)
 
 
 _THETAS = [0.0, 0.3, 0.6, 0.9, 1.2, 1.45]
@@ -353,14 +343,14 @@ def sharpness_constants(seed: int = 42) -> CheckReport:
                 errors.append((abs(c.beta1 - 1.0), 1e-10))
     balls = data_balls_super_extension(3, [20.0, 60.0], [1.5, 4.5], [1.0, 1.0], 1.5, 1)
     x = HalfSpacePoint.from_cartesian([60.0, 0.0, 4.5])
-    errors.append((max(0.0, -balanced_sign_integral(balls, 1.5, 1, x)), 1e-10))
-    worst = max(err / bound for err, bound in errors) if c1.beta1 == 1.0 else math.inf
-    return CheckReport("sharpness_constants", worst, 1.0)
+    errors.append((worst([-balanced_sign_integral(balls, 1.5, 1, x)]), 1e-10))
+    residual = worst(err / bound for err, bound in errors) if c1.beta1 == 1.0 else math.inf
+    return CheckReport("sharpness_constants", residual, 1.0)
 
 
 def _positive_minimum(name, minima) -> CheckReport:
-    low = min(minima)
-    return strictly_below(name, -low, 0.0, {"min_value": low})
+    residual = worst((-low for low in minima), -math.inf)
+    return strictly_below(name, residual, 0.0, {"min_value": -residual})
 
 
 def sharpness_band_sign(seed: int = 42) -> CheckReport:
@@ -392,8 +382,8 @@ def sharpness_half_ball_lower_bound(seed: int = 42) -> CheckReport:
     half = data_half_balls(3, [1.0, 1.0], [4.0, 16.0], lam, big_m)
     ratios = [lower_bound_ratio(half, lam, big_m, reference_point(3, c, 0.3), scale=1.0)
               for c in (4.0, 16.0)]
-    return strictly_below("sharpness_half_ball_lower_bound", -min(ratios), 0.0,
-                          {"ratios": ratios})
+    return strictly_below("sharpness_half_ball_lower_bound",
+                          worst((-r for r in ratios), -math.inf), 0.0, {"ratios": ratios})
 
 
 def sharpness_super_ball_lower_bound(seed: int = 42) -> CheckReport:
@@ -402,8 +392,8 @@ def sharpness_super_ball_lower_bound(seed: int = 42) -> CheckReport:
     ratios = [lower_bound_ratio(balls, lam, big_m, HalfSpacePoint.from_cartesian([a, 0.0, b]),
                                 scale=b ** (3 - 1 - 2 * lam))
               for a, b in ((20.0, 1.5), (60.0, 4.5))]
-    return strictly_below("sharpness_super_ball_lower_bound", -min(ratios), 0.0,
-                          {"ratios": ratios})
+    return strictly_below("sharpness_super_ball_lower_bound",
+                          worst((-r for r in ratios), -math.inf), 0.0, {"ratios": ratios})
 
 
 # ---------------------------------------------------------------------------
@@ -423,16 +413,13 @@ def expansion_odd_coefficient(seed: int = 42) -> CheckReport:
 
 def expansion_addition_reassembly(seed: int = 42) -> CheckReport:
     f3 = exp_decay(3)
-    worst = 0.0
-    for m in range(4):
-        direct = coefficient_Y0(m, f3, 0.8)
-        reassembled = addition_separation(3, m, 0.8, None, f3)
-        worst = max(worst, abs(direct - reassembled))
-    return CheckReport("expansion_addition_reassembly", worst, 1e-8)
+    return CheckReport("expansion_addition_reassembly", worst(
+        abs(coefficient_Y0(m, f3, 0.8) - addition_separation(3, m, 0.8, None, f3))
+        for m in range(4)), 1e-8)
 
 
 def expansion_addition_pointwise(seed: int = 42) -> CheckReport:
-    worst = 0.0
+    gaps = []
     ts = np.linspace(-1.0, 1.0, 21)
     for m in (2, 3, 4):
         for theta in (0.3, 0.8, 1.3):
@@ -441,21 +428,21 @@ def expansion_addition_pointwise(seed: int = 42) -> CheckReport:
                 gamma_addition(3, m, ell, theta) * gg.value(1.0, m - 2 * ell, ts)
                 for ell in range(m // 2 + 1)
             )
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return CheckReport("expansion_addition_pointwise", worst, 1e-10)
+            gaps.append(np.max(np.abs(lhs - rhs)))
+    return CheckReport("expansion_addition_pointwise", worst(gaps), 1e-10)
 
 
 def expansion_remainder_decay(seed: int = 42) -> CheckReport:
     """The largest ratio of r^M-weighted remainders at r = 20, 40, 80;
     below 1 means they decrease strictly."""
     f3 = exp_decay(3)
-    worst_ratio = 0.0
+    ratios = []
     for big_m in (1, 2):
         exp = AsymptoticExpansion("neumann", f3, big_m, QuadratureSpec())
         weighted = [abs(exp.remainder(HalfSpacePoint(n=3, r=r, theta=0.0))) * r**big_m
                     for r in (20.0, 40.0, 80.0)]
-        worst_ratio = max(worst_ratio, weighted[1] / weighted[0], weighted[2] / weighted[1])
-    return strictly_below("expansion_remainder_decay", worst_ratio, 1.0)
+        ratios += [weighted[1] / weighted[0], weighted[2] / weighted[1]]
+    return strictly_below("expansion_remainder_decay", worst(ratios), 1.0)
 
 
 def expansion_divergence(seed: int = 42) -> CheckReport:

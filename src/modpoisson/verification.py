@@ -37,6 +37,7 @@ from . import quad1d
 __all__ = [
     "CheckReport",
     "strictly_below",
+    "worst",
     "harmonicity_residual",
     "check_harmonicity",
     "check_boundary",
@@ -84,6 +85,17 @@ def strictly_below(name: str, residual: float, bound: float,
     return CheckReport(name, residual, math.nextafter(bound, -math.inf), parameters or {})
 
 
+def worst(residuals, floor: float = 0.0) -> float:
+    """The largest of `residuals` and `floor`, or NaN when a residual is NaN.
+
+    Every certification fold goes through it: max(0.0, nan) is 0.0, so a
+    plain max would read a measurement that evaluates to NaN as a perfect
+    residual, where a NaN residual fails its check.
+    """
+    values = [floor, *map(float, residuals)]
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
+
+
 # Fourth-order central weights of 12 h^2 f'' at offsets 1 and 2 steps, applied
 # to differences from the centre value (Fornberg 1988); equal to Richardson's
 # (4 L(h) - L(2h)) / 3 of the second-order stencil.
@@ -103,29 +115,28 @@ def harmonicity_residual(fn, points, h: float, scale: float | None = None) -> fl
     |fn| over the stencil points by default, or an explicit `scale` (for
     fields with deep zeros, pass the sup over the evaluation sphere).
     """
-    worst = 0.0
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        if x[-1] <= 2.0 * h:
-            raise DomainError(f"stencil of reach 2h = {2.0 * h:g} leaves the "
-                              f"half-space at x_n = {x[-1]:g}")
-        center = fn(x)
-        values = [center]
-        total = 0.0
-        for i in range(x.size):
-            for k, weight in _FOURTH_ORDER_WEIGHTS:
-                step = np.zeros_like(x)
-                step[i] = k * h
-                plus, minus = fn(x + step), fn(x - step)
-                values += [plus, minus]
-                total += weight * ((plus - center) + (minus - center))
-        lap = total / (12.0 * h * h)
-        if scale is None:
-            local = max(max(abs(v) for v in values), 1e-30)
-        else:
-            local = scale
-        worst = max(worst, abs(lap) / local)
-    return worst
+    return worst(_normalized_laplacian(fn, np.asarray(x, dtype=float), h, scale)
+                 for x in points)
+
+
+def _normalized_laplacian(fn, x, h: float, scale: float | None) -> float:
+    """|Laplacian| of fn at x by the stencil, over the local scale."""
+    if x[-1] <= 2.0 * h:
+        raise DomainError(f"stencil of reach 2h = {2.0 * h:g} leaves the "
+                          f"half-space at x_n = {x[-1]:g}")
+    center = fn(x)
+    values = [center]
+    total = 0.0
+    for i in range(x.size):
+        for k, weight in _FOURTH_ORDER_WEIGHTS:
+            step = np.zeros_like(x)
+            step[i] = k * h
+            plus, minus = fn(x + step), fn(x - step)
+            values += [plus, minus]
+            total += weight * ((plus - center) + (minus - center))
+    lap = total / (12.0 * h * h)
+    local = max(max(abs(v) for v in values), 1e-30) if scale is None else scale
+    return abs(lap) / local
 
 
 def check_harmonicity(fn, points, h: float, tol: float, name: str) -> CheckReport:
@@ -338,10 +349,8 @@ def growth_sweep(target, radii, thetas, weight_exponent: float,
     radii = list(radii)
     seq = []
     for r in radii:
-        mu = 0.0
-        for theta in thetas:
-            x = HalfSpacePoint(n=n, r=float(r), theta=float(theta))
-            mu = max(mu, abs(target(x)) * math.cos(theta) ** weight_exponent)
+        mu = worst(abs(target(HalfSpacePoint(n=n, r=float(r), theta=float(theta))))
+                   * math.cos(theta) ** weight_exponent for theta in thetas)
         seq.append(mu / float(r) ** radial_exponent)
     if seq[0] == 0.0:
         residual = 0.0 if max(seq) == 0.0 else float("inf")

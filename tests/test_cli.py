@@ -332,3 +332,12 @@ class TestConfigFile:
                      "--kernel", "K", "--yprime", "1.0,0.0"])
         assert err.value.code == 64
         assert "--config" in capsys.readouterr().err
+
+    def test_missing_config_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        with pytest.raises(SystemExit) as err:
+            run_cli(["eval", "--config", str(missing), "--kernel", "K", "--yprime", "1.0,0.0"])
+        assert err.value.code == 64
+        err_text = capsys.readouterr().err
+        assert "error: cannot read --config file" in err_text
+        assert "missing.cfg" in err_text

@@ -799,3 +799,79 @@ class TestGridBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+# (kernel parameters, ramp, r_lo) of each solution map's integrand at
+# dimension n; the maps whose kernels are singular at the origin take
+# r_lo = 1, as F does, so no region reaches it
+def _map_integrands(n):
+    dirichlet, neumann = n / 2.0, (n - 2) / 2.0
+    return {
+        "D": (KernelParams(dirichlet, 0), None, 0.0),
+        "N": (KernelParams(neumann, 0), None, 0.0),
+        "DM": (KernelParams(dirichlet, 2), None, 1.0),
+        "NM": (KernelParams(neumann, 2), None, 1.0),
+        "F": (KernelParams(dirichlet, 1), None, 1.0),
+        "F2": (KernelParams(dirichlet, 2, "second"), None, 0.0),
+        "u": (KernelParams(dirichlet, 1), quad._ramp, 0.0),
+        "v": (KernelParams(neumann, 1), quad._ramp, 0.0),
+    }
+
+
+_POLAR_DATA = {
+    "exp_decay": exp_decay,
+    "poly_growth": lambda n: poly_growth(n, 1.0),
+    "scaled": lambda n: exp_decay(n).scaled_by(lambda pts: 1.0 + 0.3 * np.tanh(pts[..., 0])),
+}
+
+
+class TestPolarGrid:
+    @pytest.mark.parametrize("data_name", sorted(_POLAR_DATA))
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("map_name", ["D", "N", "DM", "NM", "F", "F2", "u", "v"])
+    def test_polar_entry_matches_cartesian_entry(self, map_name, n, data_name):
+        params, ramp, r_lo = _map_integrands(n)[map_name]
+        data = _POLAR_DATA[data_name](n)
+        x = HalfSpacePoint.from_cartesian([0.7, -0.4, 0.3, 0.2][:n - 1] + [1.1])
+        spec = QuadratureSpec(truncation_radius=12.0, radial_panels=8, angular_order=16)
+        g = quad._KernelIntegrand(params, data, x, ramp, True, r_lo)
+        kinks = (1.0, 2.0) if ramp is not None else ()
+        regions = quad._regions(data, x, spec, r_lo, quad._kernel_decay(params, x), kinks)
+        assert regions and all(not np.any(r.center) and not r.cuts for r in regions)
+        for level in (0, 1):
+            for region in regions:
+                polar = quad._eval_region(g, n, region, spec, level)
+                cartesian = quad._eval_region(lambda pts: g(pts), n, region, spec, level)
+                assert polar == pytest.approx(cartesian, rel=1e-14, abs=0.0)
+
+    def test_masked_rows_match_cartesian_mask(self):
+        # an origin-centred ball straddling r_lo: rows inside it are zero
+        data = bump(3, radius=3.0)
+        x = HalfSpacePoint.from_cartesian([0.5, 0.3, 0.8])
+        params = KernelParams(1.5, 1)
+        g = quad._KernelIntegrand(params, data, x, None, True, 1.0)
+        (region,) = quad._regions(data, x, SPEC, 1.0, quad._kernel_decay(params, x))
+        assert 1.0 in region.edges and region.center is not None
+        polar = quad._eval_region(g, 3, region, SPEC, 1)
+        cartesian = quad._eval_region(lambda pts: g(pts), 3, region, SPEC, 1)
+        assert polar == pytest.approx(cartesian, rel=1e-14, abs=0.0)
+
+    def test_radial_data_are_called_once_per_radial_node(self):
+        base = exp_decay(4)
+        calls = []
+
+        def counted(pts):
+            calls.append(np.array(pts))
+            return base.evaluator(pts)
+
+        f = dataclasses.replace(base, evaluator=counted)
+        x = HalfSpacePoint.from_cartesian([30.0, 10.0, 0.0, 40.0])
+        value = neumann_N(f, x, QuadratureSpec())
+        grid = [c for c in calls if len(c) > 1]
+        assert grid
+        for pts in grid:
+            assert np.all(pts[:, 1:] == 0.0)  # on the first axis
+            assert len(np.unique(pts[:, 0])) == len(pts)  # one point per radius
+        # the same solve on data not declared radial evaluates every grid point
+        plain = dataclasses.replace(base, radial=False)
+        assert value == pytest.approx(neumann_N(plain, x, QuadratureSpec()), rel=1e-14, abs=0.0)

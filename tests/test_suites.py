@@ -38,3 +38,20 @@ def test_sharpness_constants_fail_on_a_perturbed_gamma(monkeypatch):
                         lambda lam, big_m: replace(real(lam, big_m),
                                                    gamma=real(lam, big_m).gamma * (1 + 1e-9)))
     assert not suites.sharpness_constants().passed
+
+
+def test_a_nan_residual_fails_its_check(monkeypatch):
+    # one kernel-identity sample that evaluates to NaN, after finite ones,
+    # must fail the check rather than vanish from its max
+    real = suites.kernel_identity_residual
+    calls = []
+
+    def one_nan(*args, **kwargs):
+        calls.append(None)
+        return float("nan") if len(calls) == 3 else real(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "kernel_identity_residual", one_nan)
+    report = suites.kernel_identity("i", 42)
+    assert len(calls) > 3
+    assert np.isnan(report.residual)
+    assert not report.passed

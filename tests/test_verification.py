@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from modpoisson.verification import (
     kernel_identity_residual,
     neumann_representation_residual,
     strictly_below,
+    worst,
 )
 
 RNG = np.random.default_rng(23)
@@ -203,6 +206,35 @@ class TestHarmonicityStencil:
         report = check_harmonicity(fn, [x], h=self.H, tol=self.TOL, name="wrapped")
         assert report.residual == harmonicity_residual(fn, [x], h=self.H)
         assert report.tolerance == self.TOL and report.name == "wrapped"
+
+    def test_nan_field_fails(self):
+        # max(0.0, nan) is 0.0: a plain fold would pass a field that is NaN
+        report = check_harmonicity(lambda p: float("nan"), [np.array([0.0, 0.0, 1.0])],
+                                   h=1e-2, tol=1e-6, name="nan")
+        assert math.isnan(report.residual)
+        assert not report.passed
+
+    def test_nan_at_a_later_point_fails(self):
+        # a finite residual first, then NaN: the fold must not keep the finite one
+        def field(p):
+            return p[-1] if p[0] < 0.5 else float("nan")
+
+        points = [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 1.0])]
+        assert math.isnan(harmonicity_residual(field, points, h=1e-2))
+
+
+class TestWorst:
+    def test_largest_residual_and_floor(self):
+        assert worst([0.5, 2.0, 1.0]) == 2.0
+        assert worst([]) == 0.0
+        assert worst([-3.0, -1.0], -math.inf) == -1.0
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_nan_anywhere_gives_nan(self, position):
+        residuals = [1.0, 2.0, 3.0]
+        residuals[position] = float("nan")
+        assert math.isnan(worst(residuals))
+        assert math.isnan(worst(np.array(residuals)))
 
 
 class TestBoundary:
