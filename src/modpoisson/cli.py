@@ -54,10 +54,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ModPoissonError(f"{text!r} is not a comma list of numbers") from None
 
 
 def _parse_data_args(text: str | None) -> dict:
+    """key=value pairs for the data factory: integers, floats, or true/false
+    in any case; any other value is a usage error."""
     out = {}
     if not text:
         return out
@@ -67,12 +72,16 @@ def _parse_data_args(text: str | None) -> dict:
         key, _, value = piece.partition("=")
         key = key.strip()
         value = value.strip()
+        if value.lower() in ("true", "false"):
+            out[key] = value.lower() == "true"
+            continue
         try:
             parsed = float(value)
-            if parsed.is_integer() and "." not in value and "e" not in value.lower():
-                parsed = int(parsed)
         except ValueError:
-            parsed = value
+            raise ModPoissonError(f"--data-args value {value!r} for {key!r} is not "
+                                  "a number, true or false") from None
+        if parsed.is_integer() and "." not in value and "e" not in value.lower():
+            parsed = int(parsed)
         out[key] = parsed
     return out
 
@@ -111,8 +120,7 @@ def _emit(rows: list[dict], out: str | None, fmt: str):
 def _spec_from_args(args) -> QuadratureSpec:
     """The spec from the flags given; a flag left at None keeps the
     QuadratureSpec default."""
-    given = {"truncation_radius": args.truncation_radius, "abs_tol": args.abs_tol,
-             "rel_tol": args.rel_tol}
+    given = {"abs_tol": args.abs_tol, "rel_tol": args.rel_tol}
     return QuadratureSpec(**{k: v for k, v in given.items() if v is not None})
 
 
@@ -128,14 +136,14 @@ def _ignored_flags(args) -> list[str]:
     does not use; each of these flags defaults to None."""
     if args.command == "eval":
         unused = "--yprime" if args.solution else (
-            "--data --data-args --abs-tol --rel-tol --truncation-radius")
+            "--data --data-args --abs-tol --rel-tol")
         if args.solution in ("D", "N", "DM", "NM", "u", "v"):
             unused += " --lam"
         if args.solution in ("D", "N") or args.kernel == "K":
             unused += " --M"
     elif args.divergence is not None:
         unused = ("--data --data-args --M --theta --radii --closed-form "
-                  "--abs-tol --rel-tol --truncation-radius")
+                  "--abs-tol --rel-tol")
     else:
         unused = "--r --theta-at"
         if args.problem != "neumann" or args.data not in (None, "exp_decay"):
@@ -154,7 +162,9 @@ def cmd_eval(args) -> int:
     if args.kernel:
         if args.yprime is None:
             raise ModPoissonError("kernel evaluation needs --yprime")
-        yp = BoundaryPoint(np.asarray(_float_list(args.yprime)))
+        yp = BoundaryPoint(_float_list(args.yprime))
+        if yp.coords.size != args.n - 1:
+            raise ModPoissonError(f"--yprime needs n - 1 = {args.n - 1} components")
         for x in _grid_points(args):
             if args.kernel == "K":
                 value = kernel_K(args.lam, x, yp)
@@ -294,8 +304,6 @@ def build_parser() -> _Parser:
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
         p.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
         p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-        p.add_argument("--truncation-radius", dest="truncation_radius",
-                       type=float, default=None)
 
     p_eval = sub.add_parser("eval", help="evaluate kernels or solution integrals on a grid")
     common(p_eval)

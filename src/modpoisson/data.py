@@ -18,6 +18,7 @@ it, so a replacement evaluator must stay radial.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -326,8 +327,13 @@ DATA_REGISTRY = {
 }
 
 
-def make_data(name: str, n: int, **kwargs) -> BoundaryData:
-    """Instantiate a named built-in data function (CLI entry point)."""
+def make_data(name: str, n: int, /, **kwargs) -> BoundaryData:
+    """Instantiate a named built-in data function (CLI entry point); a
+    keyword the factory does not take raises DomainError."""
     if name not in DATA_REGISTRY:
         raise DomainError(f"unknown data {name!r}; choices: {sorted(DATA_REGISTRY)}")
-    return DATA_REGISTRY[name](n, **kwargs)
+    factory = DATA_REGISTRY[name]
+    unknown = sorted(set(kwargs) - (set(inspect.signature(factory).parameters) - {"n"}))
+    if unknown:
+        raise DomainError(f"data {name!r} takes no argument {', '.join(unknown)}")
+    return factory(n, **kwargs)

@@ -231,6 +231,17 @@ def addition_separation(n: int, m: int, theta: float, y_hat, data: BoundaryData,
 # the exp(-|y|) example
 
 
+def _exp_data_log_mean_factor(n: int, k: int) -> float:
+    """log of the positive factor c with zonal average (-1)^k c
+    C_(2k)^((n-2)/2)(cos theta); see `_exp_data_log_mean`."""
+    return ((n - 3.0) * math.log(2.0)
+            + gammaln(n / 2.0 - 1.0)
+            + gammaln(2.0 * k + 1.0)
+            + gammaln(k + n / 2.0 - 1.0)
+            - gammaln(k + 1.0)
+            - gammaln(2.0 * k + n - 2.0))
+
+
 def _exp_data_log_mean(n: int, order: int, theta: float) -> tuple[float, float]:
     """(sign, log magnitude) of the closed-form zonal average I of C_order over
     the unit sphere for data exp(-|y|), the piece the Neumann coefficient
@@ -241,15 +252,7 @@ def _exp_data_log_mean(n: int, order: int, theta: float) -> tuple[float, float]:
     body = gegenbauer.value((n - 2) / 2.0, order, math.cos(theta))
     if body == 0.0:
         return 0.0, -math.inf
-    log_mag = (
-        (n - 3.0) * math.log(2.0)
-        + gammaln(n / 2.0 - 1.0)
-        + gammaln(2.0 * k + 1.0)
-        + gammaln(k + n / 2.0 - 1.0)
-        - gammaln(k + 1.0)
-        - gammaln(2.0 * k + n - 2.0)
-        + math.log(abs(body))
-    )
+    log_mag = _exp_data_log_mean_factor(n, k) + math.log(abs(body))
     return (-1.0) ** k * math.copysign(1.0, body), log_mag
 
 
@@ -289,9 +292,12 @@ def divergence_demo(n: int, r: float, theta: float, k_max: int,
     from the closed form; beyond an order the factorial growth of the
     coefficients beats the power of r and the magnitudes increase without
     bound.  The Dirichlet variant uses the derivative relation linking its
-    zonal average to the Neumann one two dimensions down (needs n >= 5).
-    Each magnitude is summed in log space before one exponential, so a term
-    beyond the float range reads inf.
+    zonal average to the Neumann one two dimensions down (needs n >= 5):
+    that average is (-1)^(k+1) c C_(2k+2)^((n-4)/2)(cos theta), and its
+    theta-derivative over (n-2) sin(theta) is, exactly,
+    (-1)^k c ((n-4)/(n-2)) C_(2k+1)^((n-2)/2)(cos theta), finite at
+    theta = 0.  Each magnitude is summed in log space before one
+    exponential, so a term beyond the float range reads inf.
     """
     if k_max < 0:
         raise DomainError("k_max must be non-negative")
@@ -305,21 +311,15 @@ def divergence_demo(n: int, r: float, theta: float, k_max: int,
     if n < 5:
         raise DomainError("the Dirichlet demonstration uses the derivative "
                           "relation displayed only for n >= 5")
-    if theta <= 0:
-        raise DomainError("the derivative relation divides by sin(theta)")
-    h = 1e-6
-    log_front = math.log((n - 2.0) * unit_ball_volume(n - 2) * alpha_n(n))
+    log_front = math.log((n - 4.0) * unit_ball_volume(n - 2) * alpha_n(n))
     for k in range(k_max + 1):
         m = 2 * k
-        # zonal average of the degree-m Dirichlet moment, via the theta
-        # derivative of the Neumann average two dimensions down
-        (s_hi, log_hi), (s_lo, log_lo) = (_exp_data_log_mean(n - 2, m + 2, t)
-                                          for t in (theta + h, theta - h))
-        zonal_avg = (
-            s_hi * math.exp(log_hi) - s_lo * math.exp(log_lo)
-        ) / (2.0 * h) / ((n - 2.0) * math.sin(theta))
-        if zonal_avg != 0.0:
-            logs[k] = (gammaln(m + n - 1.0) + log_front + math.log(abs(zonal_avg))
+        # |zonal average| of the degree-m Dirichlet moment, the derivative
+        # of the Neumann average two dimensions down
+        body = gegenbauer.value((n - 2) / 2.0, m + 1, math.cos(theta))
+        if body != 0.0:
+            logs[k] = (gammaln(m + n - 1.0) + log_front
+                       + _exp_data_log_mean_factor(n - 2, k + 1) + math.log(abs(body))
                        - (m + n - 1) * math.log(r))
     with np.errstate(over="ignore"):
         return np.exp(logs)

@@ -151,14 +151,12 @@ def _phi_minus_coeffs(lam: float, big_m: int, theta_big: float):
     return a, b
 
 
-def kernel_KM_integral(
-    params: KernelParams, x: HalfSpacePoint, yp, tol: float = 1e-10
-) -> float:
+def kernel_KM_integral(params: KernelParams, x: HalfSpacePoint, yp) -> float:
     """First-kind modified kernel via its one-dimensional integral form.
 
     K_M = K * integral over zeta in (0, s) of
     (1 - 2*Theta*zeta + zeta^2)^(lam-1) * Phi_-(Theta, zeta) * zeta^(M-1),
-    with s = |x| / |y'|.  Adaptive quadrature to absolute tolerance `tol`;
+    with s = |x| / |y'|.  Adaptive quadrature to absolute tolerance 1e-10;
     for lam < 1 the weight can be near-singular where zeta and Theta both
     approach 1, which is handled by graded panel edges there.
     """
@@ -192,7 +190,7 @@ def kernel_KM_integral(
     elif s > 1.0:
         edges.append(1.0)
     edges = sorted(set(edges))
-    integral, _ = quad1d.adaptive(integrand, edges, tol)
+    integral, _ = quad1d.adaptive(integrand, edges, 1e-10)
     return kernel_K(lam, x, yp) * integral
 
 

@@ -30,7 +30,8 @@ angular integrand is smooth on every panel.
 
 D, N, D_M, N_M, F, F~, u and v are each a prefactor times the integral of
 f times a kernel, and all run through one driver, `_solve`; `_regions`
-builds the regions for it and for `integrate_weighted`.  Every kernel is
+builds the regions for it and for `integrate_weighted`, cutting global data
+off where `_data_reach`'s tail bound meets the tolerance.  Every kernel is
 K - c T_M, with T_M the Gegenbauer tail that K_M (or K~_M, for F~) subtracts
 from the base kernel K: c = 1 for D_M, N_M, F and F~, and c = w, the
 cutoff, for the assembled solutions, so u = D_M[w f] + D[(1 - w) f] and
@@ -117,12 +118,11 @@ def sphere_surface_area(k: int) -> float:
 class QuadratureSpec:
     """Resolution and tolerance knobs for the boundary integrals.
 
-    truncation_radius of None means: solve the neglected-tail bound (data
-    growth class times the kernel majorant) for the radius that pushes the
-    tail below a tenth of abs_tol.
+    Global data are integrated out to the radius where the neglected-tail
+    bound (data growth class times the kernel majorant) falls below a tenth
+    of abs_tol, which `_data_reach` finds.
     """
 
-    truncation_radius: float | None = None
     radial_panels: int = 24
     angular_order: int = 48
     abs_tol: float = 1e-9
@@ -547,14 +547,11 @@ def _integrate_regions(g, n: int, regions, spec: QuadratureSpec, max_levels: int
 
 def _data_reach(data: BoundaryData, decay, spec: QuadratureSpec,
                 x: HalfSpacePoint | None) -> float:
-    """Outer radius for integration: the support bound, the requested
-    truncation radius, or the first doubling of a start radius at which the
-    probed tail |f| * decay * surface measure * one decay length falls below
-    a tenth of abs_tol."""
+    """Outer radius for integration: the support bound, or the first
+    doubling of a start radius at which the probed tail |f| * decay *
+    surface measure * one decay length falls below a tenth of abs_tol."""
     if data.support.kind == "compact":
         return data.support.outer_radius
-    if spec.truncation_radius is not None:
-        return spec.truncation_radius
     n = data.n
     area = sphere_surface_area(n - 2)
 
@@ -729,12 +726,11 @@ def _check_first_kind(data: BoundaryData, lam: float, big_m: int):
         )
 
 
-def _check_origin_clearance(data: BoundaryData, big_m: int, allow_origin: bool):
-    if big_m >= 1 and data.support.inner_radius <= 0.0 and not allow_origin:
+def _check_origin_clearance(data: BoundaryData, big_m: int):
+    if big_m >= 1 and data.support.inner_radius <= 0.0:
         raise DomainError(
             "modified kernels are singular at the boundary origin; data must "
-            "vanish near it (or pass allow_origin=True when the weighted "
-            "integrability holds)"
+            "vanish near it, with the support's inner radius declared"
         )
 
 
@@ -803,19 +799,17 @@ def neumann_N(data: BoundaryData, x: HalfSpacePoint,
 
 
 def dirichlet_DM(big_m: int, data: BoundaryData, x: HalfSpacePoint,
-                 spec: QuadratureSpec | None = None, *, allow_origin: bool = False,
-                 return_estimate: bool = False):
+                 spec: QuadratureSpec | None = None, *, return_estimate: bool = False):
     """Modified Dirichlet integral alpha_n x_n int f K_M(n/2)."""
-    _check_origin_clearance(data, big_m, allow_origin)
+    _check_origin_clearance(data, big_m)
     out = _first_kind_map("dirichlet", data, big_m, x, spec, None)
     return out if return_estimate else out[0]
 
 
 def neumann_NM(big_m: int, data: BoundaryData, x: HalfSpacePoint,
-               spec: QuadratureSpec | None = None, *, allow_origin: bool = False,
-               return_estimate: bool = False):
+               spec: QuadratureSpec | None = None, *, return_estimate: bool = False):
     """Modified Neumann integral (alpha_n / (n-2)) int f K_M((n-2)/2)."""
-    _check_origin_clearance(data, big_m, allow_origin)
+    _check_origin_clearance(data, big_m)
     out = _first_kind_map("neumann", data, big_m, x, spec, None)
     return out if return_estimate else out[0]
 

@@ -45,25 +45,20 @@ class SharpnessConstants:
     """Constants of the sign analysis for one (lam, M) pair.
 
     beta1: smallest positive root of the consecutive Gegenbauer pair (1 when
-    none exists); beta2: largest zero of the index-min(1, lam) polynomial;
-    gamma: the tail-domination threshold; r0: largest root of the quartic
-    A^4 + (1-gamma) A^2 - 2; cone_ratio A strictly between 1 and
+    none exists); gamma: the tail-domination threshold; r0: largest root of
+    the quartic A^4 + (1-gamma) A^2 - 2; cone_ratio A strictly between 1 and
     min(2, r0, sec(pi/2M)); reflection_amp: the super-extension amplitude;
-    theta0: polar angle guaranteeing the cone's angular product condition;
-    theta_fit: the larger angle above which construction balls fit the
-    near-contact cone portion at their own reference points.
+    theta0: polar angle guaranteeing the cone's angular product condition.
     """
 
     lam: float
     big_m: int
     beta1: float
-    beta2: float
     gamma: float
     r0: float
     cone_ratio: float
     reflection_amp: float
     theta0: float
-    theta_fit: float
     mu: int
     eps0: int
 
@@ -84,9 +79,6 @@ def compute_constants(lam: float, big_m: int) -> SharpnessConstants:
     positive_roots += [r for r in gegenbauer.roots(lam, big_m - 1) if r > 1e-13]
     beta1 = min(positive_roots) if positive_roots else 1.0
 
-    beta2_roots = gegenbauer.roots(min(1.0, lam), big_m)
-    beta2 = float(beta2_roots[-1]) if len(beta2_roots) else 0.0
-
     gamma = sum(2.0**m * gegenbauer.value_at_one(lam, m) for m in range(big_m)) ** (-1.0 / lam)
     # largest root of A^4 + (1 - gamma) A^2 - 2 = 0, via the quadratic in A^2
     b = 1.0 - gamma
@@ -101,19 +93,16 @@ def compute_constants(lam: float, big_m: int) -> SharpnessConstants:
     reflection_amp = _reflection_amplitude(lam, big_m, cone_ratio)
 
     theta0 = math.asin(math.sqrt(cone_ratio / (2.0 * cone_ratio - 1.0)))
-    theta_fit = 0.5 * (math.pi - math.asin(1.0 - cone_ratio**-2))
 
     return SharpnessConstants(
         lam=lam,
         big_m=big_m,
         beta1=beta1,
-        beta2=beta2,
         gamma=gamma,
         r0=r0,
         cone_ratio=cone_ratio,
         reflection_amp=reflection_amp,
         theta0=theta0,
-        theta_fit=theta_fit,
         mu=mu,
         eps0=eps0,
     )
@@ -164,34 +153,38 @@ def _far_cone_mask(constants: SharpnessConstants, x: HalfSpacePoint,
     return in_cone & (x.r / np.where(norms > 0, norms, np.inf) > constants.cone_ratio)
 
 
-def phi_band_minimum(lam: float, big_m: int, samples: int = 10_000, seed: int = 42,
+# draws per sampled sign measurement
+_SAMPLES = 10_000
+
+
+def phi_band_minimum(lam: float, big_m: int, seed: int = 42,
                      control: bool = False) -> float:
     """Sampled minimum of the signed Gegenbauer combination over the band's
     parameters.
 
-    Draws (theta, cos(theta') in the band, zeta in [0,1], s in [0,10]); the
-    band is one-signed when the minimum is strictly positive.  With
-    control=True the directions are drawn outside the band (near the
-    projection axis), where sign changes must appear.
+    Draws _SAMPLES tuples (theta, cos(theta') in the band, zeta in [0,1], s
+    in [0,10]); the band is one-signed when the minimum is strictly
+    positive.  With control=True the directions are drawn outside the band
+    (near the projection axis), where sign changes must appear.
     """
     constants = compute_constants(lam, big_m)
     rng = np.random.default_rng(seed)
-    theta = rng.uniform(0.0, math.pi / 2.0, samples)
+    theta = rng.uniform(0.0, math.pi / 2.0, _SAMPLES)
     if control:
-        cosp = rng.uniform(0.95, 1.0, samples)
+        cosp = rng.uniform(0.95, 1.0, _SAMPLES)
     else:
         lo, hi = _band_interval(constants)
-        cosp = rng.uniform(lo, hi, samples)
-    zeta = rng.uniform(0.0, 1.0, samples)
-    s = rng.uniform(0.0, 10.0, samples)
+        cosp = rng.uniform(lo, hi, _SAMPLES)
+    zeta = rng.uniform(0.0, 1.0, _SAMPLES)
+    s = rng.uniform(0.0, 10.0, _SAMPLES)
     theta_big = np.sin(theta) * cosp
     signed = constants.half_sign * gegenbauer.phi_pm(lam, big_m, theta_big, s * zeta, -1)
     return float(np.min(signed))
 
 
-def km_cone_minimum(lam: float, big_m: int, x: HalfSpacePoint,
-                    samples: int = 10_000, seed: int = 42) -> float:
-    """Sampled minimum of K_M / (K s^M) over the near-contact cone portion.
+def km_cone_minimum(lam: float, big_m: int, x: HalfSpacePoint, seed: int = 42) -> float:
+    """Sampled minimum of K_M / (K s^M) over _SAMPLES points of the
+    near-contact cone portion.
 
     The reference point must satisfy sin(theta) >= sin(theta0); the ratio is
     the kernel's integral factor, which stays positive on the closed region.
@@ -204,10 +197,10 @@ def km_cone_minimum(lam: float, big_m: int, x: HalfSpacePoint,
         )
     a = constants.cone_ratio
     rng = np.random.default_rng(seed)
-    s = rng.uniform(1.0 / a + 1e-9, a - 1e-9, samples)
-    cosp = rng.uniform(1.0 / math.sqrt(a) + 1e-9, 1.0, samples)
+    s = rng.uniform(1.0 / a + 1e-9, a - 1e-9, _SAMPLES)
+    cosp = rng.uniform(1.0 / math.sqrt(a) + 1e-9, 1.0, _SAMPLES)
     dim = x.n - 1
-    perp = rng.normal(size=(samples, dim))
+    perp = rng.normal(size=(_SAMPLES, dim))
     perp -= np.outer(perp @ x.y_hat, x.y_hat)
     norms = row_norms(perp)
     norms[norms == 0] = 1.0
@@ -330,10 +323,10 @@ def data_balls_super_extension(n: int, a_values, b_values, amplitudes,
     )
 
 
-def reference_point(n: int, c: float, theta: float, axis: int = 0) -> HalfSpacePoint:
-    """Point of radius c whose projection lies along the given boundary axis."""
+def reference_point(n: int, c: float, theta: float) -> HalfSpacePoint:
+    """Point of radius c whose projection lies along the first boundary axis."""
     y_hat = np.zeros(n - 1)
-    y_hat[axis] = 1.0
+    y_hat[0] = 1.0
     return HalfSpacePoint(n=n, r=c, theta=theta, y_hat=y_hat)
 
 

@@ -139,7 +139,7 @@ def kernel_dual_definition(seed: int = 42) -> CheckReport:
                 for tb in (-0.9, 0.0, 0.9):
                     x, yp = _point_realizing(s, tb)
                     direct = kernel_KM_direct(params, x, yp)
-                    integral = kernel_KM_integral(params, x, yp, tol=1e-10)
+                    integral = kernel_KM_integral(params, x, yp)
                     gaps.append(abs(direct - integral))
     return CheckReport("kernel_dual_definition", worst(gaps), 1e-8)
 
@@ -291,7 +291,7 @@ _THETAS = [0.0, 0.3, 0.6, 0.9, 1.2, 1.45]
 
 def _growth(name, target, radii, weight_exponent, radial_exponent, **parameters):
     return growth_sweep(target, radii, _THETAS, weight_exponent, radial_exponent, name,
-                        {"n": 3, **parameters}, drop=0.2, n=3)
+                        {"n": 3, **parameters}, drop=0.2)
 
 
 def growth_modified_integral(seed: int = 42) -> CheckReport:
@@ -355,14 +355,14 @@ def _positive_minimum(name, minima) -> CheckReport:
 
 def sharpness_band_sign(seed: int = 42) -> CheckReport:
     return _positive_minimum("sharpness_band_sign",
-                             [phi_band_minimum(lam, big_m, samples=10_000, seed=seed)
+                             [phi_band_minimum(lam, big_m, seed=seed)
                               for lam in _LAMBDAS for big_m in (1, 2, 3, 4)])
 
 
 def sharpness_band_sign_control(seed: int = 42) -> CheckReport:
     """Outside the band the combination must change sign: passes when the
     sampled minimum is strictly negative."""
-    low = phi_band_minimum(1.5, 1, samples=10_000, seed=seed, control=True)
+    low = phi_band_minimum(1.5, 1, seed=seed, control=True)
     return strictly_below("sharpness_band_sign_control", low, 0.0, {"min_value": low})
 
 
@@ -373,7 +373,7 @@ def sharpness_cone_sign(seed: int = 42) -> CheckReport:
             for big_m in (1, 2):
                 theta = max(1.45, compute_constants(lam, big_m).theta0 + 0.01)
                 x = reference_point(n, 12.0, theta)
-                minima.append(km_cone_minimum(lam, big_m, x, samples=10_000, seed=seed))
+                minima.append(km_cone_minimum(lam, big_m, x, seed=seed))
     return _positive_minimum("sharpness_cone_sign", minima)
 
 

@@ -145,16 +145,17 @@ def check_harmonicity(fn, points, h: float, tol: float, name: str) -> CheckRepor
     return CheckReport(name, harmonicity_residual(fn, points, h), tol)
 
 
-def check_boundary(problem: str, data: BoundaryData, y, xn_sequence,
-                   spec: QuadratureSpec | None = None, *, tol: float) -> CheckReport:
+def check_boundary(problem: str, data: BoundaryData, y, xn_sequence, *,
+                   tol: float) -> CheckReport:
     """Boundary recovery: the Dirichlet solution approaches the data value,
     the Neumann solution's normal derivative approaches its negative.
 
-    Gaps are measured along the decreasing heights xn_sequence; the check
-    passes when they decrease and the final gap is below tolerance.
+    Gaps are measured along the decreasing heights xn_sequence, with u and v
+    (M = 1) solved to 1e-10; the check passes when the gaps decrease and the
+    final gap is below tolerance.
     """
     _problem(problem, data.n)
-    spec = spec or QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
+    spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
     y = np.asarray(y, dtype=float)
     f_at_y = float(data(y[None, :])[0])
     gaps = []
@@ -272,34 +273,33 @@ def _directional_data(data: BoundaryData, vec: np.ndarray) -> BoundaryData:
     return data.scaled_by(lambda pts: pts @ vec, name_suffix="*dir", growth_shift=1.0)
 
 
-# representation -> (x, axis) -> (end, t -> x(t), direction e, a(t), b(t));
-# see neumann_representation_residual
+# representation -> x -> (end, t -> x(t), direction e, a(t), b(t)); see
+# neumann_representation_residual
 _REPRESENTATION_PATHS = {
-    "i": lambda x, axis: (x.theta, lambda t: replace(x, theta=t), x.y_hat,
-                          lambda t: 1.0, lambda t: 0.0),
-    "ii": lambda x, axis: (x.r, lambda t: replace(x, r=t), x.y_hat,
-                           lambda t: math.tan(x.theta) / t, lambda t: x.sec_theta),
-    "iii": lambda x, axis: (x.to_cartesian()[axis], lambda t: _moved(x, axis, t),
-                            np.eye(x.n - 1)[axis], lambda t: 1.0 / x.x_n, lambda t: t / x.x_n),
-    "iv": lambda x, axis: (x.r * x.sin_theta, lambda t: _along_projection(x, t), x.y_hat,
-                           lambda t: 1.0 / x.x_n, lambda t: t / x.x_n),
-    "v": lambda x, axis: (x.x_n, lambda t: _moved(x, x.n - 1, t), x.y_hat,
-                          lambda t: 0.0, lambda t: 1.0),
+    "i": lambda x: (x.theta, lambda t: replace(x, theta=t), x.y_hat,
+                    lambda t: 1.0, lambda t: 0.0),
+    "ii": lambda x: (x.r, lambda t: replace(x, r=t), x.y_hat,
+                     lambda t: math.tan(x.theta) / t, lambda t: x.sec_theta),
+    "iii": lambda x: (x.y[0], lambda t: _moved(x, 0, t), np.eye(x.n - 1)[0],
+                      lambda t: 1.0 / x.x_n, lambda t: t / x.x_n),
+    "iv": lambda x: (x.r * x.sin_theta, lambda t: _along_projection(x, t), x.y_hat,
+                     lambda t: 1.0 / x.x_n, lambda t: t / x.x_n),
+    "v": lambda x: (x.x_n, lambda t: _moved(x, x.n - 1, t), x.y_hat,
+                    lambda t: 0.0, lambda t: 1.0),
 }
 
 
 def neumann_representation_residual(representation: str, data: BoundaryData, big_m: int,
                                     x: HalfSpacePoint, anchor: float,
-                                    spec: QuadratureSpec | None = None,
-                                    axis: int = 0) -> float:
+                                    spec: QuadratureSpec | None = None) -> float:
     """Relative residual |value - direct| / max(1, |direct|) of one integral
     representation of the modified Neumann solution through modified
     Dirichlet integrals against direct evaluation.
 
     Each representation is a path t -> x(t) ending at x, a direction e and
     two coefficients a(t), b(t), from the table `_REPRESENTATION_PATHS`: the
-    path moves (i) the polar angle, (ii) the radius, (iii) the boundary
-    coordinate `axis`, (iv) the projection length along y_hat, or (v) the
+    path moves (i) the polar angle, (ii) the radius, (iii) the first
+    boundary coordinate, (iv) the projection length along y_hat, or (v) the
     height.  N_M[f](x) is N_M[f](x(anchor)) plus the 24-point Gauss-Legendre
     integral from anchor to the path's end of
     a(t) D_(M-1)[f e.y'](x(t)) - b(t) D_(M-2)[f](x(t)), orders below zero
@@ -312,7 +312,7 @@ def neumann_representation_residual(representation: str, data: BoundaryData, big
     spec = spec or QuadratureSpec()
     if data.support.inner_radius <= 0:
         raise DomainError("representations need data supported away from the origin")
-    end, path, direction, a, b = _REPRESENTATION_PATHS[representation](x, axis)
+    end, path, direction, a, b = _REPRESENTATION_PATHS[representation](x)
     f_dir = _directional_data(data, direction)
     m1, m2 = max(big_m - 1, 0), max(big_m - 2, 0)
 
@@ -335,27 +335,26 @@ def neumann_representation_residual(representation: str, data: BoundaryData, big
 
 def growth_sweep(target, radii, thetas, weight_exponent: float,
                  radial_exponent: float, name: str,
-                 parameters: dict | None = None, wiggle: float = 1.05, *, drop: float,
-                 n: int = 3) -> CheckReport:
+                 parameters: dict | None = None, *, drop: float) -> CheckReport:
     """Weighted supremum sweep certifying an order relation.
 
-    target(x) evaluates the integral at a point x of the n-dimensional half
-    space; mu(r) is the maximum over the theta grid of |target| *
+    target(x) evaluates the integral at a point x of the three-dimensional
+    half space; mu(r) is the maximum over the theta grid of |target| *
     cos(theta)^weight_exponent, and the certified claim is that mu(r) /
-    r^radial_exponent decreases (after the first step, within the wiggle
-    factor) to at most `drop` times its initial value.  `parameters` are
-    only recorded in the report.
+    r^radial_exponent decreases (after the first step, each step within a
+    factor 1.05) to at most `drop` times its initial value.  `parameters`
+    are only recorded in the report.
     """
     radii = list(radii)
     seq = []
     for r in radii:
-        mu = worst(abs(target(HalfSpacePoint(n=n, r=float(r), theta=float(theta))))
+        mu = worst(abs(target(HalfSpacePoint(n=3, r=float(r), theta=float(theta))))
                    * math.cos(theta) ** weight_exponent for theta in thetas)
         seq.append(mu / float(r) ** radial_exponent)
     if seq[0] == 0.0:
         residual = 0.0 if max(seq) == 0.0 else float("inf")
     else:
-        monotone = all(b <= a * wiggle for a, b in zip(seq[1:-1], seq[2:]))
+        monotone = all(b <= a * 1.05 for a, b in zip(seq[1:-1], seq[2:]))
         residual = seq[-1] / seq[0] if monotone else float("inf")
     return CheckReport(name, residual, drop,
                        {**(parameters or {}), "radii": radii, "weighted_sequence": seq})

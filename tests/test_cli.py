@@ -118,7 +118,6 @@ class TestEval:
         *[(t, "--lam", "2.0") for t in ("D", "N", "DM", "NM", "u", "v")],
         *[(t, "--M", "1") for t in ("D", "N", "K")],
         ("K", "--abs-tol", "1e-6"), ("KM", "--rel-tol", "1e-6"),
-        ("K", "--truncation-radius", "50"),
     ])
     def test_rejects_flags_the_target_ignores(self, target, flag, value, capsys):
         if target in ("K", "KM"):
@@ -130,6 +129,40 @@ class TestEval:
         assert err.value.code == 64
         assert capsys.readouterr().err.endswith(f"does not use {flag}\n")
 
+
+    def test_no_truncation_radius_flag(self, capsys):
+        # the quadrature finds the truncation radius of global data itself
+        with pytest.raises(SystemExit) as err:
+            run_cli(["eval", "--solution", "D", "--data", "exp_decay",
+                     "--truncation-radius", "50"])
+        assert err.value.code == 64
+        assert "--truncation-radius" in capsys.readouterr().err
+
+    def test_data_args_take_true_and_false(self, capsys):
+        # "False" is a boolean, not a truthy string
+        code = run_cli(["eval", "--solution", "D", "--data", "bump", "--data-args",
+                        "radius=2.0,normalized=False", "--r", "1.5", "--format", "jsonl"])
+        assert code == 0
+        [row] = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+        from modpoisson.data import bump
+        from modpoisson.quadrature import dirichlet_D
+
+        x = HalfSpacePoint(n=3, r=1.5, theta=0.0)
+        assert row["value"] == dirichlet_D(bump(3, radius=2.0), x)
+
+    @pytest.mark.parametrize("command, args", [
+        ("eval", ["--solution", "D", "--data", "bump", "--data-args", "radius=1.0,foo=1"]),
+        ("eval", ["--solution", "D", "--data", "bump", "--data-args", "radius=abc"]),
+        ("eval", ["--solution", "D", "--data", "bump", "--data-args", "n=4"]),
+        ("expand", ["--data", "exp_decay", "--data-args", "rate=fast"]),
+        ("eval", ["--kernel", "K", "--yprime", "1,2,3", "--n", "3"]),
+        ("eval", ["--kernel", "K", "--yprime", "1,abc", "--n", "3"]),
+        ("eval", ["--kernel", "K", "--yprime", "1,0", "--r", "x"]),
+    ])
+    def test_malformed_values_are_usage_errors(self, command, args, capsys):
+        assert run_cli([command, *args]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
     def test_solution_takes_quadrature_flags(self, capsys):
         code = run_cli([
@@ -205,6 +238,7 @@ class TestExpand:
         ["--problem", "neumann", "--data", "exp_decay", "--n", "3", "--M", "4",
          "--theta", "0.0,0.5", "--radii", "20,40", "--closed-form", "--format", "jsonl"],
         ["--divergence", "14", "--n", "3", "--r", "10", "--theta-at", "0.0"],
+        ["--divergence", "14", "--n", "5", "--problem", "dirichlet"],
     ])
     def test_documented_commands_run(self, argv, capsys):
         assert run_cli(["expand", *argv]) == 0

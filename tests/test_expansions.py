@@ -301,8 +301,20 @@ class TestDivergenceDemo:
         terms = divergence_demo(5, 10.0, 0.7, 10, problem="dirichlet")
         ratios = terms[1:] / terms[:-1]
         assert np.any(ratios > 1)
+        # the relation's division by sin(theta) is exact, so theta = 0 works
+        on_axis = divergence_demo(5, 10.0, 0.0, 10, problem="dirichlet")
+        assert np.all(np.isfinite(on_axis)) and np.any(on_axis[1:] / on_axis[:-1] > 1)
         with pytest.raises(DomainError):
             divergence_demo(4, 10.0, 0.7, 5, problem="dirichlet")
+
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_dirichlet_variant_first_term(self, theta):
+        # n = 5, k = 0 by hand: the Neumann average at n = 3, order 2 is
+        # -(pi/2) P_2(cos theta); its theta-derivative over 3 sin(theta) is
+        # (pi/2) cos(theta).  With Gamma(4) = 6 and the front factor
+        # 3 |B^3| alpha_5 = 3 / pi the term is 9 |cos(theta)| / r^4
+        term = divergence_demo(5, 10.0, theta, 0, problem="dirichlet")[0]
+        assert term == pytest.approx(9.0 * math.cos(theta) / 1e4, rel=1e-13)
 
     def test_dirichlet_variant_far_orders(self):
         # Gamma(m + n - 1) alone leaves the float range at k = 84; the term

@@ -133,7 +133,7 @@ class TestIntegralRepresentation:
             for tb in GRID_THETA:
                 x, yp = point_with(s, tb)
                 direct = kernel_KM_direct(params, x, yp)
-                integral = kernel_KM_integral(params, x, yp, tol=1e-10)
+                integral = kernel_KM_integral(params, x, yp)
                 assert integral == pytest.approx(direct, abs=1e-8), (lam, big_m, s, tb)
 
     @pytest.mark.parametrize("lam", [0.25, 0.4])
@@ -143,7 +143,7 @@ class TestIntegralRepresentation:
         for s in [0.9, 1.0, 1.1]:
             x, yp = point_with(s, 0.9)
             direct = kernel_KM_direct(params, x, yp)
-            integral = kernel_KM_integral(params, x, yp, tol=1e-10)
+            integral = kernel_KM_integral(params, x, yp)
             assert integral == pytest.approx(direct, abs=1e-8)
 
     def test_small_s_limit(self):
@@ -157,7 +157,7 @@ class TestIntegralRepresentation:
             for s in (0.5, 1.2, 2.5):
                 x, yp = point_with(s, 0.4)
                 poly = kernel_KM_lambda_one(big_m, x, yp)
-                quad = kernel_KM_integral(params, x, yp, tol=1e-13)
+                quad = kernel_KM_integral(params, x, yp)
                 assert quad == pytest.approx(poly, abs=1e-12)
                 assert poly == pytest.approx(kernel_KM_direct(params, x, yp), abs=1e-11)
 

@@ -407,10 +407,11 @@ class TestSolutions:
     def test_one_integral_equals_the_two_solve_split(self, n, name, where):
         # u = D_M[w f] + D[(1 - w) f] and v = N_M[w f] + N[(1 - w) f], the
         # parts solved apart with the cutoff's circles as kink edges; each
-        # side is within the tolerance of the truth, the split twice over
+        # side is within the tolerance of the truth, the split twice over.
+        # w f vanishes on the unit ball, which its support declares
         data = {"kink_bump": bump(n, center=[2.0] + [0.0] * (n - 2), radius=1.0),
                 "exp_decay": exp_decay(n), "shell_bump": shell_bump(n, 1.0, 3.0)}[name]
-        far = _cutoff_part(data, cutoff_w)
+        far = _cutoff_part(data, cutoff_w, inner_radius=1.0)
         near = _cutoff_part(data, lambda pts: 1.0 - cutoff_w(pts))
         if where == "regular":
             x = HalfSpacePoint.from_cartesian([0.5, 0.3] + [-0.2] * (n - 3) + [0.8])
@@ -422,20 +423,20 @@ class TestSolutions:
         maps = ((solution_u, dirichlet_DM, dirichlet_D), (solution_v, neumann_NM, neumann_N))
         for whole, modified, plain in maps:
             for big_m in (0, 1, 2):
-                split = (modified(big_m, far, x, spec, allow_origin=True)
-                         + plain(near, x, spec))
+                split = modified(big_m, far, x, spec) + plain(near, x, spec)
                 value = whole(data, big_m, x, spec)
                 assert value == pytest.approx(split, abs=3.0 * tol)
                 if big_m == 0:
                     assert value == pytest.approx(plain(data, x, spec), rel=1e-15)
 
 
-def _cutoff_part(data, factor):
-    """factor * data, with the cutoff's circles |y'| = 1, 2 as kink edges."""
+def _cutoff_part(data, factor, **support):
+    """factor * data, with the cutoff's circles |y'| = 1, 2 as kink edges
+    and the given support fields."""
     sup = data.support
     edges = tuple(sorted({*sup.radial_edges, 1.0, 2.0}))
-    return dataclasses.replace(data.scaled_by(factor),
-                               support=dataclasses.replace(sup, radial_edges=edges))
+    return dataclasses.replace(data.scaled_by(factor), support=dataclasses.replace(
+        sup, radial_edges=edges, **support))
 
 
 class TestNearBoundary:
@@ -569,11 +570,15 @@ class TestToleranceHonesty:
         assert est == alpha_n(3) * f_est
 
     def test_truncation_soundness(self):
+        # at a 100x looser tolerance the tail search stops one doubling
+        # sooner, and the tail it drops stays within that tolerance
         f = exp_decay(3)
         x = HalfSpacePoint.from_cartesian([0.5, 0.0, 1.0])
         base = dirichlet_D(f, x, SPEC)
-        wider = QuadratureSpec(truncation_radius=120.0)
-        assert dirichlet_D(f, x, wider) == pytest.approx(base, abs=1e-7)
+        loose = QuadratureSpec(abs_tol=100.0 * SPEC.abs_tol)
+        decay = quad._kernel_decay(KernelParams(1.5, 0), x)
+        assert quad._data_reach(f, decay, loose, x) < quad._data_reach(f, decay, SPEC, x)
+        assert dirichlet_D(f, x, loose) == pytest.approx(base, abs=1e-7)
 
     def test_positivity(self):
         f = bump(3, center=[1.0, -2.0], radius=1.0)
@@ -591,10 +596,13 @@ class TestToleranceHonesty:
         assert solution_u(f, 1, x) == pytest.approx(0.23239475520311925, abs=1e-9, rel=0.0)
 
     def test_stalled_solve_reports_levels(self):
-        f = bump(3, center=[0.5, 0.2], radius=1.0)
+        # a jump on an oblique line, which no panel edge follows, keeps the
+        # refinement differences near 2.5e-4, far above round-off
+        f = bump(3, center=[0.5, 0.2], radius=1.0).scaled_by(
+            lambda pts: np.where(pts[..., 0] + 0.5 * pts[..., 1] > 0.6, 1.0, 0.5))
         x = HalfSpacePoint.from_cartesian([0.5, 0.3, 0.8])
         with pytest.raises(AccuracyError, match="after 5 levels") as info:
-            dirichlet_D(f, x, QuadratureSpec(abs_tol=1e-18, rel_tol=1e-18))
+            dirichlet_D(f, x, QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6))
         assert info.value.levels == 5
         assert info.value.estimate > info.value.tolerance
 
@@ -833,11 +841,14 @@ class TestPolarGrid:
         params, ramp, r_lo = _map_integrands(n)[map_name]
         data = _POLAR_DATA[data_name](n)
         x = HalfSpacePoint.from_cartesian([0.7, -0.4, 0.3, 0.2][:n - 1] + [1.1])
-        spec = QuadratureSpec(truncation_radius=12.0, radial_panels=8, angular_order=16)
+        spec = QuadratureSpec(radial_panels=8, angular_order=16)
         g = quad._KernelIntegrand(params, data, x, ramp, True, r_lo)
-        kinks = (1.0, 2.0) if ramp is not None else ()
-        regions = quad._regions(data, x, spec, r_lo, quad._kernel_decay(params, x), kinks)
-        assert regions and all(not np.any(r.center) and not r.cuts for r in regions)
+        # regions out to 12 built here, since some pairs (poly_growth with
+        # N) are inadmissible and have no truncation radius: a ball centred
+        # at the zero vector inside the unit disc and an annulus to 12
+        regions = [quad._Region(None, (1.0, 2.0, 4.0, 8.0, 12.0), x.y_hat)]
+        if r_lo == 0.0:
+            regions.append(quad._Region(np.zeros(n - 1), (0.0, 0.5, 1.0)))
         for level in (0, 1):
             for region in regions:
                 polar = quad._eval_region(g, n, region, spec, level)

@@ -58,9 +58,6 @@ class TestConstants:
         # reflection amplitude at least the base factor
         base = ((c.cone_ratio + 1.0) / (c.cone_ratio - 1.0)) ** (2.0 * lam)
         assert c.reflection_amp >= base * (1 - 1e-12)
-        # largest-zero bracket
-        assert math.cos(math.pi / (big_m + 1)) <= c.beta2 + 1e-12
-        assert c.beta2 <= math.cos(math.pi / (2.0 * big_m)) + 1e-12
         # parity split
         assert c.big_m == 2 * c.mu + c.eps0
         assert c.half_sign == (-1) ** math.ceil(big_m / 2)
@@ -102,22 +99,22 @@ class TestSignChecks:
     @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5, 2.5])
     @pytest.mark.parametrize("big_m", [1, 2, 3, 4])
     def test_band_sign_passes(self, lam, big_m):
-        assert phi_band_minimum(lam, big_m, samples=10_000, seed=42) > 0
+        assert phi_band_minimum(lam, big_m, seed=42) > 0
 
     def test_control_outside_band_fails(self):
         for lam, big_m in ((1.5, 1), (0.5, 2), (1.0, 3)):
-            assert phi_band_minimum(lam, big_m, samples=10_000, seed=42, control=True) < 0
+            assert phi_band_minimum(lam, big_m, seed=42, control=True) < 0
 
     @pytest.mark.parametrize("lam,big_m", [(0.5, 1), (1.5, 1), (0.5, 2), (1.5, 2), (1.0, 2)])
     def test_cone_ratio_positive(self, lam, big_m):
         theta = max(1.45, compute_constants(lam, big_m).theta0 + 0.01)
         x = reference_point(3, 12.0, theta)
-        assert km_cone_minimum(lam, big_m, x, samples=10_000, seed=42) > 0
+        assert km_cone_minimum(lam, big_m, x, seed=42) > 0
 
     def test_cone_check_dimension_four(self):
         theta = max(1.45, compute_constants(1.0, 2).theta0 + 0.01)
         x = reference_point(4, 12.0, theta)
-        assert km_cone_minimum(1.0, 2, x, samples=5_000, seed=7) > 0
+        assert km_cone_minimum(1.0, 2, x, seed=7) > 0
 
     def test_cone_check_rejects_shallow_angle(self):
         x = reference_point(3, 12.0, 0.4)

@@ -369,18 +369,6 @@ class TestGrowthSweep:
         )
         assert report.passed, report.parameters
 
-    def test_dimension_is_explicit(self):
-        seen = set()
-
-        def target(x):
-            seen.add(x.n)
-            return 1.0
-
-        growth_sweep(target, [8, 16], [0.0, 0.6], weight_exponent=0.0,
-                     radial_exponent=0.0, name="dimension", parameters={"M": 1},
-                     drop=0.2, n=4)
-        assert seen == {4}
-
     def test_failing_sweep_reports_infinite_residual(self):
         report = growth_sweep(lambda x: x.r ** 3, [8, 16, 32, 64], [0.3],
                               weight_exponent=0.0, radial_exponent=1.0,
