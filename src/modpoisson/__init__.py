@@ -36,10 +36,7 @@ from .expansions import (
     gamma_addition,
     harmonic_term,
 )
-from .geometry import (
-    BoundaryPoint,
-    HalfSpacePoint,
-)
+from .geometry import HalfSpacePoint
 from .kernels import (
     KernelParams,
     kernel_K,

@@ -23,7 +23,7 @@ from .expansions import (
     divergence_demo,
     exp_data_neumann_coefficient,
 )
-from .geometry import BoundaryPoint, HalfSpacePoint
+from .geometry import HalfSpacePoint
 from .kernels import (
     KernelParams,
     kernel_K,
@@ -162,9 +162,11 @@ def cmd_eval(args) -> int:
     if args.kernel:
         if args.yprime is None:
             raise ModPoissonError("kernel evaluation needs --yprime")
-        yp = BoundaryPoint(_float_list(args.yprime))
-        if yp.coords.size != args.n - 1:
+        yp = np.asarray(_float_list(args.yprime))
+        if yp.size != args.n - 1:
             raise ModPoissonError(f"--yprime needs n - 1 = {args.n - 1} components")
+        if not np.all(np.isfinite(yp)):
+            raise ModPoissonError("--yprime needs finite components")
         for x in _grid_points(args):
             if args.kernel == "K":
                 value = kernel_K(args.lam, x, yp)
@@ -188,9 +190,8 @@ def cmd_eval(args) -> int:
             "v": lambda x: solution_v(data, args.M, x, spec, return_estimate=True),
             "F": lambda x: integral_F(KernelParams(args.lam, args.M), data, x, spec,
                                       return_estimate=True),
-            "F2": lambda x: integral_F_second(
-                KernelParams(args.lam, max(args.M, 1), "second"), data, x, spec,
-                return_estimate=True),
+            "F2": lambda x: integral_F_second(KernelParams(args.lam, args.M, "second"),
+                                              data, x, spec, return_estimate=True),
         }
         op = ops[args.solution]
         for x in _grid_points(args):
@@ -219,8 +220,11 @@ def cmd_expand(args) -> int:
                          "order": 2 * k, "term_magnitude": float(magnitude)})
         _emit(rows, args.out, args.format)
         return 0
-    data = make_data(args.data, args.n, **_parse_data_args(args.data_args))
+    data_args = _parse_data_args(args.data_args)
+    data = make_data(args.data, args.n, **data_args)
     expansion = AsymptoticExpansion(args.problem, data, args.M, spec)
+    # the closed form is for rate 1; exp(-a|y|) scales degree m by a^-(m+n-1)
+    rate = float(data_args.get("rate", 1.0))
     thetas = _float_list(args.theta)
     radii = _float_list(args.radii) if args.radii else []
     for theta in thetas:
@@ -228,7 +232,8 @@ def cmd_expand(args) -> int:
             row = {"kind": "coefficient", "m": m, "theta": theta,
                    "value": expansion.coefficient(m, theta)}
             if args.closed_form:
-                row["closed_form"] = exp_data_neumann_coefficient(args.n, m, theta)
+                row["closed_form"] = (exp_data_neumann_coefficient(args.n, m, theta)
+                                      * rate ** -(m + args.n - 1))
             rows.append(row)
         for r in radii:
             x = HalfSpacePoint(n=args.n, r=r, theta=theta)
@@ -265,6 +270,16 @@ def cmd_verify(args) -> int:
     failed = sum(not rec["pass"] for rec in records)
     print(f"{len(records)} checks: {len(records) - failed} passed, {failed} failed")
     return 1 if failed else 0
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
 
 
 def _apply_config(argv: list[str]) -> list[str]:
@@ -313,7 +328,8 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--lam", type=float, default=None,
                         help="kernel exponent for K, KM, KM2, F and F2 (default 1.5)")
     p_eval.add_argument("--M", type=int, default=None,
-                        help="modification order; not for D, N or K (default 0)")
+                        help="modification order; not for D, N or K; at least 1 for KM2 "
+                             "and F2 (default 0)")
     p_eval.add_argument("--r", default="1.0", help="comma list of radii")
     p_eval.add_argument("--theta", default="0.0", help="comma list of polar angles")
     p_eval.add_argument("--yhat", default=None, help="projection direction components")
@@ -344,7 +360,7 @@ def build_parser() -> _Parser:
     output(p_ver)
     p_ver.add_argument("--suite", choices=sorted(SUITES) + ["all"], default="all")
     p_ver.add_argument("--seed", type=int, default=42)
-    p_ver.add_argument("--jobs", type=int, default=1)
+    p_ver.add_argument("--jobs", type=_positive_int, default=1)
     return parser
 
 

@@ -48,26 +48,18 @@ class HarmonicFamilyTerm:
     """One member of a solid-harmonic family.
 
     family 'dirichlet' gives the degree-(m+1) polynomial x_n |x|^m C_m^(n/2);
-    family 'neumann' the degree-m polynomial |x|^m C_m^((n-2)/2).  The pole
-    is the boundary direction entering Theta; default first axis.
+    family 'neumann' the degree-m polynomial |x|^m C_m^((n-2)/2).  Theta is
+    x_1 / |x|: the pole is the first boundary axis.
     """
 
     family: str
     m: int
     n: int
-    pole: tuple = None
 
     def __post_init__(self):
         _problem(self.family, self.n)
         if self.m < 0:
             raise DomainError("degree index must be non-negative")
-        pole = self.pole
-        if pole is None:
-            pole = np.zeros(self.n - 1)
-            pole[0] = 1.0
-        pole = np.asarray(pole, dtype=float)
-        pole = pole / np.linalg.norm(pole)
-        object.__setattr__(self, "pole", tuple(pole))
 
 
 def harmonic_term(term: HarmonicFamilyTerm, x) -> float:
@@ -76,11 +68,7 @@ def harmonic_term(term: HarmonicFamilyTerm, x) -> float:
     if x.shape != (term.n,):
         raise DomainError(f"point must live in R^{term.n}")
     r = float(np.linalg.norm(x))
-    pole = np.asarray(term.pole)
-    if r == 0.0:
-        theta_big = 0.0
-    else:
-        theta_big = float(np.dot(x[:-1], pole)) / r
+    theta_big = 0.0 if r == 0.0 else float(x[0]) / r
     lam, _, carries_xn = _problem(term.family, term.n)
     radial = r**term.m if r > 0 else (1.0 if term.m == 0 else 0.0)
     core = radial * gegenbauer.value(lam, term.m, theta_big)
@@ -103,33 +91,31 @@ def _require_decay(data: BoundaryData, big_m: int):
         )
 
 
-def _coefficient(problem: str, m: int, data: BoundaryData, theta: float, y_hat,
+def _coefficient(problem: str, m: int, data: BoundaryData, xdir: HalfSpacePoint,
                  spec: QuadratureSpec | None) -> float:
-    """The problem's normalisation times the degree-m moment of the data,
-    times cos(theta) (x_n on the unit sphere) for the family carrying x_n."""
+    """The problem's normalisation times the degree-m moment of the data in
+    the direction of the unit point xdir, times cos(theta) (x_n on the unit
+    sphere) for the family carrying x_n."""
     lam, norm, carries_xn = _problem(problem, data.n)
     _require_decay(data, m + 1)
-    xdir = HalfSpacePoint(data.n, 1.0, theta, y_hat)
-    moment = integrate_weighted(
-        data, _moment_weight(xdir, lam, m), spec, weight_growth=m, x=None
-    )
-    return (norm * math.cos(theta) if carries_xn else norm) * moment
+    moment = integrate_weighted(data, _moment_weight(xdir, lam, m), spec, weight_growth=m)
+    return (norm * math.cos(xdir.theta) if carries_xn else norm) * moment
 
 
-def coefficient_Y0(m: int, data: BoundaryData, theta: float, y_hat=None,
-                   spec: QuadratureSpec | None = None) -> float:
-    """Dirichlet-family coefficient of degree m+1 at direction (theta, y_hat).
+def coefficient_Y0(m: int, data: BoundaryData, theta: float) -> float:
+    """Dirichlet-family coefficient of degree m+1 at polar angle theta, with
+    the projection along the first boundary axis e1.
 
     alpha_n cos(theta) * integral of f(y') |y'|^m C_m^(n/2)(sin(theta)
-    y_hat . y_hat') dy'; vanishes on the boundary through the cosine factor.
+    e1 . y_hat') dy'; vanishes on the boundary through the cosine factor.
     """
-    return _coefficient("dirichlet", m, data, theta, y_hat, spec)
+    return _coefficient("dirichlet", m, data, HalfSpacePoint(data.n, 1.0, theta), None)
 
 
-def coefficient_Y1(m: int, data: BoundaryData, theta: float, y_hat=None,
-                   spec: QuadratureSpec | None = None) -> float:
-    """Neumann-family coefficient of degree m at direction (theta, y_hat)."""
-    return _coefficient("neumann", m, data, theta, y_hat, spec)
+def coefficient_Y1(m: int, data: BoundaryData, theta: float) -> float:
+    """Neumann-family coefficient of degree m at polar angle theta, with the
+    projection along the first boundary axis."""
+    return _coefficient("neumann", m, data, HalfSpacePoint(data.n, 1.0, theta), None)
 
 
 @dataclass
@@ -154,10 +140,13 @@ class AsymptoticExpansion:
         _require_decay(self.data, max(self.big_m, 1))
 
     def coefficient(self, m: int, theta: float, y_hat=None) -> float:
-        key = (m, round(theta, 15), None if y_hat is None else tuple(np.round(y_hat, 15)))
+        """The degree-m coefficient at direction (theta, y_hat), y_hat
+        defaulting to the first boundary axis; cached by the direction the
+        moment uses, so y_hat=None and the first axis share one entry."""
+        xdir = HalfSpacePoint(self.data.n, 1.0, theta, y_hat)
+        key = (m, round(theta, 15), tuple(np.round(xdir.y_hat, 15)))
         if key not in self._cache:
-            self._cache[key] = _coefficient(self.problem, m, self.data, theta, y_hat,
-                                            self.spec)
+            self._cache[key] = _coefficient(self.problem, m, self.data, xdir, self.spec)
         return self._cache[key]
 
     def partial_sum(self, x: HalfSpacePoint) -> float:
@@ -203,16 +192,17 @@ def gamma_addition(n: int, m: int, ell: int, theta: float) -> float:
     return (-1.0) ** ell * math.exp(log_mag) * math.sin(theta) ** (m - 2 * ell) * body
 
 
-def addition_separation(n: int, m: int, theta: float, y_hat, data: BoundaryData,
-                        spec: QuadratureSpec | None = None) -> float:
+def addition_separation(m: int, data: BoundaryData, theta: float) -> float:
     """Dirichlet coefficient of degree m+1 reassembled through the addition
     formula: alpha_n cos(theta) sum over ell of gamma_{n,m,ell}(theta) *
-    delta_{n,m,ell}(y_hat), where delta is a zonal moment of the data.
+    delta_{n,m,ell}(e1), where delta is a zonal moment of the data about the
+    first boundary axis e1 and n is the data's dimension.
 
     Must agree with coefficient_Y0 computed from the direct moment.
     """
+    n = data.n
     _require_decay(data, m + 1)
-    xdir = HalfSpacePoint(n, 1.0, theta, y_hat)
+    xdir = HalfSpacePoint(n, 1.0, theta)
     total = 0.0
     for ell in range(m // 2 + 1):
         gamma = gamma_addition(n, m, ell, theta)
@@ -222,7 +212,7 @@ def addition_separation(n: int, m: int, theta: float, y_hat, data: BoundaryData,
             cosp = cos_theta_prime_array(xdir, pts, norms=norms)
             return norms**m * gegenbauer.value((n - 1) / 2.0, order, cosp)
 
-        delta = integrate_weighted(data, delta_weight, spec, weight_growth=m, x=None)
+        delta = integrate_weighted(data, delta_weight, weight_growth=m)
         total += gamma * delta
     return alpha_n(n) * math.cos(theta) * total
 

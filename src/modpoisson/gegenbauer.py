@@ -20,7 +20,7 @@ __all__ = [
     "weighted_sum",
     "generating_closed_form",
     "roots",
-    "phi_pm",
+    "phi_minus",
 ]
 
 
@@ -150,20 +150,18 @@ def roots(lam: float, m: int) -> np.ndarray:
     return np.array(sorted(found))
 
 
-def phi_pm(lam: float, big_m: int, big_theta, zeta, sign: int):
-    """M*C_M^lam(Theta) +/- (2*lam + M - 1)*C_{M-1}^lam(Theta)*zeta.
+def phi_minus(lam: float, big_m: int, big_theta, zeta):
+    """M*C_M^lam(Theta) - (2*lam + M - 1)*C_{M-1}^lam(Theta)*zeta.
 
     The linear-in-zeta combination appearing in the integral form of the
-    modified kernel; sign is +1 or -1.
+    first-kind modified kernel.
     """
     _check_lambda(lam)
     if big_m < 1:
-        raise DomainError("phi_pm requires M >= 1 (the M = 0 kernel bypasses it)")
-    if sign not in (1, -1):
-        raise DomainError("sign must be +1 or -1")
+        raise DomainError("phi_minus requires M >= 1 (the M = 0 kernel bypasses it)")
     big_theta = np.asarray(big_theta, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
-    out = big_m * value(lam, big_m, big_theta) + sign * (
+    out = big_m * value(lam, big_m, big_theta) - (
         2.0 * lam + big_m - 1.0
     ) * value(lam, big_m - 1, big_theta) * zeta
     return _maybe_scalar(np.asarray(out))

@@ -1,8 +1,9 @@
 """Points of the upper half space and its boundary hyperplane.
 
 All kernel formulas are expressed in the polar variables (r, theta, y_hat),
-so points are stored that way; Cartesian conversion exists for the finite
-difference stencils.  Angle conventions:
+so field points are stored that way; Cartesian conversion exists for the
+finite difference stencils.  Boundary points y' are plain arrays of shape
+(..., n-1).  Angle conventions:
 
 * theta is the angle between x and the inward normal, so x_n = r*cos(theta)
   with 0 <= theta < pi/2 inside the half space;
@@ -24,7 +25,6 @@ from .errors import DomainError
 
 __all__ = [
     "HalfSpacePoint",
-    "BoundaryPoint",
     "cos_theta_prime_array",
     "row_norms",
 ]
@@ -104,22 +104,6 @@ class HalfSpacePoint:
     @property
     def sec_theta(self) -> float:
         return 1.0 / np.cos(self.theta)
-
-
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """A point y' of the boundary hyperplane R^(n-1)."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = np.atleast_1d(np.asarray(self.coords, dtype=float))
-        if not np.all(np.isfinite(coords)):
-            raise DomainError("boundary point must have finite components")
-        object.__setattr__(self, "coords", coords)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.coords, dtype=dtype)
 
 
 def row_norms(pts) -> np.ndarray:

@@ -145,20 +145,15 @@ def _kernel_minus_tail(params: KernelParams, x: HalfSpacePoint, rho, theta_big, 
     return out
 
 
-def _phi_minus_coeffs(lam: float, big_m: int, theta_big: float):
-    a = big_m * gegenbauer.value(lam, big_m, theta_big)
-    b = (2.0 * lam + big_m - 1.0) * gegenbauer.value(lam, big_m - 1, theta_big)
-    return a, b
-
-
 def kernel_KM_integral(params: KernelParams, x: HalfSpacePoint, yp) -> float:
     """First-kind modified kernel via its one-dimensional integral form.
 
     K_M = K * integral over zeta in (0, s) of
     (1 - 2*Theta*zeta + zeta^2)^(lam-1) * Phi_-(Theta, zeta) * zeta^(M-1),
-    with s = |x| / |y'|.  Adaptive quadrature to absolute tolerance 1e-10;
-    for lam < 1 the weight can be near-singular where zeta and Theta both
-    approach 1, which is handled by graded panel edges there.
+    with s = |x| / |y'| and Phi_- from `gegenbauer.phi_minus`.  Adaptive
+    quadrature to absolute tolerance 1e-10; for lam < 1 the weight can be
+    near-singular where zeta and Theta both approach 1, which is handled by
+    graded panel edges there.
     """
     if params.kind != "first" or params.big_m < 1:
         raise DomainError("integral form needs first-kind parameters with M >= 1")
@@ -174,11 +169,11 @@ def kernel_KM_integral(params: KernelParams, x: HalfSpacePoint, yp) -> float:
         return 0.0
     cosp = float(cos_theta_prime_array(x, pts.reshape(1, -1))[0])
     theta_big = x.sin_theta * cosp
-    a, b = _phi_minus_coeffs(lam, big_m, theta_big)
 
     def integrand(zeta):
         weight = (1.0 - 2.0 * theta_big * zeta + zeta * zeta) ** (lam - 1.0)
-        return weight * (a - b * zeta) * zeta ** (big_m - 1)
+        phi = gegenbauer.phi_minus(lam, big_m, theta_big, zeta)
+        return weight * phi * zeta ** (big_m - 1)
 
     edges = [0.0, s]
     if lam < 1.0 and theta_big > 0.9 and s > 0.5:

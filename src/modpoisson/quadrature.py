@@ -342,9 +342,6 @@ def _ball_region(x, center: np.ndarray, radius: float, spec, support: Support,
                     w *= 4.0
     if pole is None and cuts and center.size > 1:
         pole, pole_angles = _cut_pole(center, radius, cuts)
-    if pole is None and abs(center[0]) < radius and center.size > 1:
-        # data may kink across the first-coordinate hyperplane; align the pole
-        pole = np.eye(center.size)[0]
     return _Region(center, tuple(_dedupe(edges, 0.0, radius)), pole, pole_angles,
                    tuple(cuts))
 
@@ -751,14 +748,15 @@ def _first_kind_map(problem: str, data: BoundaryData, big_m: int, x: HalfSpacePo
 
 
 def integrate_weighted(data: BoundaryData, weight, spec: QuadratureSpec | None = None,
-                       *, weight_growth: float = 0.0, x: HalfSpacePoint | None = None):
-    """Integral of data * weight over the support of data.
+                       *, weight_growth: float = 0.0):
+    """Integral of data * weight over the support of data, for weights with
+    no peak (no field point shapes the regions).
 
     `weight` is a vectorized function of boundary points; `weight_growth`
     bounds its growth for truncation of global data.
     """
     spec = spec or QuadratureSpec()
-    regions = _regions(data, x, spec, 0.0, lambda radius: radius**weight_growth)
+    regions = _regions(data, None, spec, 0.0, lambda radius: radius**weight_growth)
     return _integrate_regions(lambda pts: data(pts) * weight(pts), data.n, regions, spec)[0]
 
 

@@ -26,7 +26,7 @@ from .data import BoundaryData, Support
 from .errors import ConstructionError, DomainError
 from .geometry import HalfSpacePoint, cos_theta_prime_array, row_norms
 from .kernels import KernelParams, kernel_K, kernel_KM_direct
-from .quadrature import QuadratureSpec, integral_F, integrate_weighted
+from .quadrature import QuadratureSpec, integral_F
 
 __all__ = [
     "SharpnessConstants",
@@ -178,7 +178,7 @@ def phi_band_minimum(lam: float, big_m: int, seed: int = 42,
     zeta = rng.uniform(0.0, 1.0, _SAMPLES)
     s = rng.uniform(0.0, 10.0, _SAMPLES)
     theta_big = np.sin(theta) * cosp
-    signed = constants.half_sign * gegenbauer.phi_pm(lam, big_m, theta_big, s * zeta, -1)
+    signed = constants.half_sign * gegenbauer.phi_minus(lam, big_m, theta_big, s * zeta)
     return float(np.min(signed))
 
 
@@ -323,35 +323,26 @@ def data_balls_super_extension(n: int, a_values, b_values, amplitudes,
     )
 
 
-def reference_point(n: int, c: float, theta: float) -> HalfSpacePoint:
-    """Point of radius c whose projection lies along the first boundary axis."""
-    y_hat = np.zeros(n - 1)
-    y_hat[0] = 1.0
-    return HalfSpacePoint(n=n, r=c, theta=theta, y_hat=y_hat)
+# quadrature tolerance of the sharpness integrals
+_SPEC = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8)
 
 
 def lower_bound_ratio(data: BoundaryData, lam: float, big_m: int,
-                      x: HalfSpacePoint, scale: float,
-                      spec: QuadratureSpec | None = None) -> float:
+                      x: HalfSpacePoint, scale: float) -> float:
     """Measured ratio of the signed F-integral to its predicted lower-bound
     scale; strictly positive ratios certify the construction."""
-    spec = spec or QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8)
-    return integral_F(KernelParams(lam, big_m), data, x, spec) / scale
+    return integral_F(KernelParams(lam, big_m), data, x, _SPEC) / scale
 
 
 def balanced_sign_integral(data: BoundaryData, lam: float, big_m: int,
-                           x: HalfSpacePoint, spec: QuadratureSpec | None = None) -> float:
-    """Integral of f K_M over the far cone portions on both reflection sides.
+                           x: HalfSpacePoint) -> float:
+    """Integral of f K_M over the far cone portions on both reflection sides:
+    F of the data masked to the far cone, which lies outside the unit ball
+    that F leaves out.
 
     The super extension is sized to make this non-negative even though the
     kernel's sign is unknown on the positive far side.
     """
-    spec = spec or QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8)
     constants = compute_constants(lam, big_m)
-    params = KernelParams(lam, big_m)
-
-    def masked_kernel(pts):
-        return np.where(_far_cone_mask(constants, x, pts),
-                        kernel_KM_direct(params, x, pts), 0.0)
-
-    return integrate_weighted(data, masked_kernel, spec, x=x)
+    masked = data.scaled_by(lambda pts: _far_cone_mask(constants, x, pts))
+    return integral_F(KernelParams(lam, big_m), masked, x, _SPEC)

@@ -45,7 +45,6 @@ from .sharpness import (
     km_cone_minimum,
     lower_bound_ratio,
     phi_band_minimum,
-    reference_point,
 )
 from .verification import (
     CheckReport,
@@ -181,7 +180,7 @@ def _identity_samples(identity, seed):
 
 def kernel_identity(identity: str, seed: int = 42) -> CheckReport:
     return CheckReport(f"kernel_identity_{identity}", worst(
-        kernel_identity_residual(identity, lam, big_m, x, yp, h=1e-4)
+        kernel_identity_residual(identity, lam, big_m, x, yp)
         for lam, big_m, x, yp in _identity_samples(identity, seed)), 1e-6)
 
 
@@ -286,11 +285,8 @@ def neumann_representation(representation: str, seed: int = 42) -> CheckReport:
                                         QuadratureSpec()) for big_m in (1, 2)), 1e-5)
 
 
-_THETAS = [0.0, 0.3, 0.6, 0.9, 1.2, 1.45]
-
-
 def _growth(name, target, radii, weight_exponent, radial_exponent, **parameters):
-    return growth_sweep(target, radii, _THETAS, weight_exponent, radial_exponent, name,
+    return growth_sweep(target, radii, weight_exponent, radial_exponent, name,
                         {"n": 3, **parameters}, drop=0.2)
 
 
@@ -372,7 +368,7 @@ def sharpness_cone_sign(seed: int = 42) -> CheckReport:
         for lam in (n / 2.0, (n - 2) / 2.0):
             for big_m in (1, 2):
                 theta = max(1.45, compute_constants(lam, big_m).theta0 + 0.01)
-                x = reference_point(n, 12.0, theta)
+                x = HalfSpacePoint(n=n, r=12.0, theta=theta)
                 minima.append(km_cone_minimum(lam, big_m, x, seed=seed))
     return _positive_minimum("sharpness_cone_sign", minima)
 
@@ -380,7 +376,8 @@ def sharpness_cone_sign(seed: int = 42) -> CheckReport:
 def sharpness_half_ball_lower_bound(seed: int = 42) -> CheckReport:
     lam, big_m = 0.5, 1
     half = data_half_balls(3, [1.0, 1.0], [4.0, 16.0], lam, big_m)
-    ratios = [lower_bound_ratio(half, lam, big_m, reference_point(3, c, 0.3), scale=1.0)
+    ratios = [lower_bound_ratio(half, lam, big_m, HalfSpacePoint(n=3, r=c, theta=0.3),
+                                scale=1.0)
               for c in (4.0, 16.0)]
     return strictly_below("sharpness_half_ball_lower_bound",
                           worst((-r for r in ratios), -math.inf), 0.0, {"ratios": ratios})
@@ -414,7 +411,7 @@ def expansion_odd_coefficient(seed: int = 42) -> CheckReport:
 def expansion_addition_reassembly(seed: int = 42) -> CheckReport:
     f3 = exp_decay(3)
     return CheckReport("expansion_addition_reassembly", worst(
-        abs(coefficient_Y0(m, f3, 0.8) - addition_separation(3, m, 0.8, None, f3))
+        abs(coefficient_Y0(m, f3, 0.8) - addition_separation(m, f3, 0.8))
         for m in range(4)), 1e-8)
 
 

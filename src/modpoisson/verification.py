@@ -236,8 +236,12 @@ _IDENTITY_PATHS = {
 }
 
 
+# step of the central difference in `kernel_identity_residual`
+_IDENTITY_STEP = 1e-4
+
+
 def kernel_identity_residual(identity: str, lam: float, big_m: int, x: HalfSpacePoint,
-                             yp, h: float = 1e-4) -> float:
+                             yp) -> float:
     """Relative residual of one differential-difference identity of the
     modified kernel: |lhs - rhs| / max(1, |lhs|, |rhs|).
 
@@ -246,7 +250,7 @@ def kernel_identity_residual(identity: str, lam: float, big_m: int, x: HalfSpace
     theta, (ii) r, (iii) the first coordinate of y, (iv) |y| and (v) x_n
     move x; (vi) |y'|, (vii) the first coordinate of y' and (viii) the
     angle theta' move y'.  The left side is the central difference of
-    K_M(lam) along the path at t0; the right side is
+    K_M(lam) along the path at t0, with step 1e-4; the right side is
     2 lam (a K_(M-1) - b K_(M-2) - c K_M) at exponent lam + 1 and (x, y'),
     with the convention that non-positive orders mean the unmodified kernel.
     """
@@ -255,6 +259,7 @@ def kernel_identity_residual(identity: str, lam: float, big_m: int, x: HalfSpace
     yp = np.asarray(yp, dtype=float)
     t0, path, (a, b, c) = _IDENTITY_PATHS[identity](x, yp)
     params = KernelParams(lam, big_m)
+    h = _IDENTITY_STEP
     lhs = (kernel_KM_direct(params, *path(t0 + h))
            - kernel_KM_direct(params, *path(t0 - h))) / (2.0 * h)
     km0, km1, km2 = (kernel_KM_direct(KernelParams(lam + 1.0, max(big_m - k, 0)), x, yp)
@@ -333,23 +338,27 @@ def neumann_representation_residual(representation: str, data: BoundaryData, big
 # growth sweeps
 
 
-def growth_sweep(target, radii, thetas, weight_exponent: float,
-                 radial_exponent: float, name: str,
-                 parameters: dict | None = None, *, drop: float) -> CheckReport:
+# polar angles of the growth sweeps' theta grid
+_THETAS = (0.0, 0.3, 0.6, 0.9, 1.2, 1.45)
+
+
+def growth_sweep(target, radii, weight_exponent: float, radial_exponent: float,
+                 name: str, parameters: dict | None = None, *,
+                 drop: float) -> CheckReport:
     """Weighted supremum sweep certifying an order relation.
 
     target(x) evaluates the integral at a point x of the three-dimensional
-    half space; mu(r) is the maximum over the theta grid of |target| *
-    cos(theta)^weight_exponent, and the certified claim is that mu(r) /
-    r^radial_exponent decreases (after the first step, each step within a
-    factor 1.05) to at most `drop` times its initial value.  `parameters`
-    are only recorded in the report.
+    half space; mu(r) is the maximum over the theta grid (0, 0.3, 0.6, 0.9,
+    1.2, 1.45) of |target| * cos(theta)^weight_exponent, and the certified
+    claim is that mu(r) / r^radial_exponent decreases (after the first
+    step, each step within a factor 1.05) to at most `drop` times its
+    initial value.  `parameters` are only recorded in the report.
     """
     radii = list(radii)
     seq = []
     for r in radii:
         mu = worst(abs(target(HalfSpacePoint(n=3, r=float(r), theta=float(theta))))
-                   * math.cos(theta) ** weight_exponent for theta in thetas)
+                   * math.cos(theta) ** weight_exponent for theta in _THETAS)
         seq.append(mu / float(r) ** radial_exponent)
     if seq[0] == 0.0:
         residual = 0.0 if max(seq) == 0.0 else float("inf")

@@ -1,12 +1,13 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from modpoisson.cli import main
 from modpoisson.data import exp_decay
 from modpoisson.expansions import exp_data_neumann_coefficient
-from modpoisson.geometry import BoundaryPoint, HalfSpacePoint
+from modpoisson.geometry import HalfSpacePoint
 from modpoisson.kernels import KernelParams, kernel_KM_direct
 
 
@@ -34,7 +35,7 @@ class TestEval:
         reader = csv.DictReader(out)
         row = next(reader)
         x = HalfSpacePoint(n=3, r=1.25, theta=0.4)
-        expected = kernel_KM_direct(KernelParams(1.5, 2), x, BoundaryPoint([2.0, -1.0]))
+        expected = kernel_KM_direct(KernelParams(1.5, 2), x, np.array([2.0, -1.0]))
         assert float(row["value"]) == expected
 
     def test_solution_values_match_library(self, capsys):
@@ -158,11 +159,34 @@ class TestEval:
         ("eval", ["--kernel", "K", "--yprime", "1,2,3", "--n", "3"]),
         ("eval", ["--kernel", "K", "--yprime", "1,abc", "--n", "3"]),
         ("eval", ["--kernel", "K", "--yprime", "1,0", "--r", "x"]),
+        ("eval", ["--kernel", "K", "--yprime", "nan,0", "--n", "3"]),
     ])
     def test_malformed_values_are_usage_errors(self, command, args, capsys):
         assert run_cli([command, *args]) == 64
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("order", [None, "0"])
+    def test_second_kind_solution_needs_m_of_one(self, order, capsys):
+        # F2 solves at the M it reports, as KM2 does: below 1 is a usage error
+        for target in (["--solution", "F2", "--data", "exp_decay"],
+                       ["--kernel", "KM2", "--yprime", "1.0,0.0"]):
+            argv = ["eval", *target] + (["--M", order] if order else [])
+            assert run_cli(argv) == 64
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "second-kind kernels require M >= 1" in captured.err
+
+    def test_second_kind_solution_row_reports_its_m(self, capsys):
+        assert run_cli(["eval", "--solution", "F2", "--data", "exp_decay", "--M", "1",
+                        "--r", "2.0", "--format", "jsonl"]) == 0
+        [row] = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+        from modpoisson.quadrature import integral_F_second
+
+        x = HalfSpacePoint(n=3, r=2.0, theta=0.0)
+        assert row["M"] == 1
+        assert row["value"] == integral_F_second(KernelParams(1.5, 1, "second"),
+                                                 exp_decay(3), x)
 
     def test_solution_takes_quadrature_flags(self, capsys):
         code = run_cli([
@@ -199,6 +223,22 @@ class TestExpand:
             assert r["closed_form"] == pytest.approx(
                 exp_data_neumann_coefficient(3, r["m"], 0.5), abs=1e-7
             )
+
+    def test_closed_form_column_follows_the_rate(self, capsys):
+        # the degree-m coefficient of exp(-a|y|) is a^-(m+n-1) times that of
+        # exp(-|y|): 1/4 at m = 0 for a = 2, n = 3
+        code = run_cli([
+            "expand", "--problem", "neumann", "--data", "exp_decay", "--data-args", "rate=2",
+            "--n", "3", "--M", "3", "--theta", "0.0", "--closed-form", "--format", "jsonl",
+        ])
+        assert code == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+        assert rows[0]["closed_form"] == pytest.approx(0.25, rel=1e-14)
+        for r in rows:
+            assert r["closed_form"] == pytest.approx(
+                2.0 ** -(r["m"] + 2) * exp_data_neumann_coefficient(3, r["m"], 0.0),
+                rel=1e-14)
+            assert r["value"] == pytest.approx(r["closed_form"], rel=1e-5, abs=1e-12)
 
     def test_divergence_table(self, capsys):
         code = run_cli([
@@ -312,6 +352,14 @@ class TestVerify:
             run_cli(["verify", "--suite", "gegenbauer", flag, value])
         assert err.value.code == 64
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_usage_error(self, jobs, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["verify", "--suite", "gegenbauer", "--jobs", jobs])
+        assert err.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--jobs" in captured.err
 
     def test_exit_code_for_failure(self, monkeypatch, capsys):
         from modpoisson import suites

@@ -161,18 +161,25 @@ class TestAdditionFormula:
         f = exp_decay(3)
         theta = 0.8
         direct = coefficient_Y0(m, f, theta)
-        separated = addition_separation(3, m, theta, None, f)
+        separated = addition_separation(m, f, theta)
         assert separated == pytest.approx(direct, abs=1e-8)
 
 
 class TestZonal:
     """The angular part of a solid harmonic about its pole: on the unit
     sphere of the boundary hyperplane the Neumann term of R^n is the zonal
-    harmonic C_m^((n-2)/2)(pole . direction)."""
+    harmonic C_m^((n-2)/2)(pole . direction).  The term's pole is the first
+    axis, so a reflection taking the given pole there moves the direction
+    with it."""
 
     @staticmethod
     def zonal(n, m, pole, direction):
-        term = HarmonicFamilyTerm("neumann", m, n, tuple(pole))
+        pole = np.asarray(pole, dtype=float)
+        v = pole - np.eye(n - 1)[0]
+        if np.any(v):
+            # the Householder reflection swapping pole and first axis
+            direction = direction - 2.0 * (v @ direction) / (v @ v) * v
+        term = HarmonicFamilyTerm("neumann", m, n)
         return harmonic_term(term, np.append(direction, 0.0))
 
     def test_coincident_poles(self):
@@ -225,6 +232,26 @@ class TestExpDataClosedForm:
 
 
 class TestAsymptoticExpansion:
+    def test_each_coefficient_is_computed_once(self, monkeypatch):
+        # the table asks for y_hat=None and partial_sum for the first axis,
+        # the same direction: one moment integral per (m, theta)
+        import modpoisson.expansions as ex
+
+        calls = []
+        real = ex._coefficient
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(ex, "_coefficient", counted)
+        exp = AsymptoticExpansion("neumann", exp_decay(3), 2, SPEC)
+        for theta in (0.0, 0.5):
+            for m in range(2):
+                exp.coefficient(m, theta)
+            exp.partial_sum(HalfSpacePoint(n=3, r=20.0, theta=theta))
+        assert sorted(calls) == [0, 0, 1, 1]
+
     def test_empty_truncation(self):
         f = exp_decay(3)
         x = HalfSpacePoint(n=3, r=15.0, theta=0.4, y_hat=[1.0, 0.0])

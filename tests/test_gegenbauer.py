@@ -147,17 +147,14 @@ class TestRoots:
 
 class TestPhi:
     def test_zeta_zero(self):
-        assert gg.phi_pm(1.0, 1, 0.5, 0.0, -1) == pytest.approx(1.0)
+        assert gg.phi_minus(1.0, 1, 0.5, 0.0) == pytest.approx(1.0)
 
     def test_minus_combination(self):
-        assert gg.phi_pm(1.0, 1, 0.5, 2.0, -1) == pytest.approx(-3.0)
-
-    def test_plus_combination(self):
-        assert gg.phi_pm(1.0, 1, 0.5, 2.0, 1) == pytest.approx(5.0)
+        assert gg.phi_minus(1.0, 1, 0.5, 2.0) == pytest.approx(-3.0)
 
     def test_rejects_m_zero(self):
         with pytest.raises(DomainError):
-            gg.phi_pm(1.0, 0, 0.5, 1.0, -1)
+            gg.phi_minus(1.0, 0, 0.5, 1.0)
 
 
 class TestInvariants:

@@ -3,7 +3,7 @@ import pytest
 
 from modpoisson import gegenbauer as gg
 from modpoisson.errors import DomainError, SingularityError
-from modpoisson.geometry import BoundaryPoint, HalfSpacePoint
+from modpoisson.geometry import HalfSpacePoint
 from modpoisson.kernels import (
     KernelParams,
     kernel_K,
@@ -39,7 +39,7 @@ def point_with(s, theta_big, r=2.0, n=3, sin_theta=0.95):
     if n >= 3:
         direction[1] = sinp
     yp = (r / s) * direction
-    return x, BoundaryPoint(yp)
+    return x, yp
 
 
 def random_point(n=3):
@@ -51,11 +51,11 @@ def random_point(n=3):
 class TestBaseKernel:
     def test_direct_substitution(self):
         x = HalfSpacePoint.from_cartesian([0.0, 0.0, 1.0])
-        assert kernel_K(1.5, x, BoundaryPoint([1.0, 0.0])) == pytest.approx(2.0**-1.5)
+        assert kernel_K(1.5, x, np.array([1.0, 0.0])) == pytest.approx(2.0**-1.5)
 
     def test_unit_distance(self):
         x = HalfSpacePoint.from_cartesian([0.0, 0.0, 1.0])
-        assert kernel_K(0.5, x, BoundaryPoint([0.0, 0.0])) == pytest.approx(1.0)
+        assert kernel_K(0.5, x, np.array([0.0, 0.0])) == pytest.approx(1.0)
 
     def test_polar_matches_cartesian(self):
         for _ in range(100):
@@ -90,19 +90,19 @@ class TestModifiedFirstKind:
     def test_single_term_subtraction(self):
         # lam=1/2, M=1, x on axis (Theta = 0), y' at distance 2
         x = HalfSpacePoint.from_cartesian([0.0, 0.0, 1.0])
-        got = kernel_KM_direct(KernelParams(0.5, 1), x, BoundaryPoint([2.0, 0.0]))
+        got = kernel_KM_direct(KernelParams(0.5, 1), x, np.array([2.0, 0.0]))
         assert got == pytest.approx(5.0**-0.5 - 0.5, abs=1e-15)
 
     def test_origin_singularity(self):
         x = random_point()
         with pytest.raises(SingularityError):
-            kernel_KM_direct(KernelParams(1.0, 2), x, BoundaryPoint([0.0, 0.0]))
+            kernel_KM_direct(KernelParams(1.0, 2), x, np.array([0.0, 0.0]))
 
     def test_tail_vanishes_with_m_for_far_points(self):
         # for |y'| > |x| the subtracted tail converges to K, so K_M -> 0
         x = HalfSpacePoint.from_cartesian([0.5, 0.2, 0.4])
-        yp = BoundaryPoint([1.5, -0.8])
-        s = x.r / np.linalg.norm(yp.coords)
+        yp = np.array([1.5, -0.8])
+        s = x.r / np.linalg.norm(yp)
         vals = [abs(kernel_KM_direct(KernelParams(1.5, m), x, yp)) for m in range(13)]
         assert vals[12] < vals[6] < vals[2]
         # geometric decay up to the polynomial growth of the coefficients
@@ -165,7 +165,7 @@ class TestIntegralRepresentation:
 class TestSecondKind:
     def test_y_at_origin(self):
         x = HalfSpacePoint.from_cartesian([0.0, 0.0, 1.0])
-        got = kernel_KM_second(KernelParams(0.5, 1, "second"), x, BoundaryPoint([0.0, 0.0]))
+        got = kernel_KM_second(KernelParams(0.5, 1, "second"), x, np.array([0.0, 0.0]))
         assert got == pytest.approx(0.0, abs=1e-15)
 
     def test_role_swap_against_first_kind_tail(self):
@@ -231,8 +231,8 @@ class TestBoundFirstKind:
     def test_vanishes_like_s_to_m(self):
         params = KernelParams(1.5, 3)
         x = HalfSpacePoint(n=3, r=1.0, theta=0.3, y_hat=[1.0, 0.0])
-        b1 = kernel_bound_first(params, x, BoundaryPoint([100.0, 0.0]))
-        b2 = kernel_bound_first(params, x, BoundaryPoint([200.0, 0.0]))
+        b1 = kernel_bound_first(params, x, np.array([100.0, 0.0]))
+        b2 = kernel_bound_first(params, x, np.array([200.0, 0.0]))
         # bound ~ s^M |y'|^-2lam = |y'|^-(M + 2 lam): doubling |y'| divides by 2^6
         assert b2 == pytest.approx(b1 / 2 ** (3 + 2 * 1.5), rel=0.05)
 

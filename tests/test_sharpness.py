@@ -6,7 +6,8 @@ import pytest
 from modpoisson import gegenbauer as gg
 from modpoisson.errors import ConstructionError, DomainError
 from modpoisson.geometry import HalfSpacePoint
-from modpoisson.quadrature import QuadratureSpec
+from modpoisson.kernels import KernelParams
+from modpoisson.quadrature import QuadratureSpec, integral_F
 from modpoisson.sharpness import (
     _band_interval,
     _far_cone_mask,
@@ -17,11 +18,8 @@ from modpoisson.sharpness import (
     km_cone_minimum,
     lower_bound_ratio,
     phi_band_minimum,
-    reference_point,
 )
 from modpoisson.verification import strictly_below
-
-SPEC = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8)
 
 
 class TestConstants:
@@ -82,13 +80,13 @@ class TestRegions:
 
     def test_cone_contains_axis_ray(self):
         c = compute_constants(1.5, 1)
-        x = reference_point(3, 10.0, 1.4)
+        x = HalfSpacePoint(n=3, r=10.0, theta=1.4)
         inside = _far_cone_mask(c, x, np.array([[5.0, 0.0], [0.5, 0.0], [0.0, 5.0]]))
         assert inside.tolist() == [True, False, False]
 
     def test_far_portions_are_reflections(self):
         c = compute_constants(1.5, 1)
-        x = reference_point(3, 30.0, 1.4)
+        x = HalfSpacePoint(n=3, r=30.0, theta=1.4)
         pts = np.random.default_rng(5).normal(size=(200, 2)) * 12.0
         mask = _far_cone_mask(c, x, pts)
         assert np.array_equal(mask, _far_cone_mask(c, x, pts * [-1.0, 1.0]))
@@ -108,21 +106,21 @@ class TestSignChecks:
     @pytest.mark.parametrize("lam,big_m", [(0.5, 1), (1.5, 1), (0.5, 2), (1.5, 2), (1.0, 2)])
     def test_cone_ratio_positive(self, lam, big_m):
         theta = max(1.45, compute_constants(lam, big_m).theta0 + 0.01)
-        x = reference_point(3, 12.0, theta)
+        x = HalfSpacePoint(n=3, r=12.0, theta=theta)
         assert km_cone_minimum(lam, big_m, x, seed=42) > 0
 
     def test_cone_check_dimension_four(self):
         theta = max(1.45, compute_constants(1.0, 2).theta0 + 0.01)
-        x = reference_point(4, 12.0, theta)
+        x = HalfSpacePoint(n=4, r=12.0, theta=theta)
         assert km_cone_minimum(1.0, 2, x, seed=7) > 0
 
     def test_cone_check_rejects_shallow_angle(self):
-        x = reference_point(3, 12.0, 0.4)
+        x = HalfSpacePoint(n=3, r=12.0, theta=0.4)
         with pytest.raises(DomainError):
             km_cone_minimum(0.5, 1, x)
 
     def test_m_zero_is_rejected(self):
-        x = reference_point(3, 12.0, 1.45)
+        x = HalfSpacePoint(n=3, r=12.0, theta=1.45)
         with pytest.raises(DomainError):
             km_cone_minimum(0.5, 0, x)
 
@@ -203,13 +201,13 @@ class TestHalfBallData:
         psi = [1.0, 1.0]
         f = data_half_balls(3, psi, centers, lam, big_m)
         for j, c in enumerate(centers):
-            x = reference_point(3, c, 0.3)
-            assert lower_bound_ratio(f, lam, big_m, x, scale=psi[j], spec=SPEC) > 0
+            x = HalfSpacePoint(n=3, r=c, theta=0.3)
+            assert lower_bound_ratio(f, lam, big_m, x, scale=psi[j]) > 0
 
     def test_zero_lower_bound_fails(self):
         # zero data give a ratio of exactly 0.0, which certifies nothing
         f = data_half_balls(3, [0.0, 0.0], [4.0, 16.0], 0.5, 1)
-        ratio = lower_bound_ratio(f, 0.5, 1, reference_point(3, 4.0, 0.3), scale=1.0)
+        ratio = lower_bound_ratio(f, 0.5, 1, HalfSpacePoint(n=3, r=4.0, theta=0.3), scale=1.0)
         assert ratio == 0.0
         # judged as the lower-bound suite checks judge it
         assert not strictly_below("lower_bound", -ratio, 0.0).passed
@@ -261,7 +259,7 @@ class TestSuperBallData:
         f = self.make(lam, big_m)
         a2, b2 = 60.0, 4.5
         x = HalfSpacePoint.from_cartesian([a2, 0.0, b2])
-        value = balanced_sign_integral(f, lam, big_m, x, SPEC)
+        value = balanced_sign_integral(f, lam, big_m, x)
         assert value >= -1e-10
 
     def test_lower_bound_measured(self):
@@ -270,14 +268,15 @@ class TestSuperBallData:
         for a, b in ((20.0, 1.5), (60.0, 4.5)):
             x = HalfSpacePoint.from_cartesian([a, 0.0, b])
             scale = 1.0 * b ** (n - 1 - 2 * lam)
-            assert lower_bound_ratio(f, lam, big_m, x, scale=scale, spec=SPEC) > 0
+            assert lower_bound_ratio(f, lam, big_m, x, scale=scale) > 0
 
     def test_lower_bound_stable_under_refinement(self):
         lam, big_m, n = 1.5, 1, 3
         f = self.make(lam, big_m)
         x = HalfSpacePoint.from_cartesian([20.0, 0.0, 1.5])
         scale = 1.5 ** (n - 1 - 2 * lam)
-        loose = lower_bound_ratio(f, lam, big_m, x, scale=scale,
-                                  spec=QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6))
-        tight = lower_bound_ratio(f, lam, big_m, x, scale=scale, spec=SPEC)
+        # the ratio's 1e-8 integral against a 1e-6 solve of the same integral
+        loose = integral_F(KernelParams(lam, big_m), f, x,
+                           QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6)) / scale
+        tight = lower_bound_ratio(f, lam, big_m, x, scale=scale)
         assert loose == pytest.approx(tight, rel=0.1)

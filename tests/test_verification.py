@@ -84,7 +84,7 @@ class TestHarmonicity:
         if n >= 3:
             families += [("neumann", m) for m in range(7)]
         for family, m in families:
-            term = HarmonicFamilyTerm(family, m, n, pole=None)
+            term = HarmonicFamilyTerm(family, m, n)
             fn = lambda p: harmonic_term(term, p)
             for _ in range(5):
                 direction = RNG.normal(size=n)
@@ -285,7 +285,7 @@ class TestProp31:
         for big_m in range(4):
             for _ in range(13):
                 x, yp = self.sample_pair()
-                residual = kernel_identity_residual(identity, lam, big_m, x, yp, h=1e-4)
+                residual = kernel_identity_residual(identity, lam, big_m, x, yp)
                 assert residual <= 1e-6, (identity, lam, big_m, residual)
 
     def test_convention_kernels_in_v(self):
@@ -297,7 +297,7 @@ class TestProp31:
     def test_viii_zero_at_aligned_directions(self):
         x = HalfSpacePoint(n=3, r=1.5, theta=0.8, y_hat=[1.0, 0.0])
         for yp in (np.array([2.0, 0.0]), np.array([-2.0, 0.0])):
-            assert kernel_identity_residual("viii", 1.5, 2, x, yp, h=1e-4) <= 1e-6
+            assert kernel_identity_residual("viii", 1.5, 2, x, yp) <= 1e-6
 
     def test_dimension_four(self):
         x, yp = self.sample_pair(4)
@@ -346,7 +346,7 @@ class TestProp32:
 
 class TestGrowthSweep:
     def test_zero_data_sweeps_flat(self):
-        report = growth_sweep(lambda x: 0.0, [8, 16, 32], [0.0, 0.6],
+        report = growth_sweep(lambda x: 0.0, [8, 16, 32],
                               weight_exponent=1.0, radial_exponent=1.0,
                               name="zero", drop=0.2)
         assert report.passed
@@ -360,7 +360,6 @@ class TestGrowthSweep:
         report = growth_sweep(
             lambda x: integral_F(params, f, x, spec),
             radii=[24, 48, 96, 192],
-            thetas=[0.0, 0.6, 1.2, 1.45],
             weight_exponent=2 * lam,
             radial_exponent=big_m,
             name="modified_integral_growth",
@@ -370,7 +369,7 @@ class TestGrowthSweep:
         assert report.passed, report.parameters
 
     def test_failing_sweep_reports_infinite_residual(self):
-        report = growth_sweep(lambda x: x.r ** 3, [8, 16, 32, 64], [0.3],
+        report = growth_sweep(lambda x: x.r ** 3, [8, 16, 32, 64],
                               weight_exponent=0.0, radial_exponent=1.0,
                               name="growing", drop=0.2)
         assert not report.passed
