@@ -62,6 +62,8 @@ class HalfSpacePoint:
         y_hat = np.asarray(y_hat, dtype=float)
         if y_hat.shape != (self.n - 1,):
             raise DomainError(f"y_hat must have shape ({self.n - 1},)")
+        if not np.all(np.isfinite(y_hat)):
+            raise DomainError("y_hat must be finite")
         norm = np.linalg.norm(y_hat)
         if abs(norm - 1.0) > 1e-14:
             if norm == 0:

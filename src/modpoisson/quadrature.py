@@ -4,10 +4,11 @@ The integration scheme is a product of radial panels (Gauss-Legendre, with
 panel edges aligned to data kinks, the kernel window around |x|, and graded
 refinement near kernel peaks) and a sphere rule in the angular variables
 (two points for boundary dimension one; above, panelled Gauss rules in the
-polar angle times the rule of the subsphere).  Every region, cut or not,
-goes to the integrand in cache-sized blocks of at most `_BLOCK_POINTS`
-nodes; an uncut grid's blocks are whole radial rows, each reduced against
-the angular weights at once, so memory stays O(block).
+polar angle times the rule of the subsphere, or the polar rule alone for
+zonal integrands).  Every region, cut or not, goes to the integrand in
+cache-sized blocks of at most `_BLOCK_POINTS` nodes; an uncut grid's blocks
+are whole radial rows, each reduced against the angular weights at once, so
+memory stays O(block).
 Error control is by whole-grid refinement comparison; evaluations never
 sample randomly, so results are reproducible bit for bit.
 
@@ -16,9 +17,13 @@ no cuts) runs the solution maps' integrand in polar variables: the kernel
 gets |y'| per radial row and Theta per angular node, with cos(theta') and
 the Gegenbauer tail's C_m^lam(Theta) computed once per sphere rule, and
 data declaring `BoundaryData.radial` are evaluated once per radial node.
-Other data get the grid's Cartesian points.  Cut regions, the
-near-boundary ball and `integrate_weighted` keep Cartesian points; no
-option selects the path.
+For such data (n >= 3) the integrand depends on the direction only through
+its polar angle to y_hat, so the grid's sphere rule is `_zonal_rule`: the
+polar factor alone, weighted by the exact area of the subsphere, a few
+dozen nodes where the product rule has thousands at n = 5 (one node when
+theta = 0).  Other data get the product rule and the grid's Cartesian
+points.  Cut regions, the near-boundary ball and `integrate_weighted` keep
+the product rule and Cartesian points; no option selects the path.
 
 A ball crossed by a kink circle it is not centred on (a "cut" region, such
 as an off-centre data ball crossed by the cutoff's circles |y'| = 1, 2) gets
@@ -156,17 +161,39 @@ def _gl_on(a: float, b: float, npts: int):
     return a + half * (x + 1.0), half * w
 
 
+def _polar_factor(d: int, order: int, pole_angles=()):
+    """Polar factor of the sphere rule on S^(d-1), d >= 2: nodes phi in
+    [0, pi] measured from the pole, and their Gauss-Legendre weights times
+    sin(phi)^(d-2), the measure the subsphere S^(d-2) leaves behind.
+
+    pole_angles are polar panel edges: graded toward the pole for integrands
+    concentrated there, or where an integrand has a kink.  No panel gets
+    fewer points than a pi/4 panel's share of the order, so narrow panels
+    gain points as the order rises and refinement levels compare different
+    rules on them.
+    """
+    phi_edges = sorted({0.0, math.pi / 2, math.pi}
+                       | {a for a in pole_angles if 0.0 < a < math.pi})
+    phi_nodes, phi_weights = [], []
+    polar_order = max(10, order // 2)
+    for a, b in zip(phi_edges[:-1], phi_edges[1:]):
+        npts = max(6, polar_order // 4, int(polar_order * (b - a) / math.pi) + 1)
+        xs, ws = _gl_on(a, b, npts)
+        phi_nodes.append(xs)
+        phi_weights.append(ws)
+    phi = np.concatenate(phi_nodes)
+    return phi, np.sin(phi) ** (d - 2) * np.concatenate(phi_weights)
+
+
 def sphere_rule(dim_ambient: int, order: int, pole=None, pole_angles=()):
     """Quadrature points (unit vectors) and weights on the sphere S^(d-1)
     sitting in R^d, where d = dim_ambient - 1 is the boundary dimension.
 
-    For d >= 2 the rule is a product of the polar angle against the pole
-    and a rule on the subsphere S^(d-2) (for d = 2 the two points of S^0,
-    so the circle is the mirrored half-circle).  pole_angles are polar
-    panel edges: graded toward the pole for integrands concentrated there,
-    or where an integrand has a kink.  No panel gets fewer points than a
-    pi/4 panel's share of the order, so narrow panels gain points as the
-    order rises and refinement levels compare different rules on them.
+    For d >= 2 the rule is the product of `_polar_factor`, the polar angle
+    against the pole with pole_angles as panel edges, and a rule on the
+    subsphere S^(d-2) (for d = 2 the two points of S^0, so the circle is
+    the mirrored half-circle).  An integrand that depends on the direction
+    only through its polar angle needs no subsphere rule: see `_zonal_rule`.
     """
     d = dim_ambient - 1
     if pole is None:
@@ -178,26 +205,35 @@ def sphere_rule(dim_ambient: int, order: int, pole=None, pole_angles=()):
 
     # integrating in the polar angle keeps the sin^(d-2) weight analytic
     frame = _orthonormal_frame(pole)
-    phi_edges = sorted({0.0, math.pi / 2, math.pi}
-                       | {a for a in pole_angles if 0.0 < a < math.pi})
-    phi_nodes, phi_weights = [], []
-    polar_order = max(10, order // 2)
-    for a, b in zip(phi_edges[:-1], phi_edges[1:]):
-        npts = max(6, polar_order // 4, int(polar_order * (b - a) / math.pi) + 1)
-        xs, ws = _gl_on(a, b, npts)
-        phi_nodes.append(xs)
-        phi_weights.append(ws)
-    phi = np.concatenate(phi_nodes)
-    wphi = np.concatenate(phi_weights)
+    phi, meas = _polar_factor(d, order, pole_angles)
     sub_pts, sub_w = sphere_rule(d, max(8, (2 * order) // 3))
     sint = np.sin(phi)
-    meas = sint ** (d - 2) * wphi
     pts = (
         np.cos(phi)[:, None, None] * frame[0][None, None, :]
         + sint[:, None, None] * (sub_pts @ frame[1:])[None, :, :]
     )
     w = meas[:, None] * sub_w[None, :]
     return pts.reshape(-1, d), w.reshape(-1)
+
+
+def _zonal_rule(dim_ambient: int, order: int, x: HalfSpacePoint, pole_angles=()):
+    """Sphere rule on S^(d-1), d = dim_ambient - 1 >= 2, for integrands
+    that depend on a unit vector u only through u . y_hat, the kernels'
+    cos(theta') times a radial factor (the Funk-Hecke reduction).
+
+    The subsphere's integral is then exactly its area |S^(d-2)|: the nodes
+    are cos(phi) y_hat + sin(phi) e, for `_polar_factor`'s phi measured
+    from y_hat and one unit vector e orthogonal to it, and the weights are
+    the polar weights times that area.  At theta = 0 Theta vanishes, so one
+    node of weight |S^(d-1)| is exact.
+    """
+    d = dim_ambient - 1
+    if x.theta == 0.0:
+        return x.y_hat[None, :], np.array([sphere_surface_area(d - 1)])
+    phi, meas = _polar_factor(d, order, pole_angles)
+    e_perp = _orthonormal_frame(x.y_hat)[1]
+    pts = np.cos(phi)[:, None] * x.y_hat + np.sin(phi)[:, None] * e_perp
+    return pts, meas * sphere_surface_area(d - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +474,10 @@ def _eval_region(g, n: int, region: _Region, spec, level: int) -> float:
     reduced against the angular weights at once, so memory is O(block), not
     O(grid).  On a grid about the origin a `_KernelIntegrand` takes the
     polar path: it gets the rule's unit vectors once and then the radii of
-    each block, and builds Cartesian points only for data that need them.
-    Other integrands get Cartesian points, and regions with cuts go to
+    each block, and builds Cartesian points only for data that need them;
+    radial data (n >= 3) get `_zonal_rule` about y_hat, with the region's
+    pole angles, which on origin regions are measured from y_hat.  Other
+    integrands get Cartesian points, and regions with cuts go to
     `_eval_region_cut`.
     """
     if region.cuts:
@@ -452,11 +490,15 @@ def _eval_region(g, n: int, region: _Region, spec, level: int) -> float:
         rho_weights.append(ws)
     rho = np.concatenate(rho_nodes)
     wr = np.concatenate(rho_weights)
-    pts_ang, w_ang = sphere_rule(
-        n, _angular_order(n, spec, level), pole=region.pole, pole_angles=region.pole_angles
-    )
-    if isinstance(g, _KernelIntegrand) and (region.center is None
-                                            or not np.any(region.center)):
+    order = _angular_order(n, spec, level)
+    polar = isinstance(g, _KernelIntegrand) and (region.center is None
+                                                 or not np.any(region.center))
+    if polar and g.data.radial and n >= 3:
+        pts_ang, w_ang = _zonal_rule(n, order, g.x, region.pole_angles)
+    else:
+        pts_ang, w_ang = sphere_rule(n, order, pole=region.pole,
+                                     pole_angles=region.pole_angles)
+    if polar:
         rows_of = g.polar(pts_ang, w_ang)
     else:
         def rows_of(radii):

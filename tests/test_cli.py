@@ -160,6 +160,8 @@ class TestEval:
         ("eval", ["--kernel", "K", "--yprime", "1,abc", "--n", "3"]),
         ("eval", ["--kernel", "K", "--yprime", "1,0", "--r", "x"]),
         ("eval", ["--kernel", "K", "--yprime", "nan,0", "--n", "3"]),
+        ("eval", ["--kernel", "K", "--yprime", "1,0", "--yhat", "nan,0", "--theta", "0.5"]),
+        ("eval", ["--kernel", "K", "--yprime", "1,0", "--yhat", "inf,0", "--theta", "0.5"]),
     ])
     def test_malformed_values_are_usage_errors(self, command, args, capsys):
         assert run_cli([command, *args]) == 64

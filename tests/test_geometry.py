@@ -49,6 +49,13 @@ class TestHalfSpacePoint:
         p = HalfSpacePoint(n=3, r=1.0, theta=0.4, y_hat=[3.0, 4.0])
         assert np.linalg.norm(p.y_hat) == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("y_hat", [[np.nan, 0.0], [np.inf, 0.0], [1.0, -np.inf]])
+    def test_non_finite_direction_is_rejected(self, y_hat):
+        # a NaN passes the unit-norm test and an infinite one normalises to
+        # NaN; either would give the zonal rule a NaN frame
+        with pytest.raises(DomainError, match="finite"):
+            HalfSpacePoint(n=3, r=1.0, theta=0.4, y_hat=y_hat)
+
 
 def cos_theta_prime(x, yp):
     """cos(theta') of one boundary point through the production array path."""

@@ -722,14 +722,19 @@ class TestKernelPeakPole:
             7.2956230798766155, rel=1e-13)
 
 
-def _unblocked_grid_integral(g, n, region, spec, level):
-    """The whole product grid as one array and one data call."""
+def _unblocked_grid_integral(g, n, region, spec, level, zonal_about=None):
+    """The whole grid as one array and one data call: on the region's
+    product rule, or on the zonal rule about a field point's y_hat."""
     edges = quad._split_panels(region.edges, level)
     nodes = [quad._gl_on(a, b, 12) for a, b in zip(edges[:-1], edges[1:])]
     rho = np.concatenate([xs for xs, _ in nodes])
     wr = np.concatenate([ws for _, ws in nodes])
-    pts_ang, w_ang = sphere_rule(n, quad._angular_order(n, spec, level),
-                                 pole=region.pole, pole_angles=region.pole_angles)
+    order = quad._angular_order(n, spec, level)
+    if zonal_about is None:
+        pts_ang, w_ang = sphere_rule(n, order, pole=region.pole,
+                                     pole_angles=region.pole_angles)
+    else:
+        pts_ang, w_ang = quad._zonal_rule(n, order, zonal_about, region.pole_angles)
     pts = rho[:, None, None] * pts_ang[None, :, :]
     if region.center is not None:
         pts = pts + region.center
@@ -831,28 +836,96 @@ _POLAR_DATA = {
     "scaled": lambda n: exp_decay(n).scaled_by(lambda pts: 1.0 + 0.3 * np.tanh(pts[..., 0])),
 }
 
+# every family that declares radial data, on balls and shells about the origin
+_RADIAL_DATA = {
+    "constant": constant,
+    "bump": lambda n: bump(n, radius=3.0),
+    "shell_bump": lambda n: shell_bump(n, 1.0, 3.0),
+    "bump_train": lambda n: bump_train(n, radii=(4.0, 8.0)),
+    "exp_decay": exp_decay,
+    "poly_growth": lambda n: poly_growth(n, 1.0),
+}
+
+
+def _origin_regions(x, r_lo):
+    """Regions out to 12, built here since some pairs (poly_growth with N)
+    are inadmissible and have no truncation radius: an annulus with pole
+    y_hat and a ball centred at the zero vector inside the unit disc."""
+    regions = [quad._Region(None, (1.0, 2.0, 4.0, 8.0, 12.0), x.y_hat)]
+    if r_lo == 0.0:
+        regions.append(quad._Region(np.zeros(x.n - 1), (0.0, 0.5, 1.0)))
+    return regions
+
 
 class TestPolarGrid:
     @pytest.mark.parametrize("data_name", sorted(_POLAR_DATA))
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("map_name", ["D", "N", "DM", "NM", "F", "F2", "u", "v"])
     def test_polar_entry_matches_cartesian_entry(self, map_name, n, data_name):
+        # the Cartesian entry runs on the rule the polar path takes: the
+        # zonal rule for radial data, the product rule otherwise
         params, ramp, r_lo = _map_integrands(n)[map_name]
         data = _POLAR_DATA[data_name](n)
         x = HalfSpacePoint.from_cartesian([0.7, -0.4, 0.3, 0.2][:n - 1] + [1.1])
         spec = QuadratureSpec(radial_panels=8, angular_order=16)
         g = quad._KernelIntegrand(params, data, x, ramp, True, r_lo)
-        # regions out to 12 built here, since some pairs (poly_growth with
-        # N) are inadmissible and have no truncation radius: a ball centred
-        # at the zero vector inside the unit disc and an annulus to 12
-        regions = [quad._Region(None, (1.0, 2.0, 4.0, 8.0, 12.0), x.y_hat)]
-        if r_lo == 0.0:
-            regions.append(quad._Region(np.zeros(n - 1), (0.0, 0.5, 1.0)))
         for level in (0, 1):
-            for region in regions:
+            for region in _origin_regions(x, r_lo):
                 polar = quad._eval_region(g, n, region, spec, level)
-                cartesian = quad._eval_region(lambda pts: g(pts), n, region, spec, level)
+                cartesian = _unblocked_grid_integral(g, n, region, spec, level,
+                                                     x if data.radial else None)
                 assert polar == pytest.approx(cartesian, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("map_name", ["D", "N", "DM", "NM", "F", "F2", "u", "v"])
+    def test_zonal_rule_matches_product_rule(self, map_name, n):
+        # per sphere |y'| = rho, on radial data: the product rule with pole
+        # y_hat integrates the same function of the polar angle times its
+        # subsphere rule, whose weights sum to the subsphere's area only to
+        # 8e-13 at n = 5 and 4e-9 at n = 6; compare with that sum divided out
+        params, ramp, r_lo = _map_integrands(n)[map_name]
+        spec = QuadratureSpec(radial_panels=8, angular_order=16)
+        rho = np.array([0.25, 0.75, 1.5, 3.0, 6.0, 11.0])
+        points = [HalfSpacePoint.from_cartesian([0.7, -0.4, 0.3, 0.2, 0.5][:n - 1] + [1.1]),
+                  HalfSpacePoint(n=n, r=1.1, theta=0.0)]
+        for data_name, family in _RADIAL_DATA.items():
+            data = family(n)
+            assert data.radial, data_name
+            for x in points:
+                g = quad._KernelIntegrand(params, data, x, ramp, True, r_lo)
+                for level in (0, 1):
+                    order = quad._angular_order(n, spec, level)
+                    zonal = quad._zonal_rule(n, order, x, (0.1, 0.4))
+                    product = sphere_rule(n, order, pole=x.y_hat, pole_angles=(0.1, 0.4))
+                    mass = np.sum(product[1]) / np.sum(zonal[1])
+                    assert mass == pytest.approx(1.0, abs=1e-12 if n < 6 else 1e-8)
+                    want = g.polar(*product)(rho) / mass
+                    np.testing.assert_allclose(g.polar(*zonal)(rho), want, rtol=1e-13,
+                                               atol=1e-13 * np.max(np.abs(want)),
+                                               err_msg=f"{data_name} theta={x.theta}")
+
+    def test_zonal_rule_is_one_node_on_the_axis(self):
+        x = HalfSpacePoint(n=5, r=2.0, theta=0.0)
+        pts, w = quad._zonal_rule(5, 48, x)
+        np.testing.assert_array_equal(pts, [x.y_hat])
+        assert w[0] == sphere_surface_area(3)
+
+    @pytest.mark.parametrize("coords", [[30.0, 10.0, 0.0, 40.0], [0.5, 0.0, 0.2, 0.3]])
+    def test_radial_solve_on_origin_regions_builds_no_product_rule(self, coords, monkeypatch):
+        # global radial data give an origin ball and an annulus; each
+        # solve runs on the zonal rule alone, while data not declared radial
+        # build the product rule
+        def no_product_rule(*args, **kwargs):
+            raise AssertionError("product rule built")
+
+        x = HalfSpacePoint.from_cartesian(coords)
+        with monkeypatch.context() as patch:
+            patch.setattr(quad, "sphere_rule", no_product_rule)
+            for solve in (neumann_N, dirichlet_D, lambda f, x: solution_u(f, 1, x),
+                          lambda f, x: solution_v(f, 1, x)):
+                solve(exp_decay(4), x)
+            with pytest.raises(AssertionError, match="product rule built"):
+                neumann_N(dataclasses.replace(exp_decay(4), radial=False), x)
 
     def test_masked_rows_match_cartesian_mask(self):
         # an origin-centred ball straddling r_lo: rows inside it are zero
@@ -863,8 +936,8 @@ class TestPolarGrid:
         (region,) = quad._regions(data, x, SPEC, 1.0, quad._kernel_decay(params, x))
         assert 1.0 in region.edges and region.center is not None
         polar = quad._eval_region(g, 3, region, SPEC, 1)
-        cartesian = quad._eval_region(lambda pts: g(pts), 3, region, SPEC, 1)
-        assert polar == pytest.approx(cartesian, rel=1e-14, abs=0.0)
+        assert polar == pytest.approx(_unblocked_grid_integral(g, 3, region, SPEC, 1, x),
+                                      rel=1e-14, abs=0.0)
 
     def test_radial_data_are_called_once_per_radial_node(self):
         base = exp_decay(4)
