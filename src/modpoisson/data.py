@@ -4,16 +4,18 @@ Every integral operator in the package consumes a BoundaryData, which couples
 a vectorized evaluator with the metadata the quadrature needs: a growth
 exponent, a support descriptor (with kink radii for panel alignment), for
 union-of-balls supports the explicit ball list so integration can run in
-ball-local coordinates, and whether the data are radial.
+ball-local coordinates, and the point the data are radial about, if any.
 
-`BoundaryData.radial` describes the data, not a solver option: f(y) depends
-on |y| alone.  On a grid about the origin the quadrature then calls the
-evaluator once per radial node, at |y| times the first axis, instead of at
-every grid point; a wrapper of the evaluator still sees every call.  The
-radially symmetric constructors (`constant`, `shell_bump`, `bump_train`,
-`exp_decay`, `poly_growth`, and `bump` about the origin) declare it;
-`scaled_by` clears it, and `dataclasses.replace(data, evaluator=...)` keeps
-it, so a replacement evaluator must stay radial.
+`BoundaryData.radial_center` describes the data, not a solver option: f(y)
+depends on |y - radial_center| alone, or the field is None.  On a region
+about that centre the quadrature integrates over one polar angle instead
+of the whole sphere where the kernel allows it (see `quadrature`), and
+about the origin it calls the evaluator once per radial node, at |y| times
+the first axis, instead of at every grid point (a wrapper of the evaluator
+still sees every call).  `constant`, `shell_bump`, `bump_train`, `exp_decay` and
+`poly_growth` declare the origin and `bump` its own centre; `scaled_by`
+clears the field, and `dataclasses.replace(data, evaluator=...)` keeps it,
+so a replacement evaluator must stay radial about the same point.
 """
 
 from __future__ import annotations
@@ -80,9 +82,8 @@ class BoundaryData:
 
     evaluator takes an array of shape (..., n-1) and returns values of shape
     (...).  growth_exponent is the smallest g with |f(y)| <= C (1+|y|)^g;
-    decaying data may declare -inf.  radial declares that f depends on |y|
-    alone, so a grid about the origin evaluates it once per radius, at
-    |y| times the first axis.
+    decaying data may declare -inf.  radial_center, when set, declares
+    that f depends on |y - radial_center| alone.
     """
 
     n: int
@@ -91,7 +92,7 @@ class BoundaryData:
     support: Support
     name: str = ""
     amplitude: float = 1.0
-    radial: bool = False
+    radial_center: np.ndarray | None = None
 
     def __call__(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -111,7 +112,8 @@ class BoundaryData:
 
     def scaled_by(self, factor_fn, name_suffix="*", growth_shift=0.0) -> "BoundaryData":
         """New data multiplying this one by a vectorized factor function; the
-        product is not declared radial, whatever the factor."""
+        product is not declared radial about any point, whatever the
+        factor."""
         inner = self.evaluator
 
         def evaluator(pts):
@@ -122,7 +124,7 @@ class BoundaryData:
             evaluator=evaluator,
             growth_exponent=self.growth_exponent + growth_shift,
             name=self.name + name_suffix,
-            radial=False,
+            radial_center=None,
         )
 
 
@@ -139,7 +141,7 @@ def constant(n: int, value: float = 1.0) -> BoundaryData:
         support=Support("global"),
         name=f"constant({value})",
         amplitude=abs(value),
-        radial=True,
+        radial_center=np.zeros(n - 1),
     )
 
 
@@ -180,7 +182,7 @@ def bump(n: int, center=None, radius: float = 1.0, height: float = 1.0,
         support=Support("compact", balls=((center, radius),)),
         name=f"bump(r={radius})",
         amplitude=abs(height),
-        radial=not np.any(center),
+        radial_center=center,
     )
 
 
@@ -222,7 +224,7 @@ def shell_bump(n: int, r_in: float, r_out: float, height: float = 1.0,
         ),
         name=f"shell({r_in},{r_out})",
         amplitude=abs(height),
-        radial=True,
+        radial_center=np.zeros(n - 1),
     )
 
 
@@ -260,7 +262,7 @@ def bump_train(n: int, radii=(4.0, 16.0, 64.0), width: float = 0.5,
         ),
         name=f"bump_train(g={growth})",
         amplitude=max(amps),
-        radial=True,
+        radial_center=np.zeros(n - 1),
     )
 
 
@@ -279,7 +281,7 @@ def exp_decay(n: int, rate: float = 1.0) -> BoundaryData:
         support=Support("global"),
         name=f"exp_decay({rate})",
         amplitude=1.0,
-        radial=True,
+        radial_center=np.zeros(n - 1),
     )
 
 
@@ -297,7 +299,7 @@ def poly_growth(n: int, exponent: float = 1.0) -> BoundaryData:
         support=Support("global"),
         name=f"poly_growth({exponent})",
         amplitude=1.0,
-        radial=True,
+        radial_center=np.zeros(n - 1),
     )
 
 

@@ -16,14 +16,19 @@ A grid about the origin (a region with no centre or the zero vector, and
 no cuts) runs the solution maps' integrand in polar variables: the kernel
 gets |y'| per radial row and Theta per angular node, with cos(theta') and
 the Gegenbauer tail's C_m^lam(Theta) computed once per sphere rule, and
-data declaring `BoundaryData.radial` are evaluated once per radial node.
-For such data (n >= 3) the integrand depends on the direction only through
-its polar angle to y_hat, so the grid's sphere rule is `_zonal_rule`: the
-polar factor alone, weighted by the exact area of the subsphere, a few
-dozen nodes where the product rule has thousands at n = 5 (one node when
-theta = 0).  Other data get the product rule and the grid's Cartesian
-points.  Cut regions, the near-boundary ball and `integrate_weighted` keep
-the product rule and Cartesian points; no option selects the path.
+data radial about the origin (`BoundaryData.radial_center`) are evaluated
+once per radial node.  Other regions get Cartesian points.
+
+On an uncut region about the centre c its data are radial about (n >= 3),
+f times the kernel depends on the direction only through its polar angle
+to the axis y - c, so the sphere rule is `_zonal_rule`: the polar factor
+alone, weighted by the exact area of the subsphere, a few dozen nodes
+where the product rule has thousands at n = 5 (one node when y = c).
+About the origin that holds at any M, since the tail is a function of
+Theta; about another centre only at M = 0, where the kernel is the base
+kernel K, a function of |y' - y|.  M >= 1 off the origin, other data, cut
+regions, the near-boundary ball and `integrate_weighted` keep the product
+rule; no option selects the path.
 
 A ball crossed by a kink circle it is not centred on (a "cut" region, such
 as an off-centre data ball crossed by the cutoff's circles |y'| = 1, 2) gets
@@ -216,23 +221,34 @@ def sphere_rule(dim_ambient: int, order: int, pole=None, pole_angles=()):
     return pts.reshape(-1, d), w.reshape(-1)
 
 
-def _zonal_rule(dim_ambient: int, order: int, x: HalfSpacePoint, pole_angles=()):
-    """Sphere rule on S^(d-1), d = dim_ambient - 1 >= 2, for integrands
-    that depend on a unit vector u only through u . y_hat, the kernels'
-    cos(theta') times a radial factor (the Funk-Hecke reduction).
+def _zonal_rule(dim_ambient: int, order: int, x: HalfSpacePoint, pole_angles=(),
+                center=None):
+    """Sphere rule on S^(d-1), d = dim_ambient - 1 >= 2, for integrands on
+    spheres about center (None: the origin) that depend on a unit vector u
+    only through its angle to the axis y - center, such as f K for data
+    radial about center, or the origin's kernels, cos(theta') times a radial
+    factor (the Funk-Hecke reduction).
 
     The subsphere's integral is then exactly its area |S^(d-2)|: the nodes
-    are cos(phi) y_hat + sin(phi) e, for `_polar_factor`'s phi measured
-    from y_hat and one unit vector e orthogonal to it, and the weights are
-    the polar weights times that area.  At theta = 0 Theta vanishes, so one
-    node of weight |S^(d-1)| is exact.
+    are cos(phi) a + sin(phi) e, for `_polar_factor`'s phi measured from
+    the unit axis a (y_hat about the origin) and one unit vector e
+    orthogonal to it, and the weights are the polar weights times that
+    area.  Where the axis vanishes (theta = 0 about the origin, or
+    y = center) the integrand is constant on the sphere, so one node of
+    weight |S^(d-1)| is exact.
     """
     d = dim_ambient - 1
-    if x.theta == 0.0:
+    if center is None:
+        axis = x.y_hat if x.theta != 0.0 else None
+    else:
+        off = x.y - center
+        dist = float(np.linalg.norm(off))
+        axis = off / dist if dist > 0.0 else None
+    if axis is None:
         return x.y_hat[None, :], np.array([sphere_surface_area(d - 1)])
     phi, meas = _polar_factor(d, order, pole_angles)
-    e_perp = _orthonormal_frame(x.y_hat)[1]
-    pts = np.cos(phi)[:, None] * x.y_hat + np.sin(phi)[:, None] * e_perp
+    e_perp = _orthonormal_frame(axis)[1]
+    pts = np.cos(phi)[:, None] * axis + np.sin(phi)[:, None] * e_perp
     return pts, meas * sphere_surface_area(d - 2)
 
 
@@ -464,6 +480,15 @@ def _angular_order(n: int, spec: QuadratureSpec, level: int) -> int:
 _BLOCK_POINTS = 2**13
 
 
+def _radial_about(data: BoundaryData, center) -> bool:
+    """Whether the data declare themselves radial about center (None: the
+    origin)."""
+    about = data.radial_center
+    if about is None:
+        return False
+    return not np.any(about) if center is None else np.array_equal(about, center)
+
+
 def _eval_region(g, n: int, region: _Region, spec, level: int) -> float:
     """Integral of g over a region's product grid of radial Gauss panels and
     a sphere rule.
@@ -474,11 +499,16 @@ def _eval_region(g, n: int, region: _Region, spec, level: int) -> float:
     reduced against the angular weights at once, so memory is O(block), not
     O(grid).  On a grid about the origin a `_KernelIntegrand` takes the
     polar path: it gets the rule's unit vectors once and then the radii of
-    each block, and builds Cartesian points only for data that need them;
-    radial data (n >= 3) get `_zonal_rule` about y_hat, with the region's
-    pole angles, which on origin regions are measured from y_hat.  Other
-    integrands get Cartesian points, and regions with cuts go to
+    each block, and builds Cartesian points only for data that need them.
+    Other integrands get Cartesian points, and regions with cuts go to
     `_eval_region_cut`.
+
+    A `_KernelIntegrand` on data radial about the region's centre (n >= 3)
+    gets `_zonal_rule` about the axis y - centre with the region's pole
+    angles, which uncut regions measure from that axis; off the origin only
+    at M = 0, since the tail is zonal about y_hat, not y - centre.  Cut
+    regions, the near-boundary ball and `integrate_weighted` keep the
+    product rule.
     """
     if region.cuts:
         return _eval_region_cut(g, n, region, spec, level)
@@ -491,10 +521,12 @@ def _eval_region(g, n: int, region: _Region, spec, level: int) -> float:
     rho = np.concatenate(rho_nodes)
     wr = np.concatenate(rho_weights)
     order = _angular_order(n, spec, level)
-    polar = isinstance(g, _KernelIntegrand) and (region.center is None
-                                                 or not np.any(region.center))
-    if polar and g.data.radial and n >= 3:
-        pts_ang, w_ang = _zonal_rule(n, order, g.x, region.pole_angles)
+    center = region.center if region.center is not None and np.any(region.center) else None
+    kernel = isinstance(g, _KernelIntegrand)
+    polar = kernel and center is None
+    if (kernel and n >= 3 and _radial_about(g.data, center)
+            and (center is None or not g.params.big_m)):
+        pts_ang, w_ang = _zonal_rule(n, order, g.x, region.pole_angles, center)
     else:
         pts_ang, w_ang = sphere_rule(n, order, pole=region.pole,
                                      pole_angles=region.pole_angles)
@@ -671,7 +703,8 @@ class _KernelIntegrand:
     r_lo: float = 0.0
 
     def _kernel(self, rho, theta_big, cm=None):
-        c = 1.0 if self.ramp is None else self.ramp(rho)
+        # c multiplies the tail alone, which M = 0 does not have
+        c = self.ramp(rho) if self.ramp is not None and self.params.big_m else 1.0
         return _kernel_minus_tail(self.params, self.x, rho, theta_big, c, self.base, cm)
 
     def __call__(self, pts):
@@ -689,13 +722,15 @@ class _KernelIntegrand:
         """For a sphere rule's unit vectors and weights, the function taking
         a block of radii to the rule's integral of f * kernel on each of
         their spheres.  cos(theta') and the tail's C_m^lam(Theta) are
-        computed here, once per rule; radial data are evaluated once per
-        radius, other data at the block's Cartesian points."""
+        computed here, once per rule; data radial about the origin are
+        evaluated once per radius, other data at the block's Cartesian
+        points."""
         x, data, big_m = self.x, self.data, self.params.big_m
         theta_big = x.sin_theta * cos_theta_prime_array(x, units)[None, :]
         cm = np.array([gegenbauer.value(self.params.lam, m, theta_big[0])
                        for m in range(big_m)]) if big_m else None
         axis = np.eye(data.n - 1)[0]
+        radial = _radial_about(data, None)
 
         def rows_of(rho):
             out = np.zeros(rho.size)
@@ -703,7 +738,7 @@ class _KernelIntegrand:
             if np.any(keep):
                 r = rho[keep][:, None]
                 kernel = self._kernel(r, theta_big, cm)
-                if data.radial:
+                if radial:
                     out[keep] = data(r * axis) * (kernel @ weights)
                 else:
                     f = data((r[:, :, None] * units).reshape(-1, data.n - 1))

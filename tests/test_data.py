@@ -22,7 +22,7 @@ class TestRadialDeclaration:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_declared_radial_data_are_rotation_invariant(self, name, n):
         data = RADIAL[name](n)
-        assert data.radial
+        np.testing.assert_array_equal(data.radial_center, np.zeros(n - 1))
         rho = np.linspace(0.05, 4.5, 37)
         axis = np.eye(n - 1)[0]
         on_axis = data(rho[:, None] * axis)
@@ -31,16 +31,25 @@ class TestRadialDeclaration:
             u /= np.linalg.norm(u)
             assert data(rho[:, None] * u) == pytest.approx(on_axis, rel=1e-13, abs=1e-15)
 
-    def test_off_centre_bump_is_not_radial(self):
-        assert not bump(3, center=[2.0, 0.0]).radial
-        assert bump(3, center=[0.0, 0.0]).radial
+    def test_off_centre_bump_declares_its_centre(self):
+        data = bump(3, center=[2.0, 0.0])
+        np.testing.assert_array_equal(data.radial_center, [2.0, 0.0])
+        np.testing.assert_array_equal(bump(4, center=2.0).radial_center, [2.0, 0.0, 0.0])
+        np.testing.assert_array_equal(bump(3, center=[0.0, 0.0]).radial_center, [0.0, 0.0])
+        # radial about that centre, not about the origin
+        rho = np.linspace(0.05, 0.95, 11)
+        on_axis = data(data.radial_center + rho[:, None] * [1.0, 0.0])
+        assert data(data.radial_center + rho[:, None] * [0.6, -0.8]) == pytest.approx(
+            on_axis, rel=1e-13, abs=1e-15)
 
     def test_scaled_by_clears_radial(self):
         data = exp_decay(3).scaled_by(lambda pts: 1.0 + pts[..., 0])
-        assert not data.radial
+        assert data.radial_center is None
         # even a radial factor: the product's declaration is not inferred
-        assert not exp_decay(3).scaled_by(lambda pts: np.ones(pts.shape[:-1])).radial
+        assert exp_decay(3).scaled_by(lambda pts: np.ones(pts.shape[:-1])).radial_center is None
+        assert bump(3, center=[2.0, 0.0]).scaled_by(lambda pts: 2.0).radial_center is None
 
     def test_replacing_the_evaluator_keeps_radial(self):
-        base = exp_decay(3)
-        assert dataclasses.replace(base, evaluator=lambda pts: base.evaluator(pts)).radial
+        for base in (exp_decay(3), bump(3, center=[2.0, 0.0])):
+            kept = dataclasses.replace(base, evaluator=lambda pts, f=base: f.evaluator(pts))
+            np.testing.assert_array_equal(kept.radial_center, base.radial_center)

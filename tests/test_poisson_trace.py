@@ -25,7 +25,7 @@ def poisson_trace(n: int, a: float) -> BoundaryData:
 
     return BoundaryData(n=n, evaluator=evaluator, growth_exponent=-float(n),
                         support=Support("global"), name=f"poisson_trace({a})",
-                        amplitude=alpha * a ** (1 - n), radial=True)
+                        amplitude=alpha * a ** (1 - n), radial_center=np.zeros(n - 1))
 
 
 def _lifted_norm(x: HalfSpacePoint, a: float) -> float:

@@ -8,6 +8,7 @@ import pytest
 from modpoisson import quad1d
 from modpoisson import quadrature as quad
 from modpoisson.data import (
+    BoundaryData,
     Support,
     bump,
     bump_train,
@@ -872,8 +873,8 @@ class TestPolarGrid:
         for level in (0, 1):
             for region in _origin_regions(x, r_lo):
                 polar = quad._eval_region(g, n, region, spec, level)
-                cartesian = _unblocked_grid_integral(g, n, region, spec, level,
-                                                     x if data.radial else None)
+                zonal = x if data.radial_center is not None else None
+                cartesian = _unblocked_grid_integral(g, n, region, spec, level, zonal)
                 assert polar == pytest.approx(cartesian, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -890,7 +891,7 @@ class TestPolarGrid:
                   HalfSpacePoint(n=n, r=1.1, theta=0.0)]
         for data_name, family in _RADIAL_DATA.items():
             data = family(n)
-            assert data.radial, data_name
+            np.testing.assert_array_equal(data.radial_center, np.zeros(n - 1), data_name)
             for x in points:
                 g = quad._KernelIntegrand(params, data, x, ramp, True, r_lo)
                 for level in (0, 1):
@@ -925,7 +926,7 @@ class TestPolarGrid:
                           lambda f, x: solution_v(f, 1, x)):
                 solve(exp_decay(4), x)
             with pytest.raises(AssertionError, match="product rule built"):
-                neumann_N(dataclasses.replace(exp_decay(4), radial=False), x)
+                neumann_N(dataclasses.replace(exp_decay(4), radial_center=None), x)
 
     def test_masked_rows_match_cartesian_mask(self):
         # an origin-centred ball straddling r_lo: rows inside it are zero
@@ -956,5 +957,142 @@ class TestPolarGrid:
             assert np.all(pts[:, 1:] == 0.0)  # on the first axis
             assert len(np.unique(pts[:, 0])) == len(pts)  # one point per radius
         # the same solve on data not declared radial evaluates every grid point
-        plain = dataclasses.replace(base, radial=False)
+        plain = dataclasses.replace(base, radial_center=None)
         assert value == pytest.approx(neumann_N(plain, x, QuadratureSpec()), rel=1e-14, abs=0.0)
+
+
+def _kink_bump(n, center):
+    """A unit bump about center, given by its leading coordinates."""
+    return bump(n, center=(list(center) + [0.0] * n)[:n - 1], radius=1.0)
+
+
+# unit balls centred on the first axis and off it, both clear of |y'| = 1,
+# so F's clip circle cuts neither
+_OFF_CENTRES = ([2.0], [1.5, -1.5, 0.5])
+
+
+def _over(c, height):
+    """A field point at height over c whose projection y is c: bit for bit
+    when c lies on the first axis, else up to rounding."""
+    norm = float(np.linalg.norm(c))
+    if np.any(c[1:]):
+        return HalfSpacePoint.from_cartesian(list(c) + [height])
+    theta, r = math.atan2(norm, height), math.hypot(norm, height)
+    ulp = np.spacing(r)
+    r = next(r + k * ulp for k in (0, 1, -1, 2, -2, 3, -3)
+             if (r + k * ulp) * math.sin(theta) == norm)
+    return HalfSpacePoint(n=c.size + 1, r=float(r), theta=theta)
+
+
+def _off_centre_points(n, c):
+    """A far point, a close point whose ball region grades its pole angles
+    toward y - c, and a point over c."""
+    shift = np.array([0.3, 0.25, -0.2, 0.1, 0.15])[:n - 1]
+    return {"far": HalfSpacePoint.from_cartesian(
+                list(c + [6.0, 4.0, 1.0, -2.0, 3.0][:n - 1]) + [2.5]),
+            "close": HalfSpacePoint.from_cartesian(list(c + shift) + [0.08]),
+            "over": _over(c, 0.4)}
+
+
+class TestOffCentreZonal:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("map_name", ["D", "N", "F", "u", "v"])
+    def test_zonal_rule_matches_product_rule_per_sphere(self, map_name, n):
+        # per sphere |y' - c| = rho on a bump about c, the product rule with
+        # its pole on the zonal axis (y - c)/|y - c| integrates the same
+        # function of the polar angle times its subsphere rule, whose weights
+        # sum to the subsphere's area only to 8e-13 at n = 5 and 4e-9 at
+        # n = 6; compare with that sum divided out
+        params, ramp, r_lo = _map_integrands(n)[map_name]
+        params = KernelParams(params.lam, 0)
+        spec = QuadratureSpec(radial_panels=8, angular_order=16)
+        rho = np.array([0.05, 0.35, 0.8, 0.99])
+        for center in _OFF_CENTRES:
+            data = _kink_bump(n, center)
+            c = data.radial_center
+            for case, x in _off_centre_points(n, c).items():
+                (region,) = quad._regions(data, x, spec, r_lo,
+                                          quad._kernel_decay(params, x))
+                assert not region.cuts
+                assert bool(region.pole_angles) == (case == "close")
+                off = x.y - c
+                # the single node needs y = c exactly, as over the first axis
+                assert (case == "over" and not np.any(c[1:])) == (not np.any(off))
+                g = quad._KernelIntegrand(params, data, x, ramp, True, r_lo)
+
+                def spheres(rule):
+                    pts = c + rho[:, None, None] * rule[0][None, :, :]
+                    return g(pts.reshape(-1, n - 1)).reshape(rho.size, -1) @ rule[1]
+
+                for level in (0, 1):
+                    order = quad._angular_order(n, spec, level)
+                    zonal = quad._zonal_rule(n, order, x, region.pole_angles, c)
+                    if not np.any(off):
+                        assert len(zonal[1]) == 1
+                        assert zonal[1][0] == sphere_surface_area(n - 2)
+                    pole = off if np.any(off) else None
+                    product = sphere_rule(n, order, pole=pole, pole_angles=region.pole_angles)
+                    mass = np.sum(product[1]) / np.sum(zonal[1])
+                    assert mass == pytest.approx(1.0, abs=1e-12 if n < 6 else 1e-8)
+                    want = spheres(product) / mass
+                    np.testing.assert_allclose(spheres(zonal), want, rtol=1e-13,
+                                               atol=1e-13 * np.max(np.abs(want)),
+                                               err_msg=f"{center} {case}")
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_zonal_solves_match_product_rule_solves(self, n):
+        # whole M = 0 solves at 1e-12 on the zonal rule against the same
+        # solves on data not declared radial, which take the product rule;
+        # the close point only at n = 3, where its product-rule solves are
+        # cheap (at n = 4 they take seconds, and at n = 5 both rules stall)
+        tol = 1e-12
+        spec = QuadratureSpec(abs_tol=tol, rel_tol=tol)
+        solves = {"D": dirichlet_D, "N": neumann_N,
+                  "F": lambda f, x, s: integral_F(KernelParams(n / 2.0, 0), f, x, s),
+                  "u": lambda f, x, s: solution_u(f, 0, x, s),
+                  "v": lambda f, x, s: solution_v(f, 0, x, s)}
+        data = _kink_bump(n, [2.0])
+        plain = dataclasses.replace(data, radial_center=None)
+        for case, x in _off_centre_points(n, data.radial_center).items():
+            if case == "close" and n > 3:
+                continue
+            for name, solve in solves.items():
+                zonal, product = solve(data, x, spec), solve(plain, x, spec)
+                assert abs(zonal - product) <= max(tol, tol * abs(product)), name
+
+    def test_off_centre_solves_build_product_rule_only_where_not_zonal(self, monkeypatch):
+        def no_product_rule(*args, **kwargs):
+            raise AssertionError("product rule built")
+
+        data = _kink_bump(4, [2.0])
+        two_balls = BoundaryData(
+            4, lambda pts: data(pts) + data(pts + [0.0, 3.0, 0.0]), 0.0,
+            Support("compact", balls=((data.radial_center, 1.0),
+                                      (np.array([2.0, -3.0, 0.0]), 1.0))))
+        points = list(_off_centre_points(4, data.radial_center).values())
+        spec = QuadratureSpec(abs_tol=1e-7, rel_tol=1e-7)
+        with monkeypatch.context() as patch:
+            patch.setattr(quad, "sphere_rule", no_product_rule)
+            for x in points:
+                for solve in (neumann_N, dirichlet_D, lambda f, x, s: solution_u(f, 0, x, s),
+                              lambda f, x, s: solution_v(f, 0, x, s)):
+                    solve(data, x, spec)
+            x = points[0]
+            not_zonal = (
+                # M >= 1: the ramp's kink circle |y'| = 2 cuts the ball
+                lambda: solution_u(data, 1, x, spec),
+                # M >= 1 without a cut: the tail is zonal about y_hat, not c
+                lambda: dirichlet_DM(1, _kink_bump(4, [5.0]), x, spec),
+                # a cut region at M = 0: F's clip circle |y'| = 1 crosses it
+                lambda: integral_F(KernelParams(2.0, 0), _kink_bump(4, [1.2]), x, spec),
+                # data not declared radial about the ball's centre
+                lambda: neumann_N(data.scaled_by(lambda pts: 2.0), x, spec),
+                lambda: neumann_N(two_balls, x, spec),
+                # a ball about another centre than the data's
+                lambda: quad._eval_region(
+                    quad._KernelIntegrand(KernelParams(1.0, 0), data, x),
+                    4, quad._Region(np.array([2.5, 0.0, 0.0]), (0.0, 0.5)), spec, 0),
+            )
+            for solve in not_zonal:
+                with pytest.raises(AssertionError, match="product rule built"):
+                    solve()
