@@ -9,8 +9,9 @@ zonal integrands).  Every region, cut or not, goes to the integrand in
 cache-sized blocks of at most `_BLOCK_POINTS` nodes; an uncut grid's blocks
 are whole radial rows, each reduced against the angular weights at once, so
 memory stays O(block).
-Error control is by whole-grid refinement comparison; evaluations never
-sample randomly, so results are reproducible bit for bit.
+Error control is by whole-grid refinement comparison, with angular order
+angular_order * 1.5^level in every dimension; evaluations never sample
+randomly, so results are reproducible bit for bit.
 
 A grid about the origin (a region with no centre or the zero vector, and
 no cuts) runs the solution maps' integrand in polar variables: the kernel
@@ -23,7 +24,8 @@ On an uncut region about the centre c its data are radial about (n >= 3),
 f times the kernel depends on the direction only through its polar angle
 to the axis y - c, so the sphere rule is `_zonal_rule`: the polar factor
 alone, weighted by the exact area of the subsphere, a few dozen nodes
-where the product rule has thousands at n = 5 (one node when y = c).
+where the product rule has over ten thousand at n = 5 (one node when
+y = c).
 About the origin that holds at any M, since the tail is a function of
 Theta; about another centre only at M = 0, where the kernel is the base
 kernel K, a function of |y' - y|.  M >= 1 off the origin, other data, cut
@@ -175,7 +177,8 @@ def _polar_factor(d: int, order: int, pole_angles=()):
     concentrated there, or where an integrand has a kink.  No panel gets
     fewer points than a pi/4 panel's share of the order, so narrow panels
     gain points as the order rises and refinement levels compare different
-    rules on them.
+    rules on them, at every level once angular_order >= 38 (default 48);
+    below that the floors hold narrow panels at 6 points over early levels.
     """
     phi_edges = sorted({0.0, math.pi / 2, math.pi}
                        | {a for a in pole_angles if 0.0 < a < math.pi})
@@ -466,15 +469,6 @@ def _near_ball(data: BoundaryData, x: HalfSpacePoint, spec) -> _Region:
     return _ball_region(x, y, reach + 1.0, spec, sup)
 
 
-def _angular_order(n: int, spec: QuadratureSpec, level: int) -> int:
-    base = spec.angular_order
-    if n == 4:
-        base = max(12, (2 * spec.angular_order) // 3)
-    elif n == 5:
-        base = max(10, spec.angular_order // 2)
-    return int(base * 1.5**level)
-
-
 # nodes per data call; keeps a block's temporaries in cache, so the
 # allocator does not hand their pages back between blocks
 _BLOCK_POINTS = 2**13
@@ -490,29 +484,37 @@ def _radial_about(data: BoundaryData, center) -> bool:
 
 
 def _eval_region(g, n: int, region: _Region, spec, level: int) -> float:
-    """Integral of g over a region's product grid of radial Gauss panels and
-    a sphere rule.
+    """Integral of g over a region's grid of radial Gauss panels and its one
+    angular rule at this level, built here.
 
-    The grid is fed to g in blocks of whole radial rows, at most
-    _BLOCK_POINTS nodes each (one row when the sphere rule is larger), the
+    A `_KernelIntegrand` on data radial about the centre of an uncut region
+    (n >= 3) gets `_zonal_rule` about the axis y - centre with the region's
+    pole angles, which uncut regions measure from that axis; off the origin
+    only at M = 0, since the tail is zonal about y_hat, not y - centre.
+    Other regions get the product `sphere_rule`, and those with cuts go
+    with it to `_eval_region_cut`.
+
+    An uncut grid is fed to g in blocks of whole radial rows, at most
+    _BLOCK_POINTS nodes each (one row when the angular rule is larger), the
     cap that also bounds the cut evaluator's ray blocks; each block is
     reduced against the angular weights at once, so memory is O(block), not
     O(grid).  On a grid about the origin a `_KernelIntegrand` takes the
     polar path: it gets the rule's unit vectors once and then the radii of
     each block, and builds Cartesian points only for data that need them.
-    Other integrands get Cartesian points, and regions with cuts go to
-    `_eval_region_cut`.
-
-    A `_KernelIntegrand` on data radial about the region's centre (n >= 3)
-    gets `_zonal_rule` about the axis y - centre with the region's pole
-    angles, which uncut regions measure from that axis; off the origin only
-    at M = 0, since the tail is zonal about y_hat, not y - centre.  Cut
-    regions, the near-boundary ball and `integrate_weighted` keep the
-    product rule.
+    Other integrands get Cartesian points.
     """
-    if region.cuts:
-        return _eval_region_cut(g, n, region, spec, level)
+    order = int(spec.angular_order * 1.5**level)
+    center = region.center if region.center is not None and np.any(region.center) else None
+    kernel = isinstance(g, _KernelIntegrand)
+    if (kernel and n >= 3 and not region.cuts and _radial_about(g.data, center)
+            and (center is None or not g.params.big_m)):
+        pts_ang, w_ang = _zonal_rule(n, order, g.x, region.pole_angles, center)
+    else:
+        pts_ang, w_ang = sphere_rule(n, order, pole=region.pole,
+                                     pole_angles=region.pole_angles)
     edges = _split_panels(region.edges, level)
+    if region.cuts:
+        return _eval_region_cut(g, n, region, edges, pts_ang, w_ang)
     rho_nodes, rho_weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         xs, ws = _gl_on(a, b, 12)
@@ -520,17 +522,7 @@ def _eval_region(g, n: int, region: _Region, spec, level: int) -> float:
         rho_weights.append(ws)
     rho = np.concatenate(rho_nodes)
     wr = np.concatenate(rho_weights)
-    order = _angular_order(n, spec, level)
-    center = region.center if region.center is not None and np.any(region.center) else None
-    kernel = isinstance(g, _KernelIntegrand)
-    polar = kernel and center is None
-    if (kernel and n >= 3 and _radial_about(g.data, center)
-            and (center is None or not g.params.big_m)):
-        pts_ang, w_ang = _zonal_rule(n, order, g.x, region.pole_angles, center)
-    else:
-        pts_ang, w_ang = sphere_rule(n, order, pole=region.pole,
-                                     pole_angles=region.pole_angles)
-    if polar:
+    if kernel and center is None:
         rows_of = g.polar(pts_ang, w_ang)
     else:
         def rows_of(radii):
@@ -545,10 +537,11 @@ def _eval_region(g, n: int, region: _Region, spec, level: int) -> float:
     return float(np.dot(wr * rho ** (n - 2), ray))
 
 
-def _eval_region_cut(g, n: int, region: _Region, spec, level: int) -> float:
-    """Ball-local evaluation with per-ray radial panel edges placed exactly
-    where foreign kink circles cross each angular ray; restores spectral
-    panel convergence for integrands cut by unaligned circles.
+def _eval_region_cut(g, n: int, region: _Region, base_edges, pts_ang, w_ang) -> float:
+    """Integral of g over a region with cuts on the given angular rule and
+    radial panel edges, plus per-ray edges placed exactly where foreign
+    kink circles cross each angular ray; restores spectral panel
+    convergence for integrands cut by unaligned circles.
 
     Rays are taken in blocks of at most _BLOCK_POINTS nodes.  Within a
     block every cut's two roots are computed for all rays at once; a root
@@ -557,10 +550,7 @@ def _eval_region_cut(g, n: int, region: _Region, spec, level: int) -> float:
     12-point Gauss-Legendre rule is broadcast over every panel, and the
     data are called once per block.
     """
-    base = np.asarray(_split_panels(region.edges, level))
-    pts_ang, w_ang = sphere_rule(
-        n, _angular_order(n, spec, level), pole=region.pole, pole_angles=region.pole_angles
-    )
+    base = np.asarray(base_edges)
     center, lo, hi = region.center, region.edges[0], region.edges[-1]
     x12, w12 = quad1d.gauss_legendre(12)
     per_ray = 12 * (base.size - 1 + 2 * len(region.cuts))
