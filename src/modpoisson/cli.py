@@ -105,13 +105,15 @@ def _emit(rows: list[dict], out: str | None, fmt: str):
         else:
             sys.stdout.write(text)
         return
-    header = list(rows[0].keys())
+    # coefficient and evaluation rows of one table carry different fields:
+    # the header is their union, and a field a row lacks is an empty cell
+    header = list(dict.fromkeys(k for row in rows for k in row))
     target = open(out, "w", newline="") if out else sys.stdout
     try:
         writer = csv.writer(target)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_format_value(row[k]) for k in header])
+            writer.writerow([_format_value(row.get(k)) for k in header])
     finally:
         if out:
             target.close()

@@ -26,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import quad1d
 from .errors import ConstructionError, DomainError
 from .geometry import row_norms
 
@@ -128,8 +129,14 @@ class BoundaryData:
         )
 
 
+def _require_finite(what: str, *values) -> None:
+    if not np.all(np.isfinite(np.asarray(values, dtype=float))):
+        raise ConstructionError(f"{what} must be finite")
+
+
 def constant(n: int, value: float = 1.0) -> BoundaryData:
     """f = value everywhere (harmonic-measure normalization tests)."""
+    _require_finite("constant value", value)
 
     def evaluator(pts):
         return np.full(np.asarray(pts).shape[:-1], float(value))
@@ -157,8 +164,9 @@ def bump(n: int, center=None, radius: float = 1.0, height: float = 1.0,
     With normalized=True the height is rescaled so the integral over the
     boundary hyperplane is 1 (radial mass computed to machine accuracy).
     """
-    if radius <= 0:
-        raise ConstructionError("bump radius must be positive")
+    if not 0 < radius < np.inf:
+        raise ConstructionError("bump radius must be positive and finite")
+    _require_finite("bump height", height)
     if center is None:
         center = np.zeros(n - 1)
     else:
@@ -168,6 +176,7 @@ def bump(n: int, center=None, radius: float = 1.0, height: float = 1.0,
             center = np.append(center, np.zeros(n - 2))
     if center.shape != (n - 1,):
         raise ConstructionError(f"bump center must live in R^{n - 1}")
+    _require_finite("bump center", *center)
     if normalized:
         height = height / _profile_mass(n, 0.0, radius)
 
@@ -192,7 +201,7 @@ def _profile_mass(n: int, mid: float, half: float) -> float:
     from .quadrature import sphere_surface_area
 
     lo, hi = max(0.0, mid - half), mid + half
-    xg, wg = np.polynomial.legendre.leggauss(64)
+    xg, wg = quad1d.gauss_legendre(64)
     rho = 0.5 * (hi - lo) * (xg + 1.0) + lo
     w = 0.5 * (hi - lo) * wg
     vals = _smooth_profile(np.abs(rho - mid), half) * rho ** (n - 2)
@@ -236,6 +245,9 @@ def bump_train(n: int, radii=(4.0, 16.0, 64.0), width: float = 0.5,
     declared polynomial growth class across its shells.
     """
     radii = tuple(sorted(float(r) for r in radii))
+    _require_finite("bump_train radii and growth", *radii, growth)
+    if not 0 < width < np.inf:
+        raise ConstructionError("bump_train width must be positive and finite")
     if radii[0] - width <= 0:
         raise ConstructionError("innermost shell must stay away from the origin")
     amps = [r**growth for r in radii]
@@ -268,8 +280,8 @@ def bump_train(n: int, radii=(4.0, 16.0, 64.0), width: float = 0.5,
 
 def exp_decay(n: int, rate: float = 1.0) -> BoundaryData:
     """f(y) = exp(-rate * |y|); satisfies every moment condition."""
-    if rate <= 0:
-        raise ConstructionError("decay rate must be positive")
+    if not 0 < rate < np.inf:
+        raise ConstructionError("decay rate must be positive and finite")
 
     def evaluator(pts):
         return np.exp(-rate * row_norms(pts))

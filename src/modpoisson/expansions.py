@@ -131,7 +131,7 @@ class AsymptoticExpansion:
     data: BoundaryData
     big_m: int
     spec: QuadratureSpec | None = None
-    _cache: dict = field(default_factory=dict)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         _problem(self.problem, self.data.n)
@@ -292,6 +292,7 @@ def divergence_demo(n: int, r: float, theta: float, k_max: int,
     if k_max < 0:
         raise DomainError("k_max must be non-negative")
     _problem(problem, n)
+    HalfSpacePoint(n, r, theta)  # the point (r, theta) must lie in the half space
     logs = np.full(k_max + 1, -math.inf)
     if problem == "neumann":
         for k in range(k_max + 1):

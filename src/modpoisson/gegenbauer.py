@@ -3,20 +3,21 @@
 Everything here is elementary polynomial machinery, but it is the substrate
 of every kernel and expansion in the package: the three-term recurrence is
 the production evaluator, its z-weighted partial sums are the kernels'
-Gegenbauer tails, and the root finder feeds the sharpness constants.
+Gegenbauer tails, and the roots feed the sharpness constants.  The values
+at 1 (the binomial binom(2 lam + m - 1, m)) and the roots (Golub-Welsch
+nodes) come from `scipy.special`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import binom, roots_gegenbauer
 
 from .errors import DomainError
 
 __all__ = [
     "value",
     "value_at_one",
-    "derivative",
     "weighted_sum",
     "generating_closed_form",
     "roots",
@@ -81,20 +82,11 @@ def weighted_sum(lam: float, terms: int, t, z) -> np.ndarray:
 
 
 def value_at_one(lam: float, m: int) -> float:
-    """C_m^lam(1) = Gamma(2*lam+m) / (Gamma(2*lam) * Gamma(m+1)), via log-gamma."""
+    """C_m^lam(1) = binom(2*lam + m - 1, m)."""
     _check_lambda(lam)
     if m < 0:
         return 0.0
-    return float(np.exp(gammaln(2.0 * lam + m) - gammaln(2.0 * lam) - gammaln(m + 1.0)))
-
-
-def derivative(lam: float, m: int, t):
-    """d/dt C_m^lam(t) = 2*lam * C_{m-1}^{lam+1}(t); zero for m <= 0."""
-    _check_lambda(lam)
-    if m <= 0:
-        t = np.asarray(t, dtype=float)
-        return _maybe_scalar(np.zeros_like(t))
-    return 2.0 * lam * value(lam + 1.0, m - 1, t)
+    return float(binom(2.0 * lam + m - 1.0, m))
 
 
 def generating_closed_form(lam: float, t, z):
@@ -106,48 +98,12 @@ def generating_closed_form(lam: float, t, z):
 
 
 def roots(lam: float, m: int) -> np.ndarray:
-    """All m simple roots of C_m^lam in (-1, 1), ascending.
-
-    Brackets sign changes on a cosine-spaced grid of 8*m points and polishes
-    by bisection plus Newton steps; simplicity of the zeros makes bracketing
-    sufficient.
-    """
+    """All m simple roots of C_m^lam in (-1, 1), ascending: the nodes of
+    m-point Gauss-Gegenbauer quadrature."""
     _check_lambda(lam)
     if m <= 0:
         return np.array([])
-    npts = max(8 * m, 16)
-    for attempt in range(3):
-        grid = np.cos(np.linspace(np.pi, 0.0, npts * (4**attempt)))
-        vals = value(lam, m, grid)
-        sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        if len(sign_change) == m:
-            break
-    else:
-        raise RuntimeError(f"failed to bracket {m} roots of C_{m}^{lam}")
-    found = []
-    for i in sign_change:
-        a, b = grid[i], grid[i + 1]
-        fa = value(lam, m, a)
-        for _ in range(64):
-            mid = 0.5 * (a + b)
-            fm = value(lam, m, mid)
-            if fa * fm <= 0:
-                b = mid
-            else:
-                a, fa = mid, fm
-            if b - a < 1e-15:
-                break
-        root = 0.5 * (a + b)
-        for _ in range(4):
-            d = derivative(lam, m, root)
-            if d == 0:
-                break
-            step = value(lam, m, root) / d
-            if abs(step) > (b - a) + 1e-12:
-                break
-            root -= step
-        found.append(root)
-    return np.array(sorted(found))
+    return roots_gegenbauer(m, lam)[0]
 
 
 def phi_minus(lam: float, big_m: int, big_theta, zeta):

@@ -52,8 +52,8 @@ class HalfSpacePoint:
     def __post_init__(self):
         if self.n < 2:
             raise DomainError(f"ambient dimension must be >= 2, got {self.n}")
-        if not self.r > 0:
-            raise DomainError(f"radius must be positive, got {self.r}")
+        if not 0 < self.r < np.inf:
+            raise DomainError(f"radius must be positive and finite, got {self.r}")
         if not (0.0 <= self.theta < np.pi / 2):
             raise DomainError(f"polar angle must lie in [0, pi/2), got {self.theta}")
         y_hat = self.y_hat

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import binom
 
 from . import gegenbauer, quad1d
 from .errors import DomainError, SingularityError
@@ -41,8 +41,8 @@ class KernelParams:
     kind: str = "first"
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise DomainError(f"kernel exponent must be positive, got {self.lam}")
+        if not 0 < self.lam < np.inf:
+            raise DomainError(f"kernel exponent must be positive and finite, got {self.lam}")
         if self.big_m < 0:
             raise DomainError(f"modification order must be >= 0, got {self.big_m}")
         if self.kind not in ("first", "second"):
@@ -189,11 +189,6 @@ def kernel_KM_integral(params: KernelParams, x: HalfSpacePoint, yp) -> float:
     return kernel_K(lam, x, yp) * integral
 
 
-def _binom_gamma(a: float, k: float) -> float:
-    """binom(a, k) for real a via log-gamma."""
-    return float(np.exp(gammaln(a + 1.0) - gammaln(k + 1.0) - gammaln(a - k + 1.0)))
-
-
 def kernel_bound_first(params: KernelParams, x: HalfSpacePoint, yp):
     """Fully explicit majorant of |K_M| for M >= 1.
 
@@ -210,7 +205,7 @@ def kernel_bound_first(params: KernelParams, x: HalfSpacePoint, yp):
     if np.any(norms == 0.0):
         raise SingularityError("bound undefined at the boundary origin")
     s = x.r / norms
-    d1 = 2.0 * lam * _binom_gamma(2.0 * lam + big_m, big_m - 1.0)
+    d1 = 2.0 * lam * binom(2.0 * lam + big_m, big_m - 1)
     front = d1 * 2.0 ** (2.0 * lam) * x.sec_theta ** (2.0 * lam) * (x.r + norms) ** (-2.0 * lam)
     if lam >= 0.5:
         vals = front * s**big_m * (1.0 + s) ** (2.0 * lam - 1.0)

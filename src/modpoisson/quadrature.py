@@ -143,8 +143,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.radial_panels < 1 or self.angular_order < 4:
             raise DomainError("resolution parameters out of range")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise DomainError("tolerances must be positive")
+        if not (0 < self.abs_tol < np.inf and 0 < self.rel_tol < np.inf):
+            raise DomainError("tolerances must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -580,13 +580,17 @@ def _eval_region_cut(g, n: int, region: _Region, base_edges, pts_ang, w_ang) -> 
     return total
 
 
-def _integrate_regions(g, n: int, regions, spec: QuadratureSpec, max_levels: int = 5):
+# refinement levels of `_integrate_regions` before it gives up
+_MAX_LEVELS = 5
+
+
+def _integrate_regions(g, n: int, regions, spec: QuadratureSpec):
     regions = [r for r in regions if r is not None]
     if not regions:
         return 0.0, 0.0
     prev = None
     est = math.inf
-    for level in range(max_levels):
+    for level in range(_MAX_LEVELS):
         cur = sum(_eval_region(g, n, r, spec, level) for r in regions)
         if prev is not None:
             est = abs(cur - prev)
@@ -594,11 +598,11 @@ def _integrate_regions(g, n: int, regions, spec: QuadratureSpec, max_levels: int
                 return cur, est
         prev = cur
     raise AccuracyError(
-        f"boundary quadrature stalled with estimate {est:.3e} after {max_levels} levels",
+        f"boundary quadrature stalled with estimate {est:.3e} after {_MAX_LEVELS} levels",
         value=prev,
         estimate=est,
         tolerance=max(spec.abs_tol, spec.rel_tol * abs(prev)),
-        levels=max_levels,
+        levels=_MAX_LEVELS,
     )
 
 

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import binom
 
 from . import gegenbauer
 from .data import BoundaryData, Support
@@ -117,16 +118,12 @@ def _min_on_interval(lam: float, m: int, lo: float, hi: float) -> float:
 
 
 def _reflection_amplitude(lam: float, big_m: int, a_ratio: float) -> float:
-    from scipy.special import gammaln
-
     base = ((a_ratio + 1.0) / (a_ratio - 1.0)) ** (2.0 * lam)
     cmin = _min_on_interval(lam, big_m - 1, 1.0 / a_ratio, 1.0)
     if cmin <= 0:
         raise ConstructionError("Gegenbauer factor must stay positive on the cone interval")
-    binom = math.exp(
-        gammaln(2.0 * lam + big_m + 1.0) - gammaln(big_m) - gammaln(2.0 * lam + 2.0)
-    )
-    alt = 8.0 * math.sqrt(2.0) * (big_m + 1.0) / (2.0 * lam + big_m - 1.0) * binom / cmin
+    alt = (8.0 * math.sqrt(2.0) * (big_m + 1.0) / (2.0 * lam + big_m - 1.0)
+           * binom(2.0 * lam + big_m, big_m - 1) / cmin)
     return base * max(1.0, alt)
 
 

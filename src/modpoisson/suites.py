@@ -5,7 +5,10 @@ it returns, and is the only implementation of its criterion: `modpoisson
 verify` runs it through `SUITES`, and the acceptance tests call it with the
 seed and wall-time bound they pin.  The measurements it draws on
 (`modpoisson.verification`, `modpoisson.sharpness`) return numbers; each
-check here states its tolerance once and builds its one report.  A
+check here states its tolerance once and builds its one report.  The rules
+that several checks share live here too: `strictly_below` for a residual
+that must stay strictly under its bound, `settles` for a sequence that must
+decrease, and the boundary and growth verdicts built on it.  A
 sampling check draws from a fresh generator at `seed`, so its result does
 not depend on what ran before it; checks without samples ignore the seed.
 Where checks share one sample stream (the eight kernel identities; the
@@ -53,7 +56,6 @@ from .verification import (
     harmonicity_residual,
     kernel_identity_residual,
     neumann_representation_residual,
-    strictly_below,
     worst,
 )
 
@@ -63,6 +65,22 @@ KERNEL_IDENTITIES = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii")
 NEUMANN_REPRESENTATIONS = ("i", "ii", "iii", "iv", "v")
 _LAMBDAS = (0.5, 1.0, 1.5, 2.5)
 _GRID = np.linspace(-1.0, 1.0, 101)
+
+
+def strictly_below(name: str, residual: float, bound: float,
+                   parameters: dict | None = None) -> CheckReport:
+    """Report that passes only when residual < bound.
+
+    Sign checks use it with bound 0 and residual minus the measured minimum,
+    so a minimum of exactly 0.0 fails.
+    """
+    return CheckReport(name, residual, math.nextafter(bound, -math.inf), parameters or {})
+
+
+def settles(seq) -> bool:
+    """Whether a sequence that should decrease does: each step at most 1.05
+    times the one before."""
+    return all(b <= a * 1.05 for a, b in zip(seq[:-1], seq[1:]))
 
 
 def _unit(rng, k):
@@ -257,13 +275,24 @@ def harmonicity_stencil_order(seed: int = 42) -> CheckReport:
     return CheckReport("harmonicity_stencil_order", -order, -3.5, {"order": order})
 
 
+def boundary_report(problem, data, y, xn_sequence, tol) -> CheckReport:
+    """The gaps of `check_boundary` along the heights xn_sequence must settle
+    and end at most tol; the residual is the last gap, infinite when they do
+    not settle."""
+    gaps = check_boundary(problem, data, y, xn_sequence)
+    decreasing = settles(gaps)
+    return CheckReport(f"boundary_{problem}", gaps[-1] if decreasing else math.inf, tol,
+                       {"y": list(y), "xn": list(xn_sequence), "gaps": gaps,
+                        "decreasing": decreasing})
+
+
 def boundary_dirichlet(seed: int = 42) -> CheckReport:
-    return check_boundary("dirichlet", bump(3, radius=8.0), [0.0, 0.0], [0.1, 0.01, 0.001],
-                          tol=1e-3)
+    return boundary_report("dirichlet", bump(3, radius=8.0), [0.0, 0.0], [0.1, 0.01, 0.001],
+                           1e-3)
 
 
 def boundary_neumann(seed: int = 42) -> CheckReport:
-    return check_boundary("neumann", bump(3, radius=8.0), [0.0, 0.0], [0.1, 0.01], tol=5e-3)
+    return boundary_report("neumann", bump(3, radius=8.0), [0.0, 0.0], [0.1, 0.01], 5e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -285,33 +314,44 @@ def neumann_representation(representation: str, seed: int = 42) -> CheckReport:
                                         QuadratureSpec()) for big_m in (1, 2)), 1e-5)
 
 
-def _growth(name, target, radii, weight_exponent, radial_exponent, **parameters):
-    return growth_sweep(target, radii, weight_exponent, radial_exponent, name,
-                        {"n": 3, **parameters}, drop=0.2)
+def growth_report(name, target, radii, weight_exponent, radial_exponent,
+                  **parameters) -> CheckReport:
+    """The weighted sequence of `growth_sweep` must settle after its first
+    step and drop to at most 0.2 times its first value; the residual is the
+    last value over the first, infinite when it does not settle (0 for an
+    all-zero sequence)."""
+    radii = list(radii)
+    seq = growth_sweep(target, radii, weight_exponent, radial_exponent)
+    if seq[0] == 0.0:
+        residual = 0.0 if max(seq) == 0.0 else math.inf
+    else:
+        residual = seq[-1] / seq[0] if settles(seq[1:]) else math.inf
+    return CheckReport(name, residual, 0.2,
+                       {"n": 3, **parameters, "radii": radii, "weighted_sequence": seq})
 
 
 def growth_modified_integral(seed: int = 42) -> CheckReport:
     f, spec, params = shell_bump(3, 2.0, 3.0), QuadratureSpec(), KernelParams(0.5, 1)
-    return _growth("growth_modified_integral", lambda x: integral_F(params, f, x, spec),
-                   [24, 48, 96, 192], 2 * 0.5, 1, lam=0.5, M=1)
+    return growth_report("growth_modified_integral", lambda x: integral_F(params, f, x, spec),
+                         [24, 48, 96, 192], 2 * 0.5, 1, lam=0.5, M=1)
 
 
 def growth_dirichlet_solution(seed: int = 42) -> CheckReport:
     f, spec = shell_bump(3, 2.0, 3.0), QuadratureSpec()
-    return _growth("growth_dirichlet_solution", lambda x: solution_u(f, 1, x, spec),
-                   [24, 48, 96, 192], 2, 2, M=1)
+    return growth_report("growth_dirichlet_solution", lambda x: solution_u(f, 1, x, spec),
+                         [24, 48, 96, 192], 2, 2, M=1)
 
 
 def growth_neumann_solution(seed: int = 42) -> CheckReport:
     f, spec = shell_bump(3, 2.0, 3.0), QuadratureSpec()
-    return _growth("growth_neumann_solution", lambda x: solution_v(f, 1, x, spec),
-                   [24, 48, 96, 192], 1, 1, M=1)
+    return growth_report("growth_neumann_solution", lambda x: solution_v(f, 1, x, spec),
+                         [24, 48, 96, 192], 1, 1, M=1)
 
 
 def growth_second_kind(seed: int = 42) -> CheckReport:
     g, spec, params = exp_decay(3), QuadratureSpec(), KernelParams(1.5, 2, "second")
-    return _growth("growth_second_kind", lambda x: integral_F_second(params, g, x, spec),
-                   [8, 16, 32, 64], 2 * 1.5, -(2 + 2 * 1.5 - 1), lam=1.5, M=2)
+    return growth_report("growth_second_kind", lambda x: integral_F_second(params, g, x, spec),
+                         [8, 16, 32, 64], 2 * 1.5, -(2 + 2 * 1.5 - 1), lam=1.5, M=2)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +363,7 @@ def sharpness_constants(seed: int = 42) -> CheckReport:
     largest error as a fraction of its bound.  At (lam, M) = (1/2, 1) they
     are known exactly: beta1 = 1 (no positive root), gamma = 1 and
     r0 = 2^(1/4).  gamma is summed with C_m^lam(1) from the three-term
-    recurrence, independent of the log-gamma closed form that
+    recurrence, independent of the binomial closed form that
     `compute_constants` uses.  The reflection amplitude is held to what it
     is for: the super extension it scales makes the far-cone integral of
     f K_M non-negative (it is about -2.6e-4 with the amplitude set to 0)."""

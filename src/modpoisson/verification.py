@@ -1,16 +1,18 @@
 """Numerical certification measurements: finite differences, identities,
-growth sweeps.
+boundary gaps, growth sweeps.
 
 The measurements here return the number they measure: a harmonicity
 residual, the relative residual of a kernel identity or of a Neumann
-representation.  Their verdicts, and every tolerance they are judged
-against, live in `modpoisson.suites`, which builds the one `CheckReport` of
-each check.  Quadrature tolerances feeding a finite difference are kept at
-least two orders tighter than the difference tolerance.  The harmonicity
-measurement uses a fourth-order stencil, so its own truncation error sits
-far below the suites' tolerances and a residual above them means the field
-is not harmonic (or the quadrature feeding it is too coarse), not that the
-stencil is; `suites.harmonicity_stencil_order` measures that order.
+representation, the gaps of a boundary limit, the weighted sequence of a
+growth sweep.  Their verdicts, and every tolerance they are judged against,
+live in `modpoisson.suites`, which builds the one `CheckReport` of each
+check; `check_harmonicity` is the one verdict kept here, for callers that
+judge a single field.  Quadrature tolerances feeding a finite difference are
+kept at least two orders tighter than the difference tolerance.  The
+harmonicity measurement uses a fourth-order stencil, so its own truncation
+error sits far below the suites' tolerances and a residual above them means
+the field is not harmonic (or the quadrature feeding it is too coarse), not
+that the stencil is; `suites.harmonicity_stencil_order` measures that order.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from . import quad1d
 
 __all__ = [
     "CheckReport",
-    "strictly_below",
     "worst",
     "harmonicity_residual",
     "check_harmonicity",
@@ -52,7 +53,8 @@ class CheckReport:
     """Outcome of one certification check; pass means residual <= tolerance.
 
     A check that needs its residual strictly below a bound carries the
-    largest float below that bound as its tolerance (see `strictly_below`).
+    largest float below that bound as its tolerance (see
+    `suites.strictly_below`).
     """
 
     name: str
@@ -73,16 +75,6 @@ class CheckReport:
             "tolerance": self.tolerance,
             "pass": self.passed,
         }
-
-
-def strictly_below(name: str, residual: float, bound: float,
-                   parameters: dict | None = None) -> CheckReport:
-    """Report that passes only when residual < bound.
-
-    Sign checks use it with bound 0 and residual minus the measured minimum,
-    so a minimum of exactly 0.0 fails.
-    """
-    return CheckReport(name, residual, math.nextafter(bound, -math.inf), parameters or {})
 
 
 def worst(residuals, floor: float = 0.0) -> float:
@@ -145,14 +137,11 @@ def check_harmonicity(fn, points, h: float, tol: float, name: str) -> CheckRepor
     return CheckReport(name, harmonicity_residual(fn, points, h), tol)
 
 
-def check_boundary(problem: str, data: BoundaryData, y, xn_sequence, *,
-                   tol: float) -> CheckReport:
-    """Boundary recovery: the Dirichlet solution approaches the data value,
-    the Neumann solution's normal derivative approaches its negative.
-
-    Gaps are measured along the decreasing heights xn_sequence, with u and v
-    (M = 1) solved to 1e-10; the check passes when the gaps decrease and the
-    final gap is below tolerance.
+def check_boundary(problem: str, data: BoundaryData, y, xn_sequence) -> list[float]:
+    """Boundary recovery gaps: at each height of xn_sequence above the
+    boundary point y, |u - f(y)| for the Dirichlet problem and
+    |dv/dx_n + f(y)| for the Neumann one, with u and v (M = 1) solved to
+    1e-10 and the normal derivative a central difference of step x_n / 2.
     """
     _problem(problem, data.n)
     spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
@@ -170,10 +159,7 @@ def check_boundary(problem: str, data: BoundaryData, y, xn_sequence, *,
             below = HalfSpacePoint.from_cartesian(np.append(y, xn - h))
             dv = (solution_v(data, 1, above, spec) - solution_v(data, 1, below, spec)) / (2 * h)
             gaps.append(abs(dv + f_at_y))
-    decreasing = all(b <= a * 1.05 for a, b in zip(gaps[:-1], gaps[1:]))
-    return CheckReport(f"boundary_{problem}", gaps[-1] if decreasing else math.inf, tol,
-                       {"y": list(y), "xn": list(xn_sequence), "gaps": gaps,
-                        "decreasing": decreasing})
+    return gaps
 
 
 # ---------------------------------------------------------------------------
@@ -342,28 +328,15 @@ def neumann_representation_residual(representation: str, data: BoundaryData, big
 _THETAS = (0.0, 0.3, 0.6, 0.9, 1.2, 1.45)
 
 
-def growth_sweep(target, radii, weight_exponent: float, radial_exponent: float,
-                 name: str, parameters: dict | None = None, *,
-                 drop: float) -> CheckReport:
-    """Weighted supremum sweep certifying an order relation.
+def growth_sweep(target, radii, weight_exponent: float,
+                 radial_exponent: float) -> list[float]:
+    """Weighted supremum sequence of an order relation.
 
     target(x) evaluates the integral at a point x of the three-dimensional
     half space; mu(r) is the maximum over the theta grid (0, 0.3, 0.6, 0.9,
-    1.2, 1.45) of |target| * cos(theta)^weight_exponent, and the certified
-    claim is that mu(r) / r^radial_exponent decreases (after the first
-    step, each step within a factor 1.05) to at most `drop` times its
-    initial value.  `parameters` are only recorded in the report.
+    1.2, 1.45) of |target| * cos(theta)^weight_exponent, and the sequence
+    is mu(r) / r^radial_exponent over the radii.
     """
-    radii = list(radii)
-    seq = []
-    for r in radii:
-        mu = worst(abs(target(HalfSpacePoint(n=3, r=float(r), theta=float(theta))))
-                   * math.cos(theta) ** weight_exponent for theta in _THETAS)
-        seq.append(mu / float(r) ** radial_exponent)
-    if seq[0] == 0.0:
-        residual = 0.0 if max(seq) == 0.0 else float("inf")
-    else:
-        monotone = all(b <= a * 1.05 for a, b in zip(seq[1:-1], seq[2:]))
-        residual = seq[-1] / seq[0] if monotone else float("inf")
-    return CheckReport(name, residual, drop,
-                       {**(parameters or {}), "radii": radii, "weighted_sequence": seq})
+    return [worst(abs(target(HalfSpacePoint(n=3, r=float(r), theta=float(theta))))
+                  * math.cos(theta) ** weight_exponent for theta in _THETAS)
+            / float(r) ** radial_exponent for r in radii]

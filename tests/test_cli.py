@@ -162,6 +162,19 @@ class TestEval:
         ("eval", ["--kernel", "K", "--yprime", "nan,0", "--n", "3"]),
         ("eval", ["--kernel", "K", "--yprime", "1,0", "--yhat", "nan,0", "--theta", "0.5"]),
         ("eval", ["--kernel", "K", "--yprime", "1,0", "--yhat", "inf,0", "--theta", "0.5"]),
+        # NaN and infinity are outside every range
+        ("eval", ["--kernel", "K", "--yprime", "1,0", "--r", "inf"]),
+        ("eval", ["--kernel", "K", "--yprime", "1,0", "--lam", "inf"]),
+        ("eval", ["--solution", "D", "--data", "bump", "--data-args", "radius=nan"]),
+        ("eval", ["--solution", "D", "--data", "bump", "--data-args", "center=nan"]),
+        ("eval", ["--solution", "D", "--data", "bump_train", "--data-args", "width=nan"]),
+        ("eval", ["--solution", "D", "--data", "exp_decay", "--data-args", "rate=inf"]),
+        ("eval", ["--solution", "D", "--data", "exp_decay", "--rel-tol", "nan"]),
+        ("eval", ["--solution", "D", "--data", "exp_decay", "--abs-tol", "inf"]),
+        ("expand", ["--divergence", "3", "--r", "-1"]),
+        ("expand", ["--divergence", "3", "--r", "0"]),
+        ("expand", ["--divergence", "3", "--r", "nan"]),
+        ("expand", ["--divergence", "3", "--theta-at", "nan"]),
     ])
     def test_malformed_values_are_usage_errors(self, command, args, capsys):
         assert run_cli([command, *args]) == 64
@@ -275,6 +288,23 @@ class TestExpand:
         assert evals[0]["partial_sum"] == 0.0
         assert evals[0]["remainder"] == evals[0]["direct"]
 
+
+    def test_csv_table_holds_both_row_kinds(self, capsys):
+        # coefficient and evaluation rows carry different fields; each row
+        # leaves the fields of the other kind empty
+        code = run_cli(["expand", "--problem", "neumann", "--data", "exp_decay", "--n", "3",
+                        "--M", "2", "--radii", "20,40"])
+        assert code == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.strip().splitlines()))
+        assert [r["kind"] for r in rows] == ["coefficient"] * 2 + ["evaluation"] * 2
+        for r in rows:
+            assert None not in r.values()
+        assert [r["m"] for r in rows[:2]] == ["0", "1"]
+        assert all(r["r"] == "" and r["remainder"] == "" for r in rows[:2])
+        assert all(r["value"] == "" for r in rows[2:])
+        assert [float(r["r"]) for r in rows[2:]] == [20.0, 40.0]
+        for r in rows[2:]:
+            assert float(r["remainder"]) == float(r["direct"]) - float(r["partial_sum"])
 
     @pytest.mark.parametrize("argv", [
         ["--problem", "neumann", "--data", "exp_decay", "--n", "3", "--M", "4",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from modpoisson.data import bump, bump_train, constant, exp_decay, poly_growth, shell_bump
+from modpoisson.errors import ConstructionError
 
 RNG = np.random.default_rng(11)
 
@@ -53,3 +54,24 @@ class TestRadialDeclaration:
         for base in (exp_decay(3), bump(3, center=[2.0, 0.0])):
             kept = dataclasses.replace(base, evaluator=lambda pts, f=base: f.evaluator(pts))
             np.testing.assert_array_equal(kept.radial_center, base.radial_center)
+
+
+class TestParameterRanges:
+    @pytest.mark.parametrize("make", [
+        lambda: constant(3, float("nan")),
+        lambda: bump(3, radius=float("nan")),
+        lambda: bump(3, radius=float("inf")),
+        lambda: bump(3, center=[float("nan"), 0.0]),
+        lambda: bump(3, height=float("inf")),
+        lambda: bump_train(3, width=float("nan")),
+        lambda: bump_train(3, width=-0.5),
+        lambda: bump_train(3, radii=(4.0, float("inf"))),
+        lambda: bump_train(3, growth=float("nan")),
+        lambda: exp_decay(3, float("nan")),
+        lambda: exp_decay(3, float("inf")),
+    ], ids=["constant-value", "bump-radius-nan", "bump-radius-inf", "bump-center",
+            "bump-height", "train-width-nan", "train-width-negative", "train-radii",
+            "train-growth", "exp-rate-nan", "exp-rate-inf"])
+    def test_non_finite_or_out_of_range_parameter_raises(self, make):
+        with pytest.raises(ConstructionError):
+            make()

@@ -300,6 +300,11 @@ class TestAsymptoticExpansion:
         exp.partial_sum(HalfSpacePoint(n=3, r=40.0, theta=0.3, y_hat=[1.0, 0.0]))
         assert dict(exp._cache) == cached
 
+    def test_cache_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            AsymptoticExpansion("neumann", exp_decay(3), 2, SPEC, {})
+        assert "_cache" not in repr(AsymptoticExpansion("neumann", exp_decay(3), 2, SPEC))
+
 
 class TestDivergenceDemo:
     def test_terms_eventually_increase(self):

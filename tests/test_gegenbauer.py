@@ -73,20 +73,6 @@ class TestValueAtOne:
         assert gg.value(lam, m, 1.0) == pytest.approx(gg.value_at_one(lam, m), rel=1e-12)
 
 
-class TestDerivative:
-    def test_constant_has_zero_derivative(self):
-        assert gg.derivative(0.5, 0, 0.9) == 0.0
-
-    def test_linear_term(self):
-        assert gg.derivative(0.5, 1, 0.2) == pytest.approx(1.0)
-
-    def test_finite_difference(self):
-        h = 1e-5
-        for lam, m, t in [(1.0, 2, 0.4), (1.5, 5, -0.3), (2.5, 8, 0.7)]:
-            fd = (gg.value(lam, m, t + h) - gg.value(lam, m, t - h)) / (2 * h)
-            assert gg.derivative(lam, m, t) == pytest.approx(fd, abs=1e-6)
-
-
 class TestGeneratingSeries:
     def test_z_zero_keeps_only_constant(self):
         assert gg.weighted_sum(2.0, 5, 0.5, 0.0) == 1.0
@@ -143,6 +129,18 @@ class TestRoots:
         np.testing.assert_allclose(r, -r[::-1], atol=1e-13)
         residual = np.abs(gg.value(lam, m, r))
         assert np.max(residual) <= 1e-12
+
+
+    @pytest.mark.parametrize("lam", [0.25, 0.4, 0.5, 1.0, 1.5, 2.0, 2.5, 3.5])
+    def test_roots_sweep_within_rounding_of_the_scale(self, lam):
+        for m in range(1, 14):
+            r = gg.roots(lam, m)
+            assert len(r) == m
+            assert np.all(np.diff(r) > 0)
+            assert np.all((r > -1) & (r < 1))
+            # relative to max |C_m^lam| on [-1, 1], which is C_m^lam(1)
+            scale = gg.value_at_one(lam, m)
+            assert np.max(np.abs(gg.value(lam, m, r))) <= 1e-14 * scale
 
 
 class TestPhi:

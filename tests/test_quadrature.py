@@ -311,8 +311,7 @@ class TestNeumann:
 _PROBLEM_USERS = {
     "HarmonicFamilyTerm": lambda problem, f: HarmonicFamilyTerm(problem, 1, f.n),
     "AsymptoticExpansion": lambda problem, f: AsymptoticExpansion(problem, f, 2),
-    "check_boundary": lambda problem, f: check_boundary(problem, f, np.zeros(f.n - 1), [0.1],
-                                                        tol=1e-3),
+    "check_boundary": lambda problem, f: check_boundary(problem, f, np.zeros(f.n - 1), [0.1]),
     "neumann_N": lambda problem, f: neumann_N(f, HalfSpacePoint(f.n, 2.0, 0.3)),
     "coefficient_Y1": lambda problem, f: coefficient_Y1(0, f, 0.3),
 }

@@ -19,7 +19,7 @@ from modpoisson.sharpness import (
     lower_bound_ratio,
     phi_band_minimum,
 )
-from modpoisson.verification import strictly_below
+from modpoisson.suites import strictly_below
 
 
 class TestConstants:

@@ -17,9 +17,9 @@ from modpoisson.verification import (
     harmonicity_residual,
     kernel_identity_residual,
     neumann_representation_residual,
-    strictly_below,
     worst,
 )
+from modpoisson.suites import boundary_report, growth_report, settles, strictly_below
 
 RNG = np.random.default_rng(23)
 SPEC = QuadratureSpec()
@@ -240,19 +240,19 @@ class TestWorst:
 class TestBoundary:
     def test_dirichlet_recovers_bump_center(self):
         f = bump(3, radius=8.0)
-        report = check_boundary("dirichlet", f, [0.0, 0.0], [0.1, 0.01, 0.001],
-                                tol=1e-3)
+        report = boundary_report("dirichlet", f, [0.0, 0.0], [0.1, 0.01, 0.001], 1e-3)
         assert report.passed, report.parameters
 
     def test_dirichlet_vanishes_off_support(self):
         f = bump(3, center=[0.0, 0.0], radius=1.0)
-        report = check_boundary("dirichlet", f, [6.0, 0.0], [0.1, 0.01], tol=2e-3)
-        assert report.passed
-        assert report.parameters["gaps"][-1] < 2e-3
+        gaps = check_boundary("dirichlet", f, [6.0, 0.0], [0.1, 0.01])
+        assert len(gaps) == 2
+        assert settles(gaps)
+        assert gaps[-1] < 2e-3
 
     def test_neumann_normal_derivative(self):
         f = bump(3, radius=8.0)
-        report = check_boundary("neumann", f, [0.0, 0.0], [0.1, 0.01], tol=5e-3)
+        report = boundary_report("neumann", f, [0.0, 0.0], [0.1, 0.01], 5e-3)
         assert report.passed, report.parameters
 
 
@@ -346,9 +346,8 @@ class TestProp32:
 
 class TestGrowthSweep:
     def test_zero_data_sweeps_flat(self):
-        report = growth_sweep(lambda x: 0.0, [8, 16, 32],
-                              weight_exponent=1.0, radial_exponent=1.0,
-                              name="zero", drop=0.2)
+        assert growth_sweep(lambda x: 0.0, [8, 16, 32], 1.0, 1.0) == [0.0, 0.0, 0.0]
+        report = growth_report("zero", lambda x: 0.0, [8, 16, 32], 1.0, 1.0)
         assert report.passed
         assert report.residual == 0.0
 
@@ -357,22 +356,22 @@ class TestGrowthSweep:
         lam, big_m = 0.5, 1
         params = KernelParams(lam, big_m)
         spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
-        report = growth_sweep(
-            lambda x: integral_F(params, f, x, spec),
-            radii=[24, 48, 96, 192],
-            weight_exponent=2 * lam,
-            radial_exponent=big_m,
-            name="modified_integral_growth",
-            parameters={"n": 3},
-            drop=0.2,
-        )
+        report = growth_report("modified_integral_growth",
+                               lambda x: integral_F(params, f, x, spec),
+                               [24, 48, 96, 192], 2 * lam, big_m)
         assert report.passed, report.parameters
 
     def test_failing_sweep_reports_infinite_residual(self):
-        report = growth_sweep(lambda x: x.r ** 3, [8, 16, 32, 64],
-                              weight_exponent=0.0, radial_exponent=1.0,
-                              name="growing", drop=0.2)
+        report = growth_report("growing", lambda x: x.r ** 3, [8, 16, 32, 64], 0.0, 1.0)
         assert not report.passed
+        assert report.residual == math.inf
+        # the sequence itself: |x|^3 / |x| at theta = 0
+        assert report.parameters["weighted_sequence"] == [64.0, 256.0, 1024.0, 4096.0]
+
+    def test_settles_allows_a_five_percent_step(self):
+        assert settles([1.0, 1.05, 0.5])
+        assert not settles([1.0, 1.06, 0.5])
+        assert settles([])
 
 
 class TestCheckReport:
