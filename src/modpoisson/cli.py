@@ -55,9 +55,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ModPoissonError(f"{text!r} is not a comma list of numbers") from None
+        values = []
+    if not values:
+        raise ModPoissonError(f"{text!r} is not a comma list of numbers")
+    return values
 
 
 def _parse_data_args(text: str | None) -> dict:
@@ -274,14 +277,18 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer of at least low; anything else is a usage
+    error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
+        return value
+    return parse
 
 
 def _apply_config(argv: list[str]) -> list[str]:
@@ -361,8 +368,8 @@ def build_parser() -> _Parser:
     p_ver = sub.add_parser("verify", help="run a certification suite")
     output(p_ver)
     p_ver.add_argument("--suite", choices=sorted(SUITES) + ["all"], default="all")
-    p_ver.add_argument("--seed", type=int, default=42)
-    p_ver.add_argument("--jobs", type=_positive_int, default=1)
+    p_ver.add_argument("--seed", type=_int_at_least(0), default=42)
+    p_ver.add_argument("--jobs", type=_int_at_least(1), default=1)
     return parser
 
 

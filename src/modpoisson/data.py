@@ -211,6 +211,7 @@ def _profile_mass(n: int, mid: float, half: float) -> float:
 def shell_bump(n: int, r_in: float, r_out: float, height: float = 1.0,
                normalized: bool = False) -> BoundaryData:
     """Radially symmetric bump supported on the annulus r_in <= |y| <= r_out."""
+    _require_finite("shell_bump radii and height", r_in, r_out, height)
     if not 0 <= r_in < r_out:
         raise ConstructionError("need 0 <= r_in < r_out")
     mid, half = 0.5 * (r_in + r_out), 0.5 * (r_out - r_in)
@@ -244,7 +245,7 @@ def bump_train(n: int, radii=(4.0, 16.0, 64.0), width: float = 0.5,
     Compactly supported (finite prefix of a train), but exercising the
     declared polynomial growth class across its shells.
     """
-    radii = tuple(sorted(float(r) for r in radii))
+    radii = tuple(sorted(float(r) for r in np.atleast_1d(radii)))
     _require_finite("bump_train radii and growth", *radii, growth)
     if not 0 < width < np.inf:
         raise ConstructionError("bump_train width must be positive and finite")
@@ -299,6 +300,7 @@ def exp_decay(n: int, rate: float = 1.0) -> BoundaryData:
 
 def poly_growth(n: int, exponent: float = 1.0) -> BoundaryData:
     """f(y) = (1 + |y|^2)^(exponent/2), a smooth global growth class."""
+    _require_finite("poly_growth exponent", exponent)
 
     def evaluator(pts):
         rho = row_norms(pts)
@@ -319,14 +321,15 @@ def _sharpness_half_balls(n: int, lam: float = 0.5, big_m: int = 1,
                           centers=(4.0, 16.0), psi=(1.0, 1.0)) -> BoundaryData:
     from .sharpness import data_half_balls
 
-    return data_half_balls(n, list(psi), list(centers), lam, int(big_m))
+    return data_half_balls(n, np.atleast_1d(psi), np.atleast_1d(centers), lam, int(big_m))
 
 
 def _sharpness_super_balls(n: int, lam: float = 1.5, big_m: int = 1,
                            a=(20.0, 60.0), b=(1.5, 4.5), amps=(1.0, 1.0)) -> BoundaryData:
     from .sharpness import data_balls_super_extension
 
-    return data_balls_super_extension(n, list(a), list(b), list(amps), lam, int(big_m))
+    return data_balls_super_extension(n, np.atleast_1d(a), np.atleast_1d(b),
+                                      np.atleast_1d(amps), lam, int(big_m))
 
 
 DATA_REGISTRY = {

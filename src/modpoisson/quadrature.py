@@ -5,20 +5,19 @@ panel edges aligned to data kinks, the kernel window around |x|, and graded
 refinement near kernel peaks) and a sphere rule in the angular variables
 (two points for boundary dimension one; above, panelled Gauss rules in the
 polar angle times the rule of the subsphere, or the polar rule alone for
-zonal integrands).  Every region, cut or not, goes to the integrand in
-cache-sized blocks of at most `_BLOCK_POINTS` nodes; an uncut grid's blocks
-are whole radial rows, each reduced against the angular weights at once, so
-memory stays O(block).
+zonal integrands).  One evaluator, `_eval_region`, walks every region's
+angular rule in cache-sized blocks of rays of at most `_BLOCK_POINTS` nodes,
+each ray carrying the level's radial panels, so memory stays O(block).
 Error control is by whole-grid refinement comparison, with angular order
 angular_order * 1.5^level in every dimension; evaluations never sample
 randomly, so results are reproducible bit for bit.
 
-A grid about the origin (a region with no centre or the zero vector, and
-no cuts) runs the solution maps' integrand in polar variables: the kernel
-gets |y'| per radial row and Theta per angular node, with cos(theta') and
-the Gegenbauer tail's C_m^lam(Theta) computed once per sphere rule, and
-data radial about the origin (`BoundaryData.radial_center`) are evaluated
-once per radial node.  Other regions get Cartesian points.
+A grid about the origin (a region centred at the zero vector, with no
+cuts) runs the solution maps' integrand in polar variables: the kernel gets
+|y'| per radius and Theta per ray, with each ray's cos(theta') and the
+Gegenbauer tail's C_m^lam(Theta) computed once, and data radial about the
+origin (`BoundaryData.radial_center`) are evaluated once per radial node of
+the grid.  Other regions get Cartesian points.
 
 On an uncut region about the centre c its data are radial about (n >= 3),
 f times the kernel depends on the direction only through its polar angle
@@ -34,11 +33,11 @@ rule; no option selects the path.
 
 A ball crossed by a kink circle it is not centred on (a "cut" region, such
 as an off-centre data ball crossed by the cutoff's circles |y'| = 1, 2) gets
-radial panel edges per angular ray where the ray crosses the circle; the
-rays are evaluated in blocks, one data call per block.  Its angular pole
-points at the circle's centre, and the cones of rays where a crossing
-leaves the ball or two crossings merge are angular panel edges, so the
-angular integrand is smooth on every panel.
+radial panel edges per angular ray where the ray crosses the circle, and
+panels of zero width are skipped.  Its angular pole points at the circle's
+centre, and the cones of rays where a crossing leaves the ball or two
+crossings merge are angular panel edges, so the angular integrand is smooth
+on every panel.
 
 D, N, D_M, N_M, F, F~, u and v are each a prefactor times the integral of
 f times a kernel, and all run through one driver, `_solve`; `_regions`
@@ -224,31 +223,27 @@ def sphere_rule(dim_ambient: int, order: int, pole=None, pole_angles=()):
     return pts.reshape(-1, d), w.reshape(-1)
 
 
-def _zonal_rule(dim_ambient: int, order: int, x: HalfSpacePoint, pole_angles=(),
-                center=None):
+def _zonal_rule(dim_ambient: int, order: int, x: HalfSpacePoint, pole_angles, center):
     """Sphere rule on S^(d-1), d = dim_ambient - 1 >= 2, for integrands on
-    spheres about center (None: the origin) that depend on a unit vector u
-    only through its angle to the axis y - center, such as f K for data
-    radial about center, or the origin's kernels, cos(theta') times a radial
-    factor (the Funk-Hecke reduction).
+    spheres about center that depend on a unit vector u only through its
+    angle to the axis y - center, such as f K for data radial about center,
+    or the origin's kernels, cos(theta') times a radial factor (the
+    Funk-Hecke reduction).
 
     The subsphere's integral is then exactly its area |S^(d-2)|: the nodes
     are cos(phi) a + sin(phi) e, for `_polar_factor`'s phi measured from
-    the unit axis a (y_hat about the origin) and one unit vector e
+    the unit axis a (y_hat itself about the origin) and one unit vector e
     orthogonal to it, and the weights are the polar weights times that
-    area.  Where the axis vanishes (theta = 0 about the origin, or
-    y = center) the integrand is constant on the sphere, so one node of
-    weight |S^(d-1)| is exact.
+    area.  Where the axis vanishes (y = center, as at theta = 0 about the
+    origin) the integrand is constant on the sphere, so one node of weight
+    |S^(d-1)| is exact.
     """
     d = dim_ambient - 1
-    if center is None:
-        axis = x.y_hat if x.theta != 0.0 else None
-    else:
-        off = x.y - center
-        dist = float(np.linalg.norm(off))
-        axis = off / dist if dist > 0.0 else None
-    if axis is None:
+    off = x.y - center
+    dist = float(np.linalg.norm(off))
+    if dist == 0.0:
         return x.y_hat[None, :], np.array([sphere_surface_area(d - 1)])
+    axis = off / dist if np.any(center) else x.y_hat
     phi, meas = _polar_factor(d, order, pole_angles)
     e_perp = _orthonormal_frame(axis)[1]
     pts = np.cos(phi)[:, None] * axis + np.sin(phi)[:, None] * e_perp
@@ -311,7 +306,7 @@ def _split_panels(edges, level: int):
 
 @dataclass
 class _Region:
-    center: np.ndarray | None  # None means the origin
+    center: np.ndarray  # the zero vector for regions about the origin
     edges: tuple  # radial panel edges, from the inner to the outer radius
     pole: np.ndarray | None = None
     pole_angles: tuple = ()
@@ -339,7 +334,8 @@ def _peak_angles(x: HalfSpacePoint, rho: float) -> tuple:
     return tuple(angles)
 
 
-def _annulus_region(x, support: Support, lo: float, hi: float, spec) -> _Region | None:
+def _annulus_region(x, origin: np.ndarray, support: Support, lo: float, hi: float,
+                    spec) -> _Region | None:
     lo = max(lo, 1e-300)
     if hi <= lo:
         return None
@@ -349,7 +345,7 @@ def _annulus_region(x, support: Support, lo: float, hi: float, spec) -> _Region 
         edges += _kernel_window_edges(x, lo, hi)
     pole = x.y_hat if x is not None else None
     pole_angles = _peak_angles(x, x.r * x.sin_theta) if x is not None else ()
-    return _Region(None, tuple(_dedupe(edges, lo, hi)), pole, pole_angles)
+    return _Region(origin, tuple(_dedupe(edges, lo, hi)), pole, pole_angles)
 
 
 def _ball_region(x, center: np.ndarray, radius: float, spec, support: Support,
@@ -451,11 +447,11 @@ def _regions(data: BoundaryData, x, spec, r_lo: float, decay, kinks=()) -> list:
                 if float(np.linalg.norm(np.asarray(c))) + rad > r_lo]
     hi = _data_reach(data, decay, spec, x)
     lo = max(r_lo, sup.inner_radius)
-    regions = []
+    regions, origin = [], np.zeros(data.n - 1)
     if lo == 0.0:
-        regions.append(_ball_region(x, np.zeros(data.n - 1), min(1.0, hi), spec, sup))
+        regions.append(_ball_region(x, origin, min(1.0, hi), spec, sup))
         lo = min(1.0, hi)
-    regions.append(_annulus_region(x, sup, lo, hi, spec))
+    regions.append(_annulus_region(x, origin, sup, lo, hi, spec))
     return regions
 
 
@@ -474,110 +470,92 @@ def _near_ball(data: BoundaryData, x: HalfSpacePoint, spec) -> _Region:
 _BLOCK_POINTS = 2**13
 
 
-def _radial_about(data: BoundaryData, center) -> bool:
-    """Whether the data declare themselves radial about center (None: the
-    origin)."""
-    about = data.radial_center
-    if about is None:
-        return False
-    return not np.any(about) if center is None else np.array_equal(about, center)
+def _radial_nodes(edges, n: int):
+    """12-point Gauss-Legendre nodes rho on the panels between successive
+    edges (along the last axis, one row of edges per ray or one for all),
+    and their weights times rho^(n-2)."""
+    x12, w12 = quad1d.gauss_legendre(12)
+    half = 0.5 * np.diff(edges, axis=-1)[..., None]
+    rho = (edges[..., :-1, None] + half * (x12 + 1.0)).reshape(*edges.shape[:-1], -1)
+    return rho, (half * w12).reshape(rho.shape) * rho ** (n - 2)
+
+
+def _cut_edges(region: _Region, edges, units):
+    """Per ray, the radial edges plus the two roots of every cut, sorted; a
+    root that is absent or outside the ball becomes the inner edge, a
+    zero-width panel."""
+    lo, hi = region.edges[0], region.edges[-1]
+    cols = [np.broadcast_to(edges, (len(units), edges.size))]
+    for q, rad_q in region.cuts:
+        delta = region.center - q
+        b = units @ delta
+        disc = b * b + rad_q * rad_q - float(delta @ delta)
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        for root in (-b + sq, -b - sq):
+            inside = (disc > 0.0) & (root > lo + 1e-13) & (root < hi - 1e-13)
+            cols.append(np.where(inside, root, lo)[:, None])
+    return np.sort(np.concatenate(cols, axis=1), axis=1)
+
+
+def _in_blocks(g, pts):
+    """g at the points, in calls of at most _BLOCK_POINTS points."""
+    return np.concatenate([g(pts[i:i + _BLOCK_POINTS])
+                           for i in range(0, len(pts), _BLOCK_POINTS)])
 
 
 def _eval_region(g, n: int, region: _Region, spec, level: int) -> float:
-    """Integral of g over a region's grid of radial Gauss panels and its one
-    angular rule at this level, built here.
+    """Integral of g over a region: its one angular rule at this level,
+    built here, times 12-point Gauss-Legendre radial panels on every ray.
 
     A `_KernelIntegrand` on data radial about the centre of an uncut region
     (n >= 3) gets `_zonal_rule` about the axis y - centre with the region's
     pole angles, which uncut regions measure from that axis; off the origin
     only at M = 0, since the tail is zonal about y_hat, not y - centre.
-    Other regions get the product `sphere_rule`, and those with cuts go
-    with it to `_eval_region_cut`.
+    Other regions get the product `sphere_rule`.
 
-    An uncut grid is fed to g in blocks of whole radial rows, at most
-    _BLOCK_POINTS nodes each (one row when the angular rule is larger), the
-    cap that also bounds the cut evaluator's ray blocks; each block is
-    reduced against the angular weights at once, so memory is O(block), not
-    O(grid).  On a grid about the origin a `_KernelIntegrand` takes the
-    polar path: it gets the rule's unit vectors once and then the radii of
-    each block, and builds Cartesian points only for data that need them.
-    Other integrands get Cartesian points.
+    The rule is walked in blocks of rays of at most _BLOCK_POINTS nodes (one
+    ray when a ray has more), so memory is O(block), not O(grid).  A region
+    with cuts gives each ray of a block its own edges where the foreign kink
+    circles cross it (`_cut_edges`), which restores spectral panel
+    convergence, and skips the nodes of zero-width panels.  On an uncut grid
+    about the origin a `_KernelIntegrand` takes the polar path
+    (`_KernelIntegrand.polar`), with data radial about the origin evaluated
+    once per radial node; other integrands get Cartesian points, in calls
+    of at most _BLOCK_POINTS points.
     """
     order = int(spec.angular_order * 1.5**level)
-    center = region.center if region.center is not None and np.any(region.center) else None
-    kernel = isinstance(g, _KernelIntegrand)
-    if (kernel and n >= 3 and not region.cuts and _radial_about(g.data, center)
-            and (center is None or not g.params.big_m)):
+    center = region.center
+    origin = not np.any(center)
+    kernel = isinstance(g, _KernelIntegrand) and not region.cuts
+    about = g.data.radial_center if kernel else None
+    radial = about is not None and np.array_equal(about, center)
+    if radial and n >= 3 and (origin or not g.params.big_m):
         pts_ang, w_ang = _zonal_rule(n, order, g.x, region.pole_angles, center)
     else:
         pts_ang, w_ang = sphere_rule(n, order, pole=region.pole,
                                      pole_angles=region.pole_angles)
-    edges = _split_panels(region.edges, level)
-    if region.cuts:
-        return _eval_region_cut(g, n, region, edges, pts_ang, w_ang)
-    rho_nodes, rho_weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        xs, ws = _gl_on(a, b, 12)
-        rho_nodes.append(xs)
-        rho_weights.append(ws)
-    rho = np.concatenate(rho_nodes)
-    wr = np.concatenate(rho_weights)
-    if kernel and center is None:
-        rows_of = g.polar(pts_ang, w_ang)
-    else:
-        def rows_of(radii):
-            pts = radii[:, None, None] * pts_ang[None, :, :]
-            if region.center is not None:
-                pts = pts + region.center
-            return g(pts.reshape(-1, n - 1)).reshape(-1, len(w_ang)) @ w_ang
-    rows = max(1, _BLOCK_POINTS // len(w_ang))
-    ray = np.empty(rho.size)
-    for start in range(0, rho.size, rows):
-        ray[start:start + rows] = rows_of(rho[start:start + rows])
-    return float(np.dot(wr * rho ** (n - 2), ray))
-
-
-def _eval_region_cut(g, n: int, region: _Region, base_edges, pts_ang, w_ang) -> float:
-    """Integral of g over a region with cuts on the given angular rule and
-    radial panel edges, plus per-ray edges placed exactly where foreign
-    kink circles cross each angular ray; restores spectral panel
-    convergence for integrands cut by unaligned circles.
-
-    Rays are taken in blocks of at most _BLOCK_POINTS nodes.  Within a
-    block every cut's two roots are computed for all rays at once; a root
-    that is absent or outside the ball becomes the inner edge, a zero-width
-    panel whose nodes are skipped.  The edges are sorted per ray, the
-    12-point Gauss-Legendre rule is broadcast over every panel, and the
-    data are called once per block.
-    """
-    base = np.asarray(base_edges)
-    center, lo, hi = region.center, region.edges[0], region.edges[-1]
-    x12, w12 = quad1d.gauss_legendre(12)
-    per_ray = 12 * (base.size - 1 + 2 * len(region.cuts))
-    rows = max(1, _BLOCK_POINTS // per_ray)
-    total = 0.0
-    for start in range(0, len(w_ang), rows):
-        u = pts_ang[start:start + rows]
-        cols = [np.broadcast_to(base, (len(u), base.size))]
-        for q, rad_q in region.cuts:
-            delta = center - q
-            b = u @ delta
-            disc = b * b + rad_q * rad_q - float(delta @ delta)
-            sq = np.sqrt(np.maximum(disc, 0.0))
-            for root in (-b + sq, -b - sq):
-                inside = (disc > 0.0) & (root > lo + 1e-13) & (root < hi - 1e-13)
-                cols.append(np.where(inside, root, lo)[:, None])
-        edges = np.sort(np.concatenate(cols, axis=1), axis=1)
-        half = 0.5 * np.diff(edges, axis=1)[:, :, None]
-        rho = (edges[:, :-1, None] + half * (x12 + 1.0)).reshape(len(u), -1)
-        wr = (half * w12).reshape(len(u), -1) * rho ** (n - 2)
-        live = np.repeat(half[:, :, 0] > 0.0, 12, axis=1)
-        pts = (center + rho[:, :, None] * u[:, None, :])[live]
-        vals = np.zeros(rho.shape)
-        vals[live] = np.concatenate([g(pts[i:i + _BLOCK_POINTS])
-                                     for i in range(0, len(pts), _BLOCK_POINTS)])
-        total += float(w_ang[start:start + rows] @ np.einsum("ij,ij->i", wr, vals))
-    return total
+    polar = kernel and origin
+    edges = np.asarray(_split_panels(region.edges, level))
+    if not region.cuts:  # the rays share one set of radial nodes
+        rho, wr = _radial_nodes(edges, n)
+    f_rho = g.data(rho[:, None] * np.eye(n - 1)[0]) if polar and radial else None
+    rays = max(1, _BLOCK_POINTS // (12 * (edges.size - 1 + 2 * len(region.cuts))))
+    ray = np.empty(len(w_ang))
+    for start in range(0, len(w_ang), rays):
+        u = pts_ang[start:start + rays]
+        if polar:
+            vals = g.polar(u, rho, f_rho)
+        elif region.cuts:
+            ray_edges = _cut_edges(region, edges, u)
+            rho, wr = _radial_nodes(ray_edges, n)
+            live = np.repeat(np.diff(ray_edges, axis=1) > 0.0, 12, axis=1)
+            vals = np.zeros(rho.shape)
+            vals[live] = _in_blocks(g, (center + rho[:, :, None] * u[:, None, :])[live])
+        else:
+            pts = center + rho[:, None] * u[:, None, :]
+            vals = _in_blocks(g, pts.reshape(-1, n - 1)).reshape(len(u), -1)
+        ray[start:start + rays] = np.einsum("...j,...j->...", wr, vals)
+    return float(w_ang @ ray)
 
 
 # refinement levels of `_integrate_regions` before it gives up
@@ -686,7 +664,7 @@ class _KernelIntegrand:
 
     Called on Cartesian points it computes |y'| once per block, for the
     mask, the ramp and the kernel (the data's evaluator takes its own).  On
-    a grid about the origin `polar` reads |y'| per row and Theta per column.
+    a grid about the origin `polar` reads |y'| per radius and Theta per ray.
     """
 
     params: KernelParams
@@ -712,34 +690,31 @@ class _KernelIntegrand:
             out[keep] = self.data(pts[keep]) * self._kernel(norms[keep], theta_big[keep])
         return out
 
-    def polar(self, units, weights):
-        """For a sphere rule's unit vectors and weights, the function taking
-        a block of radii to the rule's integral of f * kernel on each of
-        their spheres.  cos(theta') and the tail's C_m^lam(Theta) are
-        computed here, once per rule; data radial about the origin are
-        evaluated once per radius, other data at the block's Cartesian
+    def polar(self, units, rho, f_rho=None):
+        """f * kernel at the radii rho along each unit vector of a block of
+        rays, shape (len(units), len(rho)).  The kernel gets |y'| per radius
+        and Theta per ray, with each ray's cos(theta') and C_m^lam(Theta)
+        computed once for all its radii.  f_rho, the data at rho, serves
+        data radial about the origin, which the caller evaluates once for
+        all blocks; without it the data are evaluated at the Cartesian
         points."""
+        keep = rho > self.r_lo
+        if not np.all(keep):
+            out = np.zeros((len(units), rho.size))
+            if np.any(keep):
+                out[:, keep] = self.polar(units, rho[keep],
+                                          None if f_rho is None else f_rho[keep])
+            return out
         x, data, big_m = self.x, self.data, self.params.big_m
         theta_big = x.sin_theta * cos_theta_prime_array(x, units)[None, :]
         cm = np.array([gegenbauer.value(self.params.lam, m, theta_big[0])
                        for m in range(big_m)]) if big_m else None
-        axis = np.eye(data.n - 1)[0]
-        radial = _radial_about(data, None)
-
-        def rows_of(rho):
-            out = np.zeros(rho.size)
-            keep = rho > self.r_lo
-            if np.any(keep):
-                r = rho[keep][:, None]
-                kernel = self._kernel(r, theta_big, cm)
-                if radial:
-                    out[keep] = data(r * axis) * (kernel @ weights)
-                else:
-                    f = data((r[:, :, None] * units).reshape(-1, data.n - 1))
-                    out[keep] = (f.reshape(kernel.shape) * kernel) @ weights
-            return out
-
-        return rows_of
+        kernel = self._kernel(rho[:, None], theta_big, cm)
+        if f_rho is None:
+            f = data((rho[:, None, None] * units).reshape(-1, data.n - 1)).reshape(kernel.shape)
+        else:
+            f = f_rho[:, None]
+        return (f * kernel).T
 
 
 def _solve(params: KernelParams, data: BoundaryData, x: HalfSpacePoint,

@@ -139,6 +139,25 @@ class TestEval:
         assert err.value.code == 64
         assert "--truncation-radius" in capsys.readouterr().err
 
+    def test_tuple_parameter_takes_one_number(self, capsys):
+        # radii=5 is the one-shell train, radii=(5.0,)
+        code = run_cli(["eval", "--solution", "D", "--data", "bump_train", "--data-args",
+                        "radii=5", "--r", "1.5", "--format", "jsonl"])
+        assert code == 0
+        [row] = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+        from modpoisson.data import bump_train
+        from modpoisson.quadrature import dirichlet_D
+
+        x = HalfSpacePoint(n=3, r=1.5, theta=0.0)
+        assert row["value"] == dirichlet_D(bump_train(3, radii=(5.0,)), x)
+
+    def test_one_center_with_two_amplitudes_is_a_usage_error(self, capsys):
+        code = run_cli(["eval", "--solution", "D", "--data", "sharpness_half_balls",
+                        "--data-args", "centers=4"])
+        assert code == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and "one amplitude per center" in captured.err
+
     def test_data_args_take_true_and_false(self, capsys):
         # "False" is a boolean, not a truthy string
         code = run_cli(["eval", "--solution", "D", "--data", "bump", "--data-args",
@@ -175,6 +194,13 @@ class TestEval:
         ("expand", ["--divergence", "3", "--r", "0"]),
         ("expand", ["--divergence", "3", "--r", "nan"]),
         ("expand", ["--divergence", "3", "--theta-at", "nan"]),
+        ("eval", ["--solution", "D", "--data", "shell_bump", "--data-args",
+                  "r_in=1,r_out=inf"]),
+        ("eval", ["--solution", "D", "--data", "poly_growth", "--data-args", "exponent=nan"]),
+        # an empty comma list is no list of values
+        ("eval", ["--solution", "D", "--data", "exp_decay", "--r", ","]),
+        ("eval", ["--solution", "D", "--data", "exp_decay", "--theta", ","]),
+        ("expand", ["--theta", ","]),
     ])
     def test_malformed_values_are_usage_errors(self, command, args, capsys):
         assert run_cli([command, *args]) == 64
@@ -392,6 +418,15 @@ class TestVerify:
         assert err.value.code == 64
         captured = capsys.readouterr()
         assert captured.out == "" and "--jobs" in captured.err
+
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_seed_is_a_non_negative_integer(self, seed, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["verify", "--suite", "kernels", "--seed", seed])
+        assert err.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--seed" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_exit_code_for_failure(self, monkeypatch, capsys):
         from modpoisson import suites

@@ -69,9 +69,13 @@ class TestParameterRanges:
         lambda: bump_train(3, growth=float("nan")),
         lambda: exp_decay(3, float("nan")),
         lambda: exp_decay(3, float("inf")),
+        lambda: shell_bump(3, 1.0, float("inf")),
+        lambda: shell_bump(3, 1.0, 3.0, height=float("nan")),
+        lambda: poly_growth(3, float("nan")),
     ], ids=["constant-value", "bump-radius-nan", "bump-radius-inf", "bump-center",
             "bump-height", "train-width-nan", "train-width-negative", "train-radii",
-            "train-growth", "exp-rate-nan", "exp-rate-inf"])
+            "train-growth", "exp-rate-nan", "exp-rate-inf", "shell-outer-inf",
+            "shell-height-nan", "poly-exponent-nan"])
     def test_non_finite_or_out_of_range_parameter_raises(self, make):
         with pytest.raises(ConstructionError):
             make()
