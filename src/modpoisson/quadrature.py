@@ -14,10 +14,10 @@ randomly, so results are reproducible bit for bit.
 
 A grid about the origin (a region centred at the zero vector, with no
 cuts) runs the solution maps' integrand in polar variables: the kernel gets
-|y'| per radius and Theta per ray, with each ray's cos(theta') and the
-Gegenbauer tail's C_m^lam(Theta) computed once, and data radial about the
-origin (`BoundaryData.radial_center`) are evaluated once per radial node of
-the grid.  Other regions get Cartesian points.
+|y'| per radius and Theta per ray, with each ray's cos(theta'), |u - y_hat|
+and the Gegenbauer tail's C_m^lam(Theta) computed once, and data radial
+about the origin (`BoundaryData.radial_center`) are evaluated once per
+radial node of the grid.  Other regions get Cartesian points.
 
 On an uncut region about the centre c its data are radial about (n >= 3),
 f times the kernel depends on the direction only through its polar angle
@@ -28,8 +28,8 @@ y = c).
 About the origin that holds at any M, since the tail is a function of
 Theta; about another centre only at M = 0, where the kernel is the base
 kernel K, a function of |y' - y|.  M >= 1 off the origin, other data, cut
-regions, the near-boundary ball and `integrate_weighted` keep the product
-rule; no option selects the path.
+regions and `integrate_weighted` keep the product rule; no option selects
+the path.
 
 A ball crossed by a kink circle it is not centred on (a "cut" region, such
 as an off-centre data ball crossed by the cutoff's circles |y'| = 1, 2) gets
@@ -49,13 +49,15 @@ cutoff, for the assembled solutions, so u = D_M[w f] + D[(1 - w) f] and
 v likewise are one integral each.  For M >= 1 the cutoff's circles
 |y'| = 1, 2 are kink edges of their regions.
 
-Near the boundary one ball about the projection point integrates the
-peaked base kernel alone, by one of two schemes: "subtract" (Dirichlet
-maps) splits off the data value at the projection point against K's exact
-mass (a closed form, the regularized incomplete beta function) and
-integrates only the difference; "ball" (Neumann maps) integrates
-f K directly.  The tail c T_M, regular there, is one more solve over the
-data's regions, and the estimate is the sum of the two solves'.
+Near the boundary K peaks at the projection point y with width x_n, and the
+regions resolve the peak in the same single solve: radial panels graded
+toward |y| and polar panels toward y_hat on regions about the origin, and
+toward y on a close ball, whose pole points at y; only at n = 3 does a
+close ball with cuts keep its pole on the cut, grading its polar panels
+about y's polar angle instead.  When y lies inside a support ball and x_n
+is below a fiftieth of its radius, that ball is integrated over the disk
+about y that covers it (`_peak_disk`), on which K is radial, so radial
+panels graded from the disk's centre resolve the peak in every dimension.
 """
 
 from __future__ import annotations
@@ -64,13 +66,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import betainc
 
 from . import gegenbauer, quad1d
 from .data import BoundaryData, Support
 from .errors import AccuracyError, DomainError
-from .geometry import HalfSpacePoint, cos_theta_prime_array
-from .kernels import KernelParams, _kernel_minus_tail, _prepare, kernel_K
+from .geometry import HalfSpacePoint, cos_theta_prime_array, row_norms
+from .kernels import KernelParams, _kernel_minus_tail, _squared_gap
 
 __all__ = [
     "QuadratureSpec",
@@ -321,14 +322,11 @@ def _kernel_window_edges(x: HalfSpacePoint, lo: float, hi: float) -> list[float]
     return edges
 
 
-def _peak_angles(x: HalfSpacePoint, rho: float) -> tuple:
-    """Graded angular edges toward the projection direction for peaked kernels."""
-    ynorm = x.r * x.sin_theta
-    if ynorm == 0.0 or x.x_n >= 0.5 * ynorm or rho <= 0:
-        return ()
-    w = x.x_n / max(rho, 1e-300)
+def _peak_angles(w: float, cap: float) -> tuple:
+    """Polar panel edges w, 4w, 16w, ... below cap, graded toward a kernel
+    peak of angular width w."""
     angles = []
-    while w < math.pi / 4:
+    while w < cap:
         angles.append(w)
         w *= 4.0
     return tuple(angles)
@@ -341,10 +339,12 @@ def _annulus_region(x, origin: np.ndarray, support: Support, lo: float, hi: floa
         return None
     edges = _geometric_edges(lo, hi, spec.radial_panels)
     edges += [e for e in support.radial_edges if lo < e < hi]
+    pole, pole_angles = None, ()
     if x is not None:
         edges += _kernel_window_edges(x, lo, hi)
-    pole = x.y_hat if x is not None else None
-    pole_angles = _peak_angles(x, x.r * x.sin_theta) if x is not None else ()
+        pole, ynorm = x.y_hat, x.r * x.sin_theta
+        if 0.0 < ynorm and x.x_n < 0.5 * ynorm:
+            pole_angles = _peak_angles(x.x_n / ynorm, math.pi / 4)
     return _Region(origin, tuple(_dedupe(edges, lo, hi)), pole, pole_angles)
 
 
@@ -354,10 +354,12 @@ def _ball_region(x, center: np.ndarray, radius: float, spec, support: Support,
     the clip circle |y'| = r_lo, become panel edges when the ball is centred
     at the origin and per-ray cuts otherwise.
 
-    The angular pole follows the kernel peak when the field point is close
-    (with graded angles toward it); otherwise, in a region with cuts, it
-    points at the first cut's centre and the cuts' kink cones on that axis
-    become angular edges (`_cut_pole`).
+    A close field point grades the radial edges toward the kernel peak at
+    |y - center| and puts the pole on the peak, with graded polar edges.
+    In a region with cuts the pole points at the first cut's centre
+    instead, with the cuts' kink cones on that axis as angular edges
+    (`_cut_pole`); a close peak keeps the pole at n >= 4, and at n = 3 its
+    polar edges are graded about its polar angle from the cut's pole.
     """
     center = np.asarray(center, dtype=float)
     edges = list(np.linspace(0.0, radius, max(4, spec.radial_panels // 4) + 1))
@@ -378,21 +380,23 @@ def _ball_region(x, center: np.ndarray, radius: float, spec, support: Support,
                 edges.append(float(rad_q))
         elif abs(dist - rad_q) < radius - 1e-12:
             cuts.append((q, float(rad_q)))
-    pole = None
-    pole_angles = ()
+    pole, pole_angles, peak = None, (), None
     if x is not None:
         off = x.y - center
         dist = float(np.linalg.norm(off))
         if dist < 2.0 * radius and x.x_n < radius:
             edges += _graded_edges(dist, max(x.x_n, 1e-12), 0.0, radius)
             if dist > 4.0 * x.x_n:
-                pole = off / dist
-                w = x.x_n / max(dist, 1e-300)
-                while w < math.pi / 2:
-                    pole_angles += (w,)
-                    w *= 4.0
-    if pole is None and cuts and center.size > 1:
+                peak = pole = off / dist
+                pole_angles = _peak_angles(x.x_n / dist, math.pi / 2)
+    if cuts and center.size > 1 and (peak is None or center.size == 2):
+        # the circle's rule is its polar factor mirrored about the pole, so
+        # the peak's grading moves to its polar angle phi about the cut pole
+        graded = pole_angles
         pole, pole_angles = _cut_pole(center, radius, cuts)
+        if peak is not None:
+            phi = math.acos(min(1.0, max(-1.0, float(peak @ pole))))
+            pole_angles += tuple(phi + side * a for a in graded for side in (-1.0, 1.0))
     return _Region(center, tuple(_dedupe(edges, 0.0, radius)), pole, pole_angles,
                    tuple(cuts))
 
@@ -429,6 +433,24 @@ def _cut_pole(center: np.ndarray, radius: float, cuts) -> tuple:
     return pole, angles
 
 
+def _peak_disk(x, i: int, balls) -> tuple:
+    """(centre, radius) of the region that integrates support ball i: the
+    ball (c, R) itself, or, when the projection point y lies inside it and
+    x_n < R / 50, the disk about y of radius |y - c| + R, on which K is
+    radial and the ball's circle is a cut; not when the disk would meet
+    another ball of the support, whose part it would count twice.
+    """
+    c, radius = np.asarray(balls[i][0], dtype=float), balls[i][1]
+    if x is None or x.x_n >= 0.02 * radius:
+        return c, radius
+    gap = float(np.linalg.norm(x.y - c))
+    reach = gap + radius
+    if gap >= radius or any(float(np.linalg.norm(x.y - np.asarray(q))) < reach + rad_q
+                            for j, (q, rad_q) in enumerate(balls) if j != i):
+        return c, radius
+    return x.y, reach
+
+
 def _regions(data: BoundaryData, x, spec, r_lo: float, decay, kinks=()) -> list:
     """Regions covering the support of data outside the disk |y'| <= r_lo.
 
@@ -443,7 +465,8 @@ def _regions(data: BoundaryData, x, spec, r_lo: float, decay, kinks=()) -> list:
     if kinks:
         sup = replace(sup, radial_edges=tuple(sorted({*sup.radial_edges, *kinks})))
     if sup.balls:
-        return [_ball_region(x, c, rad, spec, sup, r_lo) for c, rad in sup.balls
+        return [_ball_region(x, *_peak_disk(x, i, sup.balls), spec, sup, r_lo)
+                for i, (c, rad) in enumerate(sup.balls)
                 if float(np.linalg.norm(np.asarray(c))) + rad > r_lo]
     hi = _data_reach(data, decay, spec, x)
     lo = max(r_lo, sup.inner_radius)
@@ -453,16 +476,6 @@ def _regions(data: BoundaryData, x, spec, r_lo: float, decay, kinks=()) -> list:
         lo = min(1.0, hi)
     regions.append(_annulus_region(x, origin, sup, lo, hi, spec))
     return regions
-
-
-def _near_ball(data: BoundaryData, x: HalfSpacePoint, spec) -> _Region:
-    """Ball about the projection point covering the support with unit margin."""
-    y, sup = x.y, data.support
-    if sup.balls:
-        reach = max(float(np.linalg.norm(y - c)) + rad for c, rad in sup.balls)
-    else:
-        reach = float(np.linalg.norm(y)) + sup.outer_radius
-    return _ball_region(x, y, reach + 1.0, spec, sup)
 
 
 # nodes per data call; keeps a block's temporaries in cache, so the
@@ -645,59 +658,53 @@ def _ramp(rho):
 # the boundary-integral driver
 
 
-def _kernel_mass_within(n: int, x_n: float, radius: float) -> float:
-    """alpha_n * x_n * integral of the Dirichlet kernel over a disk of given
-    radius around the projection point; its limit at infinity is exactly 1.
-
-    With t = rho^2 / (rho^2 + x_n^2) the integral is the regularized
-    incomplete beta function I_z((n-1)/2, 1/2) at z = R^2 / (R^2 + x_n^2)
-    (DLMF 8.17).  It is taken as 1 - I_(1-z)(1/2, (n-1)/2), which keeps full
-    accuracy when R >> x_n and z rounds to 1.
-    """
-    return float(1.0 - betainc(0.5, (n - 1) / 2.0, x_n * x_n / (radius * radius + x_n * x_n)))
-
-
 @dataclass(frozen=True)
 class _KernelIntegrand:
     """f times the kernel K - c T_M of `_solve` (see
     `kernels._kernel_minus_tail`) on |y'| > r_lo, zero inside.
 
-    Called on Cartesian points it computes |y'| once per block, for the
-    mask, the ramp and the kernel (the data's evaluator takes its own).  On
-    a grid about the origin `polar` reads |y'| per radius and Theta per ray.
+    Called on Cartesian points it computes |y' - y|^2 for K, and |y'| once
+    per block for the mask, the ramp and the tail when it has them (the
+    data's evaluator takes its own).  On a grid about the origin `polar`
+    reads |y'| per radius and Theta per ray.
     """
 
     params: KernelParams
     data: BoundaryData
     x: HalfSpacePoint
     ramp: object = None
-    base: bool = True
     r_lo: float = 0.0
 
-    def _kernel(self, rho, theta_big, cm=None):
+    def _kernel(self, gap2, rho, theta_big, cm=None):
         # c multiplies the tail alone, which M = 0 does not have
         c = self.ramp(rho) if self.ramp is not None and self.params.big_m else 1.0
-        return _kernel_minus_tail(self.params, self.x, rho, theta_big, c, self.base, cm)
+        return _kernel_minus_tail(self.params, self.x, gap2, rho, theta_big, c, cm)
 
     def __call__(self, pts):
-        norms, cosp, _ = _prepare(self.x, pts)
-        theta_big = self.x.sin_theta * cosp
-        if self.r_lo <= self.data.support.inner_radius:
-            return self.data(pts) * self._kernel(norms, theta_big)
-        out = np.zeros(pts.shape[:-1])
-        keep = norms > self.r_lo
-        if np.any(keep):
-            out[keep] = self.data(pts[keep]) * self._kernel(norms[keep], theta_big[keep])
+        x, big_m = self.x, self.params.big_m
+        clip = self.r_lo > self.data.support.inner_radius
+        norms = row_norms(pts) if big_m or clip else None
+        if clip:
+            keep = norms > self.r_lo
+            out = np.zeros(pts.shape[:-1])
+            if not np.any(keep):
+                return out
+            pts, norms = pts[keep], norms[keep]
+        theta_big = x.sin_theta * cos_theta_prime_array(x, pts, norms=norms) if big_m else None
+        vals = self.data(pts) * self._kernel(_squared_gap(pts, x.y), norms, theta_big)
+        if not clip:
+            return vals
+        out[keep] = vals
         return out
 
     def polar(self, units, rho, f_rho=None):
-        """f * kernel at the radii rho along each unit vector of a block of
-        rays, shape (len(units), len(rho)).  The kernel gets |y'| per radius
-        and Theta per ray, with each ray's cos(theta') and C_m^lam(Theta)
-        computed once for all its radii.  f_rho, the data at rho, serves
-        data radial about the origin, which the caller evaluates once for
-        all blocks; without it the data are evaluated at the Cartesian
-        points."""
+        """f * kernel at the radii rho along each unit vector u of a block
+        of rays, shape (len(units), len(rho)).  Each ray's cos(theta'),
+        C_m^lam(Theta) and |u - y_hat|^2 are computed once for all its
+        radii; K takes |rho u - y|^2 = (rho - |y|)^2 + rho |y| |u - y_hat|^2.
+        f_rho, the data at rho, serves data radial about the origin, which
+        the caller evaluates once for all blocks; without it the data are
+        evaluated at the Cartesian points."""
         keep = rho > self.r_lo
         if not np.all(keep):
             out = np.zeros((len(units), rho.size))
@@ -706,10 +713,15 @@ class _KernelIntegrand:
                                           None if f_rho is None else f_rho[keep])
             return out
         x, data, big_m = self.x, self.data, self.params.big_m
-        theta_big = x.sin_theta * cos_theta_prime_array(x, units)[None, :]
-        cm = np.array([gegenbauer.value(self.params.lam, m, theta_big[0])
-                       for m in range(big_m)]) if big_m else None
-        kernel = self._kernel(rho[:, None], theta_big, cm)
+        ynorm, col = x.r * x.sin_theta, rho[:, None]
+        apart = _squared_gap(units, x.y_hat)[None, :]
+        gap2 = (col - ynorm) ** 2 + col * ynorm * apart
+        theta_big = cm = None
+        if big_m:
+            theta_big = x.sin_theta * cos_theta_prime_array(x, units)[None, :]
+            cm = np.array([gegenbauer.value(self.params.lam, m, theta_big[0])
+                           for m in range(big_m)])
+        kernel = self._kernel(gap2, col, theta_big, cm)
         if f_rho is None:
             f = data((rho[:, None, None] * units).reshape(-1, data.n - 1)).reshape(kernel.shape)
         else:
@@ -718,47 +730,21 @@ class _KernelIntegrand:
 
 
 def _solve(params: KernelParams, data: BoundaryData, x: HalfSpacePoint,
-           spec: QuadratureSpec, prefactor: float, r_lo: float = 0.0,
-           ramp=None, near: str | None = None):
+           spec: QuadratureSpec, prefactor: float, r_lo: float = 0.0, ramp=None):
     """(prefactor * integral of f * kernel over |y'| > r_lo, prefactor * estimate).
 
     The kernel is K - c T_M (see `kernels._kernel_minus_tail`), with T_M
     the Gegenbauer tail of the parameters' kind: c = 1 when ramp is None,
     giving K_M, K~_M and the base kernel at M = 0, and c = ramp(|y'|)
     otherwise, whose kink circles |y'| = 1, 2 then become region edges.
-
-    `near` picks a near-boundary scheme for first-kind kernels.  One ball
-    about the projection point, where K peaks, integrates f K ("ball"), or
-    only (f - f(y)) K with f(y) times K's exact mass added back
-    ("subtract", for the Dirichlet kernel).  The tail c T_M is regular
-    there and is one more solve over the data's regions; the estimate is
-    the sum of the two solves'.
+    One call of `_integrate_regions` over `_regions` integrates all of it,
+    the peak of K near the boundary included.
     """
-    value = est = offset = 0.0
-    if near is None or params.big_m:
-        g = _KernelIntegrand(params, data, x, ramp, near is None, r_lo)
-        kinks = (1.0, 2.0) if ramp is not None and params.big_m else ()
-        regions = _regions(data, x if near is None else None, spec, r_lo,
-                           _kernel_decay(params, x), kinks)
-        value, est = _integrate_regions(g, data.n, regions, spec)
-    if near is not None:
-        region = _near_ball(data, x, spec)
-        f_at_y = float(data(x.y[None, :])[0]) if near == "subtract" else 0.0
-        ball_value, ball_est = _integrate_regions(
-            lambda pts: (data(pts) - f_at_y) * kernel_K(params.lam, x, pts), x.n, [region],
-            spec)
-        value, est = value + ball_value, est + ball_est
-        if near == "subtract":
-            offset = f_at_y * _kernel_mass_within(x.n, x.x_n, region.edges[-1])
-    return prefactor * value + offset, prefactor * est
-
-
-def _near_boundary(data: BoundaryData, x: HalfSpacePoint) -> bool:
-    if data.support.kind != "compact":
-        return False
-    scale = max(1.0, data.support.outer_radius)
-    ynorm = x.r * x.sin_theta
-    return x.x_n < 0.02 * scale and ynorm <= data.support.outer_radius + 2.0
+    g = _KernelIntegrand(params, data, x, ramp, r_lo)
+    kinks = (1.0, 2.0) if ramp is not None and params.big_m else ()
+    regions = _regions(data, x, spec, r_lo, _kernel_decay(params, x), kinks)
+    value, est = _integrate_regions(g, data.n, regions, spec)
+    return prefactor * value, prefactor * est
 
 
 def _check_first_kind(data: BoundaryData, lam: float, big_m: int):
@@ -779,14 +765,11 @@ def _check_origin_clearance(data: BoundaryData, big_m: int):
 
 def _first_kind_map(problem: str, data: BoundaryData, big_m: int, x: HalfSpacePoint,
                     spec: QuadratureSpec | None, ramp):
-    """The Dirichlet or Neumann integral of f against K - c T_M (see `_solve`);
-    the x_n-carrying Dirichlet kernel has unit mass, so its near ball
-    subtracts."""
+    """The Dirichlet or Neumann integral of f against K - c T_M (see `_solve`)."""
     lam, norm, carries_xn = _problem(problem, x.n)
     _check_first_kind(data, lam, big_m)
-    near = ("subtract" if carries_xn else "ball") if _near_boundary(data, x) else None
     return _solve(KernelParams(lam, big_m), data, x, spec or QuadratureSpec(),
-                  norm * x.x_n if carries_xn else norm, ramp=ramp, near=near)
+                  norm * x.x_n if carries_xn else norm, ramp=ramp)
 
 
 # ---------------------------------------------------------------------------

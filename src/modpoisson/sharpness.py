@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import binom
 
 from . import gegenbauer
-from .data import BoundaryData, Support
+from .data import BoundaryData, Support, _require_finite
 from .errors import ConstructionError, DomainError
 from .geometry import HalfSpacePoint, cos_theta_prime_array, row_norms
 from .kernels import KernelParams, kernel_K, kernel_KM_direct
@@ -226,6 +226,7 @@ def data_half_balls(n: int, psi_values, centers, lam: float, big_m: int) -> Boun
         raise ConstructionError("half-ball construction needs a second boundary axis")
     centers = [float(c) for c in centers]
     psi_values = [float(p) for p in psi_values]
+    _require_finite("half-ball centers and amplitudes", *centers, *psi_values)
     if len(centers) != len(psi_values):
         raise ConstructionError("need one amplitude per center")
     if not centers or centers[0] < 2.0:
@@ -273,6 +274,7 @@ def data_balls_super_extension(n: int, a_values, b_values, amplitudes,
     a_values = [float(a) for a in a_values]
     b_values = [float(b) for b in b_values]
     amplitudes = [float(f) for f in amplitudes]
+    _require_finite("ball centers, radii and amplitudes", *a_values, *b_values, *amplitudes)
     if not (len(a_values) == len(b_values) == len(amplitudes)):
         raise ConstructionError("need matching centers, radii and amplitudes")
     constants = compute_constants(lam, big_m)

@@ -201,6 +201,11 @@ class TestEval:
         ("eval", ["--solution", "D", "--data", "exp_decay", "--r", ","]),
         ("eval", ["--solution", "D", "--data", "exp_decay", "--theta", ","]),
         ("expand", ["--theta", ","]),
+        # NaN in a sharpness family's parameters
+        ("eval", ["--solution", "D", "--data", "sharpness_half_balls", "--data-args",
+                  "centers=nan,psi=1", "--r", "1.5"]),
+        ("eval", ["--solution", "D", "--data", "sharpness_super_balls", "--data-args",
+                  "a=nan,b=1.5,amps=1", "--r", "1.5"]),
     ])
     def test_malformed_values_are_usage_errors(self, command, args, capsys):
         assert run_cli([command, *args]) == 64

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,19 @@ class TestBaseKernel:
             yp = RNG.normal(size=3) * 3
             cart = (np.linalg.norm(yp - x.y) ** 2 + x.x_n**2) ** -1.2
             assert kernel_K(1.2, x, yp) == pytest.approx(cart, rel=1e-12)
+
+    def test_exact_near_the_peak(self):
+        # at x_n = 1e-3 the polar form |y'|^2 - 2|y'||x|Theta + |x|^2 lost up
+        # to 1.4e-9 here by cancellation; the reference is the kernel of the
+        # points as stored, with the squared gap summed in exact rationals
+        x = HalfSpacePoint.from_cartesian([0.8796383107645006, 0.5386140776619773, 1e-3])
+        y = x.y
+        for gap in np.geomspace(1e-5, 1e-1, 9):
+            for angle in np.linspace(0.0, 2.0 * np.pi, 7)[:-1]:
+                yp = y + gap * np.array([np.cos(angle), np.sin(angle)])
+                base = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(yp, y))
+                want = float(base + Fraction(x.x_n) ** 2) ** -1.5
+                assert kernel_K(1.5, x, yp) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_positive(self):
         for _ in range(50):

@@ -96,7 +96,8 @@ _DIRECTION = np.array([0.6, -0.48, 0.48, 0.4224])
 def test_sweep_meets_every_tolerance_against_the_closed_form(solve, exact, n):
     direction = _DIRECTION[:n - 1] / np.linalg.norm(_DIRECTION[:n - 1])
     misses = []
-    for a, x_n, offset, tol in itertools.product(_WIDTHS, _HEIGHTS, _OFFSETS, (1e-6, 1e-9)):
+    for a, x_n, offset, tol in itertools.product(_WIDTHS, _HEIGHTS, _OFFSETS,
+                                                 (1e-6, 1e-9, 1e-12)):
         x = HalfSpacePoint.from_cartesian(list(offset * direction) + [x_n])
         misses += _misses(solve, exact, n, a, x, tol)
     assert not misses

@@ -118,16 +118,6 @@ class TestSphereRule:
         assert got == pytest.approx(2.0 * (math.sin(a) - a * math.cos(a)), rel=1e-13)
 
 
-class TestKernelMass:
-    @pytest.mark.parametrize("x_n", [1e-6, 1e-3, 0.1, 1.0])
-    @pytest.mark.parametrize("radius", [0.5, 3.0, 50.0, 1e4])
-    def test_elementary_closed_forms(self, x_n, radius):
-        assert quad._kernel_mass_within(2, x_n, radius) == pytest.approx(
-            2.0 / math.pi * math.atan(radius / x_n), rel=0.0, abs=1e-15)
-        assert quad._kernel_mass_within(3, x_n, radius) == pytest.approx(
-            1.0 - x_n / math.sqrt(radius**2 + x_n**2), rel=0.0, abs=1e-15)
-
-
 class TestSupport:
     def test_ball_support_derives_its_radii(self):
         sup = bump(3, center=[2.0, 0.0], radius=1.0).support
@@ -480,8 +470,9 @@ class TestNearBoundary:
             -0.057443441451090906, 1.620570987486945e-05, 0.016422531307381034)),
     ])
     def test_off_centre_bump_solutions_converge(self, center, radius, where, refs):
-        # the near ball is cut by the data ball's own circle only, about which
-        # its pole is aligned.  References D, N, u and v at M = 1, 2, at
+        # every projection point lies outside the data ball, which keeps its
+        # own region; the cutoff's circles cut it for u and v, whose pole
+        # then points at them.  References D, N, u and v at M = 1, 2, at
         # radial_panels=48, angular_order=96, 1e-12; each u and v estimate
         # bounds its error against them
         f = bump(3, center=center, radius=radius)
@@ -494,16 +485,36 @@ class TestNearBoundary:
                 values.append(value)
         assert values == pytest.approx(refs, abs=1e-9, rel=0.0)
 
-    def test_near_ball_cut_by_the_data_ball_only(self):
-        f = bump(3, center=[2.0, 0.0], radius=1.0)
-        x = HalfSpacePoint.from_cartesian([0.8, 0.4, 1e-3])
-        region = quad._near_ball(f, x, SPEC)
-        assert len(region.cuts) == 1
-        centre, rad = region.cuts[0]
-        np.testing.assert_array_equal(centre, [2.0, 0.0])
-        assert rad == 1.0
-        toward = np.array([2.0, 0.0]) - x.y
-        np.testing.assert_allclose(region.pole, toward / np.linalg.norm(toward), rtol=1e-15)
+    # references at radial_panels=48, angular_order=96, 1e-12; the last
+    # agrees to 4e-16 with nested adaptive quadrature in polar coordinates
+    # about the projection point
+    @pytest.mark.parametrize("center, radius, where, solve, want", [
+        ((2.0, 0.0), 1.0, (0.8, 0.4, 1e-3), dirichlet_D, 8.829128162940336e-05),
+        ((2.0, 0.0), 1.0, (0.8, 0.4, 1e-3), lambda f, x, s: solution_u(f, 1, x, s),
+         7.381993021278245e-05),
+        ((0.0, 0.0), 3.0, (-1.26, -1.57, 1e-3), dirichlet_D, 0.1661686268044393),
+    ], ids=["D-outside", "u1-outside", "D-inside"])
+    def test_dirichlet_maps_meet_a_tight_tolerance(self, center, radius, where, solve, want):
+        # these once stalled at 1.7e-12 and 5.1e-12 in raw integral units;
+        # the third projection point lies inside its ball, whose region is
+        # then the disk about that point
+        tol = 1e-12
+        f = bump(3, center=center, radius=radius)
+        got = solve(f, HalfSpacePoint.from_cartesian(where),
+                    QuadratureSpec(abs_tol=tol, rel_tol=tol))
+        assert abs(got - want) <= max(tol, tol * abs(want))
+
+    @pytest.mark.parametrize("where", [(0.8, 0.1, 1e-3), (0.5, 0.0, 1e-3), (1.5, 0.2, 1e-3)])
+    def test_touching_bumps_solve_as_the_sum_of_their_parts(self, where):
+        # the disk about y covering the ball under it would meet the other
+        # ball and count part of it twice, so each ball keeps its own region
+        one, two = bump(3), bump(3, center=[2.0, 0.0])
+        union = BoundaryData(3, lambda pts: one(pts) + two(pts), 0.0, Support(
+            "compact", balls=((one.radial_center, 1.0), (two.radial_center, 1.0))))
+        x = HalfSpacePoint.from_cartesian(where)
+        for solve in (dirichlet_D, neumann_N):
+            parts = solve(one, x, SPEC) + solve(two, x, SPEC)
+            assert solve(union, x, SPEC) == pytest.approx(parts, rel=0.0, abs=1e-13)
 
     def test_dirichlet_dm_estimate_is_measured(self):
         # against a solve at radial_panels=48, angular_order=96, 1e-12
@@ -704,8 +715,9 @@ class TestCutRegions:
             integral_F(params, f, x, fine), abs=1e-9)
 
     def test_near_boundary_ball_aligned_to_tangent_rays(self):
-        # the near-boundary ball about (0.88, 0.54) holds the kink circle
-        # |y| = 1 and its tangent rays from the centre; their cone is an edge
+        # the projection point (0.88, 0.54) lies 0.03 outside the shell's
+        # inner kink circle |y| = 1; the annulus region grades its radial
+        # panels about |y| and its polar panels about y_hat
         f = shell_bump(3, 1.0, 3.0)
         x = HalfSpacePoint.from_cartesian([0.8796383107645006, 0.5386140776619773, 1e-3])
         assert dirichlet_DM(2, f, x, SPEC) == pytest.approx(7.616283496882084e-4, abs=1e-9)
@@ -725,6 +737,29 @@ class TestKernelPeakPole:
         assert neumann_N(f, x, SPEC) == pytest.approx(0.45474834888063975, rel=1e-13)
         assert integral_F(KernelParams(1.5, 1), f, x, SPEC) == pytest.approx(
             7.2956230798766155, rel=1e-13)
+
+    # references at radial_panels=48, angular_order=96, 1e-12, which agree
+    # to 2e-15 with nested adaptive quadrature in polar coordinates about y
+    @pytest.mark.parametrize("where, solve, big_m, want", [
+        ((4.2, 0.0, 0.2), solution_u, 2, 0.21046444241029566),
+        ((4.2, 0.0, 0.2), solution_v, 1, 0.2860652743413094),
+        ((4.2, 0.0, 0.2), solution_v, 2, 0.03984536514640291),
+        ((0.1, 0.1, 0.1), solution_v, 1, 0.008017774253336257),
+        ((0.1, 0.1, 0.1), solution_v, 2, 0.002155395462981372),
+    ])
+    def test_cut_ball_grades_its_pole_angles_about_the_peak(self, where, solve, big_m, want):
+        # the cutoff's circle |y'| = 2 cuts the ball: at n = 3 its pole points
+        # at the cut, with polar edges graded about the peak's angle phi, here
+        # pi at (4.2, 0, 0.2); with the pole on the peak these raised
+        f = bump(3, center=[3.0, 0.0], radius=2.0)
+        x = HalfSpacePoint.from_cartesian(where)
+        if where[0] == 4.2:
+            [region] = quad._regions(f, x, SPEC, 0.0, None, kinks=(1.0, 2.0))
+            np.testing.assert_array_equal(region.pole, [-1.0, 0.0])
+            assert any(a == pytest.approx(math.pi - 1.0 / 6.0, abs=1e-15)
+                       for a in region.pole_angles)
+        value, est = solve(f, big_m, x, SPEC, return_estimate=True)
+        assert abs(value - want) <= min(est, max(SPEC.abs_tol, SPEC.rel_tol * abs(want)))
 
 
 def _unblocked_grid_integral(g, n, region, spec, level, zonal_about=None):
@@ -871,7 +906,7 @@ class TestPolarGrid:
         data = _POLAR_DATA[data_name](n)
         x = HalfSpacePoint.from_cartesian([0.7, -0.4, 0.3, 0.2][:n - 1] + [1.1])
         spec = QuadratureSpec(radial_panels=8, angular_order=16)
-        g = quad._KernelIntegrand(params, data, x, ramp, True, r_lo)
+        g = quad._KernelIntegrand(params, data, x, ramp, r_lo)
         for level in (0, 1):
             for region in _origin_regions(x, r_lo):
                 polar = quad._eval_region(g, n, region, spec, level)
@@ -895,7 +930,7 @@ class TestPolarGrid:
             data = family(n)
             np.testing.assert_array_equal(data.radial_center, np.zeros(n - 1), data_name)
             for x in points:
-                g = quad._KernelIntegrand(params, data, x, ramp, True, r_lo)
+                g = quad._KernelIntegrand(params, data, x, ramp, r_lo)
                 for level in (0, 1):
                     order = _order(spec, level)
                     zonal = quad._zonal_rule(n, order, x, (0.1, 0.4), np.zeros(n - 1))
@@ -931,12 +966,24 @@ class TestPolarGrid:
             with pytest.raises(AssertionError, match="product rule built"):
                 neumann_N(dataclasses.replace(exp_decay(4), radial_center=None), x)
 
+    def test_polar_entry_matches_cartesian_entry_near_the_peak(self):
+        # rays and radii within 1e-5 of the peak of a point 1e-3 above the
+        # boundary, where the polar form of the base kernel lost 1e-10
+        x = HalfSpacePoint.from_cartesian([0.8796383107645006, 0.5386140776619773, 1e-3])
+        g = quad._KernelIntegrand(KernelParams(1.5, 0), constant(3), x)
+        rho = x.r * x.sin_theta + np.linspace(-1e-5, 1e-5, 7)
+        angles = math.atan2(x.y_hat[1], x.y_hat[0]) + np.linspace(-1e-5, 1e-5, 5)
+        units = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        polar = g.polar(units, rho)
+        cartesian = g((rho[None, :, None] * units[:, None, :]).reshape(-1, 2))
+        np.testing.assert_allclose(polar, cartesian.reshape(polar.shape), rtol=1e-14, atol=0.0)
+
     def test_masked_rows_match_cartesian_mask(self):
         # an origin-centred ball straddling r_lo: rows inside it are zero
         data = bump(3, radius=3.0)
         x = HalfSpacePoint.from_cartesian([0.5, 0.3, 0.8])
         params = KernelParams(1.5, 1)
-        g = quad._KernelIntegrand(params, data, x, None, True, 1.0)
+        g = quad._KernelIntegrand(params, data, x, None, 1.0)
         (region,) = quad._regions(data, x, SPEC, 1.0, quad._kernel_decay(params, x))
         assert 1.0 in region.edges and not np.any(region.center)
         polar = quad._eval_region(g, 3, region, SPEC, 1)
@@ -1021,7 +1068,7 @@ class TestOffCentreZonal:
                 off = x.y - c
                 # the single node needs y = c exactly, as over the first axis
                 assert (case == "over" and not np.any(c[1:])) == (not np.any(off))
-                g = quad._KernelIntegrand(params, data, x, ramp, True, r_lo)
+                g = quad._KernelIntegrand(params, data, x, ramp, r_lo)
 
                 def spheres(rule):
                     pts = c + rho[:, None, None] * rule[0][None, :, :]

@@ -182,6 +182,14 @@ class TestHalfBallData:
         with pytest.raises(ConstructionError):
             data_half_balls(3, [1.0, 1.0], [4.0, 5.0], lam=0.5, big_m=1)
 
+    @pytest.mark.parametrize("psi, centers", [
+        ([1.0], [np.nan]), ([1.0, 1.0], [4.0, np.inf]), ([np.nan], [4.0]), ([np.inf], [4.0]),
+    ])
+    def test_rejects_non_finite_parameters(self, psi, centers):
+        # a NaN centre passes every comparison and leaves no ball to integrate
+        with pytest.raises(ConstructionError, match="must be finite"):
+            data_half_balls(3, psi, centers, lam=0.5, big_m=1)
+
     def test_amplitude_summability_pattern(self):
         # psi_i = c_i / i^2 within the admitted envelope: the normalized
         # series terms f_i c_i^-(M + 2 lam) fall like 1/i^2
@@ -253,6 +261,14 @@ class TestSuperBallData:
             data_balls_super_extension(3, [20.0], [12.0], [1.0], 1.5, 1)
         with pytest.raises(ConstructionError):
             data_balls_super_extension(3, [20.0, 30.0], [1.5, 1.5], [1.0, 1.0], 1.5, 1)
+
+    @pytest.mark.parametrize("a, b, amps", [
+        ([np.nan], [1.5], [1.0]), ([20.0], [np.nan], [1.0]), ([20.0], [1.5], [np.nan]),
+        ([20.0, np.inf], [1.5, 4.5], [1.0, 1.0]), ([20.0], [1.5], [-np.inf]),
+    ])
+    def test_rejects_non_finite_parameters(self, a, b, amps):
+        with pytest.raises(ConstructionError, match="must be finite"):
+            data_balls_super_extension(3, a, b, amps, 1.5, 1)
 
     def test_balanced_sign_integral_nonnegative(self):
         lam, big_m = 1.5, 1
