@@ -270,8 +270,9 @@ def cmd_verify(args) -> int:
             fh.write("\n".join(lines) + "\n")
     for rec in records:
         status = "PASS" if rec["pass"] else "FAIL"
-        print(f"{status:12s} {rec['name']}  residual={rec['residual']:.3e} "
-              f"tol={rec['tolerance']:.3e}")
+        bound = rec["parameters"].get("strict_bound")
+        tol = f"{rec['tolerance']:.3e}" if bound is None else f"< {bound:g}"
+        print(f"{status:12s} {rec['name']}  residual={rec['residual']:.3e} tol={tol}")
     failed = sum(not rec["pass"] for rec in records)
     print(f"{len(records)} checks: {len(records) - failed} passed, {failed} failed")
     return 1 if failed else 0

@@ -9,13 +9,13 @@ ball-local coordinates, and the point the data are radial about, if any.
 `BoundaryData.radial_center` describes the data, not a solver option: f(y)
 depends on |y - radial_center| alone, or the field is None.  On a region
 about that centre the quadrature integrates over one polar angle instead
-of the whole sphere where the kernel allows it (see `quadrature`), and
-about the origin it calls the evaluator once per radial node, at |y| times
-the first axis, instead of at every grid point (a wrapper of the evaluator
-still sees every call).  `constant`, `shell_bump`, `bump_train`, `exp_decay` and
-`poly_growth` declare the origin and `bump` its own centre; `scaled_by`
-clears the field, and `dataclasses.replace(data, evaluator=...)` keeps it,
-so a replacement evaluator must stay radial about the same point.
+of the whole sphere where the kernel allows it (see `quadrature`), and on
+an uncut one it calls the evaluator once per radial node, along the first
+axis from the centre (a wrapper of the evaluator still sees every call).
+`constant`, `shell_bump`, `bump_train`, `exp_decay` and `poly_growth`
+declare the origin and `bump` its own centre; `scaled_by` clears the field,
+and `dataclasses.replace(data, evaluator=...)` keeps it, so a replacement
+evaluator must stay radial about the same point.
 """
 
 from __future__ import annotations

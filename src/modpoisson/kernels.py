@@ -2,15 +2,14 @@
 
 The base kernel K = (|y' - y|^2 + x_n^2)^(-lam) is computed from the
 squared gap |y' - y|^2 itself, never from |y'|^2 - 2|y'||x|Theta + |x|^2,
-which cancels near the peak (up to 1.4e-9 relative at x_n = 1e-3).  Both modified kinds subtract a Gegenbauer tail from K
-through one formula, `_kernel_minus_tail`: the first kind in powers of
-|x|/|y'| (useful for growing data), the second in powers of |y'|/|x|
-(useful for decaying data and expansions).  The tail takes the polar
-variables |y'| and Theta as broadcastable arrays, so a quadrature grid of
-radii times angular nodes passes |y'| per row and Theta per column; the
-Cartesian entries compute the gap and, for M >= 1, both polar variables
-from boundary points and call the same formula.  The one-dimensional
-integral form of the first kind exists for cross-verification.
+which cancels near the peak (up to 1.4e-9 relative at x_n = 1e-3).  Both
+modified kinds subtract a Gegenbauer tail from K through one formula,
+`_kernel_minus_tail`, in powers of |x|/|y'| (first kind, for growing data)
+or |y'|/|x| (second kind, for decaying data and expansions).  It takes the
+gap, |y'| and Theta as broadcastable arrays, which the quadrature forms in
+its regions' polar variables and the public kernels from boundary points.
+The one-dimensional integral form of the first kind exists for
+cross-verification.
 """
 
 from __future__ import annotations

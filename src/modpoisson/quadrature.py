@@ -12,12 +12,11 @@ Error control is by whole-grid refinement comparison, with angular order
 angular_order * 1.5^level in every dimension; evaluations never sample
 randomly, so results are reproducible bit for bit.
 
-A grid about the origin (a region centred at the zero vector, with no
-cuts) runs the solution maps' integrand in polar variables: the kernel gets
-|y'| per radius and Theta per ray, with each ray's cos(theta'), |u - y_hat|
-and the Gegenbauer tail's C_m^lam(Theta) computed once, and data radial
-about the origin (`BoundaryData.radial_center`) are evaluated once per
-radial node of the grid.  Other regions get Cartesian points.
+Every integrand is called on a block of rays u of one region about its
+centre c, with their radii rho, so the solution maps' integrand
+(`_KernelIntegrand`) works in the region's own polar variables, and data
+radial about an uncut region's centre (`BoundaryData.radial_center`) are
+evaluated once per radial node of its grid.
 
 On an uncut region about the centre c its data are radial about (n >= 3),
 f times the kernel depends on the direction only through its polar angle
@@ -56,8 +55,9 @@ toward y on a close ball, whose pole points at y; only at n = 3 does a
 close ball with cuts keep its pole on the cut, grading its polar panels
 about y's polar angle instead.  When y lies inside a support ball and x_n
 is below a fiftieth of its radius, that ball is integrated over the disk
-about y that covers it (`_peak_disk`), on which K is radial, so radial
-panels graded from the disk's centre resolve the peak in every dimension.
+about y that covers it (`_peak_disk`), on which K is a function of the
+radius alone, exact to the last bit, so radial panels graded from the
+disk's centre resolve the peak in every dimension and at any tolerance.
 """
 
 from __future__ import annotations
@@ -233,7 +233,7 @@ def _zonal_rule(dim_ambient: int, order: int, x: HalfSpacePoint, pole_angles, ce
 
     The subsphere's integral is then exactly its area |S^(d-2)|: the nodes
     are cos(phi) a + sin(phi) e, for `_polar_factor`'s phi measured from
-    the unit axis a (y_hat itself about the origin) and one unit vector e
+    the unit axis a = (y - center) / |y - center| and one unit vector e
     orthogonal to it, and the weights are the polar weights times that
     area.  Where the axis vanishes (y = center, as at theta = 0 about the
     origin) the integrand is constant on the sphere, so one node of weight
@@ -244,7 +244,7 @@ def _zonal_rule(dim_ambient: int, order: int, x: HalfSpacePoint, pole_angles, ce
     dist = float(np.linalg.norm(off))
     if dist == 0.0:
         return x.y_hat[None, :], np.array([sphere_surface_area(d - 1)])
-    axis = off / dist if np.any(center) else x.y_hat
+    axis = off / dist
     phi, meas = _polar_factor(d, order, pole_angles)
     e_perp = _orthonormal_frame(axis)[1]
     pts = np.cos(phi)[:, None] * axis + np.sin(phi)[:, None] * e_perp
@@ -510,12 +510,6 @@ def _cut_edges(region: _Region, edges, units):
     return np.sort(np.concatenate(cols, axis=1), axis=1)
 
 
-def _in_blocks(g, pts):
-    """g at the points, in calls of at most _BLOCK_POINTS points."""
-    return np.concatenate([g(pts[i:i + _BLOCK_POINTS])
-                           for i in range(0, len(pts), _BLOCK_POINTS)])
-
-
 def _eval_region(g, n: int, region: _Region, spec, level: int) -> float:
     """Integral of g over a region: its one angular rule at this level,
     built here, times 12-point Gauss-Legendre radial panels on every ray.
@@ -524,49 +518,39 @@ def _eval_region(g, n: int, region: _Region, spec, level: int) -> float:
     (n >= 3) gets `_zonal_rule` about the axis y - centre with the region's
     pole angles, which uncut regions measure from that axis; off the origin
     only at M = 0, since the tail is zonal about y_hat, not y - centre.
-    Other regions get the product `sphere_rule`.
+    Other regions get the product `sphere_rule`.  Those radial data are
+    evaluated here, once per radial node, as f_rho.
 
     The rule is walked in blocks of rays of at most _BLOCK_POINTS nodes (one
-    ray when a ray has more), so memory is O(block), not O(grid).  A region
-    with cuts gives each ray of a block its own edges where the foreign kink
-    circles cross it (`_cut_edges`), which restores spectral panel
-    convergence, and skips the nodes of zero-width panels.  On an uncut grid
-    about the origin a `_KernelIntegrand` takes the polar path
-    (`_KernelIntegrand.polar`), with data radial about the origin evaluated
-    once per radial node; other integrands get Cartesian points, in calls
-    of at most _BLOCK_POINTS points.
+    ray when a ray has more), so memory is O(block), not O(grid), with one
+    call g(centre, rays, radii, live, f_rho) per block.  On a region with
+    cuts each ray gets its own edges where the foreign kink circles cross
+    it (`_cut_edges`), which restores spectral panel convergence, and
+    `live` marks the nodes of panels of nonzero width, the only ones g
+    evaluates.
     """
     order = int(spec.angular_order * 1.5**level)
     center = region.center
-    origin = not np.any(center)
-    kernel = isinstance(g, _KernelIntegrand) and not region.cuts
-    about = g.data.radial_center if kernel else None
-    radial = about is not None and np.array_equal(about, center)
-    if radial and n >= 3 and (origin or not g.params.big_m):
+    about = g.data.radial_center if isinstance(g, _KernelIntegrand) else None
+    radial = about is not None and not region.cuts and np.array_equal(about, center)
+    if radial and n >= 3 and (not np.any(center) or not g.params.big_m):
         pts_ang, w_ang = _zonal_rule(n, order, g.x, region.pole_angles, center)
     else:
         pts_ang, w_ang = sphere_rule(n, order, pole=region.pole,
                                      pole_angles=region.pole_angles)
-    polar = kernel and origin
     edges = np.asarray(_split_panels(region.edges, level))
-    if not region.cuts:  # the rays share one set of radial nodes
-        rho, wr = _radial_nodes(edges, n)
-    f_rho = g.data(rho[:, None] * np.eye(n - 1)[0]) if polar and radial else None
+    rho, wr = _radial_nodes(edges, n)
+    f_rho = g.data(center + rho[:, None] * np.eye(n - 1)[0]) if radial else None
+    live = None
     rays = max(1, _BLOCK_POINTS // (12 * (edges.size - 1 + 2 * len(region.cuts))))
     ray = np.empty(len(w_ang))
     for start in range(0, len(w_ang), rays):
         u = pts_ang[start:start + rays]
-        if polar:
-            vals = g.polar(u, rho, f_rho)
-        elif region.cuts:
+        if region.cuts:
             ray_edges = _cut_edges(region, edges, u)
             rho, wr = _radial_nodes(ray_edges, n)
             live = np.repeat(np.diff(ray_edges, axis=1) > 0.0, 12, axis=1)
-            vals = np.zeros(rho.shape)
-            vals[live] = _in_blocks(g, (center + rho[:, :, None] * u[:, None, :])[live])
-        else:
-            pts = center + rho[:, None] * u[:, None, :]
-            vals = _in_blocks(g, pts.reshape(-1, n - 1)).reshape(len(u), -1)
+        vals = g(center, u, rho, live, f_rho)
         ray[start:start + rays] = np.einsum("...j,...j->...", wr, vals)
     return float(w_ang @ ray)
 
@@ -663,10 +647,12 @@ class _KernelIntegrand:
     """f times the kernel K - c T_M of `_solve` (see
     `kernels._kernel_minus_tail`) on |y'| > r_lo, zero inside.
 
-    Called on Cartesian points it computes |y' - y|^2 for K, and |y'| once
-    per block for the mask, the ramp and the tail when it has them (the
-    data's evaluator takes its own).  On a grid about the origin `polar`
-    reads |y'| per radius and Theta per ray.
+    It works in the polar variables of its region, about the centre c.
+    With y - c = d a and |a| = 1, K takes |c + rho u - y|^2 =
+    (rho - d)^2 + rho d |u - a|^2, with |u - a|^2 once per ray: rho^2
+    exactly on a region about y.  About the origin the tail reads
+    |y'| = rho and Theta per ray, with each ray's C_m^lam(Theta) once when
+    the rays share their radii; elsewhere both come from the nodes c + rho u.
     """
 
     params: KernelParams
@@ -675,58 +661,55 @@ class _KernelIntegrand:
     ramp: object = None
     r_lo: float = 0.0
 
-    def _kernel(self, gap2, rho, theta_big, cm=None):
-        # c multiplies the tail alone, which M = 0 does not have
-        c = self.ramp(rho) if self.ramp is not None and self.params.big_m else 1.0
-        return _kernel_minus_tail(self.params, self.x, gap2, rho, theta_big, c, cm)
-
-    def __call__(self, pts):
-        x, big_m = self.x, self.params.big_m
-        clip = self.r_lo > self.data.support.inner_radius
-        norms = row_norms(pts) if big_m or clip else None
-        if clip:
-            keep = norms > self.r_lo
-            out = np.zeros(pts.shape[:-1])
-            if not np.any(keep):
-                return out
-            pts, norms = pts[keep], norms[keep]
-        theta_big = x.sin_theta * cos_theta_prime_array(x, pts, norms=norms) if big_m else None
-        vals = self.data(pts) * self._kernel(_squared_gap(pts, x.y), norms, theta_big)
-        if not clip:
-            return vals
-        out[keep] = vals
-        return out
-
-    def polar(self, units, rho, f_rho=None):
-        """f * kernel at the radii rho along each unit vector u of a block
-        of rays, shape (len(units), len(rho)).  Each ray's cos(theta'),
-        C_m^lam(Theta) and |u - y_hat|^2 are computed once for all its
-        radii; K takes |rho u - y|^2 = (rho - |y|)^2 + rho |y| |u - y_hat|^2.
-        f_rho, the data at rho, serves data radial about the origin, which
-        the caller evaluates once for all blocks; without it the data are
-        evaluated at the Cartesian points."""
-        keep = rho > self.r_lo
-        if not np.all(keep):
-            out = np.zeros((len(units), rho.size))
-            if np.any(keep):
-                out[:, keep] = self.polar(units, rho[keep],
-                                          None if f_rho is None else f_rho[keep])
-            return out
-        x, data, big_m = self.x, self.data, self.params.big_m
-        ynorm, col = x.r * x.sin_theta, rho[:, None]
-        apart = _squared_gap(units, x.y_hat)[None, :]
-        gap2 = (col - ynorm) ** 2 + col * ynorm * apart
-        theta_big = cm = None
-        if big_m:
+    def __call__(self, center, units, rho, live=None, f_rho=None):
+        """f * kernel at c + rho u, shape (len(units), radii), for rho one
+        row shared by the rays or one row per ray; zero where live (of that
+        shape) is False.  f_rho, the data along a shared row, serves data
+        radial about c."""
+        x, params = self.x, self.params
+        origin = not center.any()
+        off = x.y - center
+        d = math.sqrt(off @ off)
+        apart = _squared_gap(units, off / (d or 1.0))[None, :]  # |u - a|^2 per ray
+        keep = live
+        if self.r_lo > self.data.support.inner_radius:  # |y'|^2 = rho^2 + 2 rho c.u + |c|^2
+            cu = 0.0 if origin else 2.0 * (units @ center)[:, None]
+            inside = rho * (rho + cu) + center @ center > self.r_lo**2
+            keep = inside if keep is None else keep & inside
+        if keep is not None and keep.all():
+            keep = None
+        if keep is None:  # one row per radius, one column per ray
+            radii = rho.T if rho.ndim == 2 else rho[:, None]
+            f = None if f_rho is None else f_rho[:, None]
+        else:  # the kept nodes alone, each as a ray of one radius
+            keep = np.broadcast_to(keep, (len(units), rho.shape[-1]))
+            counts = keep.sum(axis=1)
+            radii = np.broadcast_to(rho, keep.shape)[keep][None, :]
+            units, apart = np.repeat(units, counts, axis=0), np.repeat(apart, counts)
+            f = None if f_rho is None else np.broadcast_to(f_rho, keep.shape)[keep]
+        pts = norms = theta_big = cm = None
+        if f is None or params.big_m and not origin:
+            pts = center + radii[..., None] * units
+        if params.big_m and origin:  # |y'| = rho, and Theta per ray
+            norms = radii
             theta_big = x.sin_theta * cos_theta_prime_array(x, units)[None, :]
-            cm = np.array([gegenbauer.value(self.params.lam, m, theta_big[0])
-                           for m in range(big_m)])
-        kernel = self._kernel(gap2, col, theta_big, cm)
-        if f_rho is None:
-            f = data((rho[:, None, None] * units).reshape(-1, data.n - 1)).reshape(kernel.shape)
-        else:
-            f = f_rho[:, None]
-        return (f * kernel).T
+            if radii.shape[1] == 1:
+                cm = np.array([gegenbauer.value(params.lam, m, theta_big[0])
+                               for m in range(params.big_m)])
+        elif params.big_m:
+            norms = row_norms(pts)
+            theta_big = x.sin_theta * cos_theta_prime_array(x, pts, norms=norms)
+        # c multiplies the tail alone, which M = 0 does not have
+        c = self.ramp(norms) if self.ramp is not None and params.big_m else 1.0
+        vals = _kernel_minus_tail(params, x, (radii - d) ** 2 + radii * d * apart,
+                                  norms, theta_big, c, cm)
+        if f is None:
+            f = self.data(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape[:-1])
+        if keep is None:
+            return (f * vals).T
+        out = np.zeros(keep.shape)
+        out[keep] = (f * vals)[0]
+        return out
 
 
 def _solve(params: KernelParams, data: BoundaryData, x: HalfSpacePoint,
@@ -786,7 +769,15 @@ def integrate_weighted(data: BoundaryData, weight, spec: QuadratureSpec | None =
     """
     spec = spec or QuadratureSpec()
     regions = _regions(data, None, spec, 0.0, lambda radius: radius**weight_growth)
-    return _integrate_regions(lambda pts: data(pts) * weight(pts), data.n, regions, spec)[0]
+
+    def g(center, units, rho, live, f_rho):
+        pts = center + rho[..., None] * units[:, None, :]
+        live = np.ones(pts.shape[:-1], dtype=bool) if live is None else live
+        out = np.zeros(live.shape)
+        out[live] = data(pts[live]) * weight(pts[live])
+        return out
+
+    return _integrate_regions(g, data.n, regions, spec)[0]
 
 
 def integral_F(params: KernelParams, data: BoundaryData, x: HalfSpacePoint,

@@ -72,9 +72,11 @@ def strictly_below(name: str, residual: float, bound: float,
     """Report that passes only when residual < bound.
 
     Sign checks use it with bound 0 and residual minus the measured minimum,
-    so a minimum of exactly 0.0 fails.
+    so a minimum of exactly 0.0 fails.  The tolerance is the largest float
+    below the bound, and `parameters.strict_bound` holds the bound itself.
     """
-    return CheckReport(name, residual, math.nextafter(bound, -math.inf), parameters or {})
+    return CheckReport(name, residual, math.nextafter(bound, -math.inf),
+                       {**(parameters or {}), "strict_bound": bound})
 
 
 def settles(seq) -> bool:

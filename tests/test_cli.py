@@ -445,6 +445,28 @@ class TestVerify:
         assert "FAIL" in capsys.readouterr().out
 
 
+    def test_strict_bounds_print_as_strict(self, monkeypatch, tmp_path, capsys):
+        # the text line shows a strict bound as "< bound"; the JSONL record
+        # keeps the largest float below it as its tolerance
+        from modpoisson import suites
+        from modpoisson.verification import CheckReport
+
+        def fake(seed=42):
+            return [suites.strictly_below("sign", -1.0, 0.0),
+                    suites.strictly_below("decay", 0.5, 1.0, {"k_star": 3}),
+                    CheckReport("plain", 0.0, 1e-9)]
+
+        monkeypatch.setitem(suites.SUITES, "gegenbauer", fake)
+        report = tmp_path / "report.jsonl"
+        assert run_cli(["verify", "--suite", "gegenbauer", "--out", str(report)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith("tol=< 0") and lines[1].endswith("tol=< 1")
+        assert lines[2].endswith("tol=1.000e-09")
+        records = [json.loads(line) for line in report.read_text().splitlines()]
+        assert [rec["tolerance"] for rec in records] == [-5e-324, 0.9999999999999999, 1e-9]
+        assert records[1]["parameters"] == {"k_star": 3, "strict_bound": 1.0}
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -20,7 +20,7 @@ from modpoisson.data import (
 from modpoisson.errors import AccuracyError, DomainError
 from modpoisson.expansions import AsymptoticExpansion, HarmonicFamilyTerm, coefficient_Y1
 from modpoisson.geometry import HalfSpacePoint
-from modpoisson.kernels import KernelParams, kernel_K, kernel_KM_second
+from modpoisson.kernels import KernelParams, kernel_K, kernel_KM_direct, kernel_KM_second
 from modpoisson.quadrature import (
     QuadratureSpec,
     alpha_n,
@@ -516,6 +516,47 @@ class TestNearBoundary:
             parts = solve(one, x, SPEC) + solve(two, x, SPEC)
             assert solve(union, x, SPEC) == pytest.approx(parts, rel=0.0, abs=1e-13)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("x_n", [1e-6, 1e-4])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-13])
+    def test_disk_indicator_about_the_projection_point(self, n, x_n, tol):
+        # D of the indicator of the unit disk about y in closed form; the
+        # region about y takes the gap |y' - y| as its radius, so nothing
+        # rounds at the peak.  Nodes built as y + rho u raised at x_n = 1e-6
+        # and were off by up to 8.9e-13 elsewhere
+        x = HalfSpacePoint.from_cartesian([0.3, 0.2, -0.1][:n - 1] + [x_n])
+        y = x.y
+        disk = BoundaryData(n, lambda pts: (np.linalg.norm(pts - y, axis=-1) < 1.0) * 1.0,
+                            0.0, Support("compact", balls=((y, 1.0),)))
+        want = {2: 2.0 / math.pi * math.atan(1.0 / x_n),
+                3: 1.0 - x_n / math.sqrt(1.0 + x_n * x_n),
+                4: 2.0 / math.pi * (math.atan(1.0 / x_n) - x_n / (1.0 + x_n * x_n))}[n]
+        got = dirichlet_D(disk, x, QuadratureSpec(abs_tol=tol, rel_tol=tol))
+        assert got == pytest.approx(want, rel=0.0, abs=1e-15)
+
+    def test_planar_bump_at_a_tight_tolerance(self):
+        # pinned from mpmath at 40 and 50 digits with two splittings of the
+        # integral; a solve on nodes y + rho u stalled with estimate 2.5e-6
+        tol = 1e-12
+        want = 0.75356979854957792676
+        got = dirichlet_D(bump(2), HalfSpacePoint.from_cartesian([0.3, 1e-6]),
+                          QuadratureSpec(abs_tol=tol, rel_tol=tol))
+        assert abs(got - want) <= max(tol, tol * abs(want))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_kernel_on_a_region_about_the_peak_is_exact(self, n):
+        # on the disk about y the kernel is (rho^2 + x_n^2)^(-lam) bit for bit
+        x = HalfSpacePoint.from_cartesian([0.3, 0.2, -0.1][:n - 1] + [1e-6])
+        [region] = quad._regions(bump(n, radius=2.0), x, SPEC, 0.0, None)
+        np.testing.assert_array_equal(region.center, x.y)
+        units = sphere_rule(n, _order(SPEC, 1), pole=region.pole,
+                            pole_angles=region.pole_angles)[0]
+        rho, _ = quad._radial_nodes(np.asarray(quad._split_panels(region.edges, 1)), n)
+        g = quad._KernelIntegrand(KernelParams(n / 2.0, 0), constant(n), x)
+        want = (rho**2 + x.x_n**2) ** (-n / 2.0)
+        np.testing.assert_array_equal(g(region.center, units, rho),
+                                      np.broadcast_to(want, (len(units), rho.size)))
+
     def test_dirichlet_dm_estimate_is_measured(self):
         # against a solve at radial_panels=48, angular_order=96, 1e-12
         f = shell_bump(3, 1.0, 3.0)
@@ -631,6 +672,38 @@ class TestGaussLegendreCache:
         assert quad1d.gauss_legendre(12)[0][0] == pytest.approx(-0.9815606342467192)
 
 
+def _on_rays(g):
+    """A function of Cartesian points as an integrand of `_eval_region`,
+    called on the live nodes c + rho u of each block of rays."""
+    def block(center, units, rho, live, f_rho):
+        pts = center + rho[..., None] * units[:, None, :]
+        live = np.ones(pts.shape[:-1], dtype=bool) if live is None else live
+        out = np.zeros(live.shape)
+        out[live] = g(pts[live])
+        return out
+    return block
+
+
+def _cartesian_integrand(params, data, x, ramp=None, r_lo=0.0):
+    """The solution maps' integrand f (K - c T_M) at Cartesian points, built
+    from the public kernels: K_M (or K~_M) where c = 1, and
+    K - ramp(|y'|) (K - K_M) for the assembled solutions; zero on
+    |y'| <= r_lo."""
+    kernel = kernel_KM_direct if params.kind == "first" else kernel_KM_second
+
+    def g(pts):
+        norms = np.linalg.norm(pts, axis=-1)
+        keep = norms > r_lo
+        out = np.zeros(pts.shape[:-1])
+        vals = kernel(params, x, pts[keep])
+        if ramp is not None and params.big_m:
+            base = kernel_K(params.lam, x, pts[keep])
+            vals = base - ramp(norms[keep]) * (base - vals)
+        out[keep] = data(pts[keep]) * vals
+        return out
+    return g
+
+
 def _per_ray_cut_integral(g, n, region, level):
     """One ray at a time: radial edges merged with each cut's crossings.
     The rays' contributions are summed exactly: a running float sum over
@@ -671,7 +744,7 @@ class TestCutRegions:
     @pytest.mark.parametrize("level", [0, 1, 2])
     def test_blocked_rays_match_per_ray_loop(self, n, level):
         far, region = _kink_cut_region(n)
-        blocked = quad._eval_region(far, n, region, SPEC, level)
+        blocked = quad._eval_region(_on_rays(far), n, region, SPEC, level)
         assert blocked == pytest.approx(_per_ray_cut_integral(far, n, region, level),
                                         rel=1e-14, abs=0.0)
 
@@ -684,7 +757,7 @@ class TestCutRegions:
             sizes.append(len(pts))
             return far(pts)
 
-        quad._eval_region(counted, n, region, SPEC, 2)
+        quad._eval_region(_on_rays(counted), n, region, SPEC, 2)
         assert len(sizes) > 1
         assert max(sizes) <= quad._BLOCK_POINTS
 
@@ -810,7 +883,7 @@ class TestGridBlocks:
                 return g(pts)
 
             for region in regions:
-                quad._eval_region(counted, n, region, spec, level)
+                quad._eval_region(_on_rays(counted), n, region, spec, level)
             assert max(sizes) <= quad._BLOCK_POINTS
             calls += len(sizes)
         assert calls > 2 * len(regions)
@@ -821,7 +894,7 @@ class TestGridBlocks:
         g, regions = _far_dirichlet_grid(n)
         spec = _GRID_SPECS[n]
         for region in regions:
-            assert quad._eval_region(g, n, region, spec, level) == pytest.approx(
+            assert quad._eval_region(_on_rays(g), n, region, spec, level) == pytest.approx(
                 _unblocked_grid_integral(g, n, region, spec, level), rel=1e-15, abs=0.0)
 
     def test_rule_larger_than_a_block_goes_ray_block_by_ray_block(self, monkeypatch):
@@ -834,7 +907,7 @@ class TestGridBlocks:
             sizes.append(len(pts))
             return g(pts)
 
-        value = quad._eval_region(counted, 4, regions[0], SPEC, 0)
+        value = quad._eval_region(_on_rays(counted), 4, regions[0], SPEC, 0)
         assert len(sizes) > 3 and max(sizes) <= quad._BLOCK_POINTS
         assert value == pytest.approx(_unblocked_grid_integral(g, 4, regions[0], SPEC, 0),
                                       rel=1e-15, abs=0.0)
@@ -907,11 +980,12 @@ class TestPolarGrid:
         x = HalfSpacePoint.from_cartesian([0.7, -0.4, 0.3, 0.2][:n - 1] + [1.1])
         spec = QuadratureSpec(radial_panels=8, angular_order=16)
         g = quad._KernelIntegrand(params, data, x, ramp, r_lo)
+        reference = _cartesian_integrand(params, data, x, ramp, r_lo)
         for level in (0, 1):
             for region in _origin_regions(x, r_lo):
                 polar = quad._eval_region(g, n, region, spec, level)
                 zonal = x if data.radial_center is not None else None
-                cartesian = _unblocked_grid_integral(g, n, region, spec, level, zonal)
+                cartesian = _unblocked_grid_integral(reference, n, region, spec, level, zonal)
                 assert polar == pytest.approx(cartesian, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -937,8 +1011,8 @@ class TestPolarGrid:
                     product = sphere_rule(n, order, pole=x.y_hat, pole_angles=(0.1, 0.4))
                     mass = np.sum(product[1]) / np.sum(zonal[1])
                     assert mass == pytest.approx(1.0, abs=1e-12 if n < 6 else 1e-8)
-                    want = product[1] @ g.polar(product[0], rho) / mass
-                    got = zonal[1] @ g.polar(zonal[0], rho)
+                    want = product[1] @ g(np.zeros(n - 1), product[0], rho) / mass
+                    got = zonal[1] @ g(np.zeros(n - 1), zonal[0], rho)
                     np.testing.assert_allclose(got, want, rtol=1e-13,
                                                atol=1e-13 * np.max(np.abs(want)),
                                                err_msg=f"{data_name} theta={x.theta}")
@@ -974,9 +1048,10 @@ class TestPolarGrid:
         rho = x.r * x.sin_theta + np.linspace(-1e-5, 1e-5, 7)
         angles = math.atan2(x.y_hat[1], x.y_hat[0]) + np.linspace(-1e-5, 1e-5, 5)
         units = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        polar = g.polar(units, rho)
-        cartesian = g((rho[None, :, None] * units[:, None, :]).reshape(-1, 2))
-        np.testing.assert_allclose(polar, cartesian.reshape(polar.shape), rtol=1e-14, atol=0.0)
+        polar = g(np.zeros(2), units, rho)
+        reference = _cartesian_integrand(KernelParams(1.5, 0), constant(3), x)
+        cartesian = reference(rho[None, :, None] * units[:, None, :])
+        np.testing.assert_allclose(polar, cartesian, rtol=1e-14, atol=0.0)
 
     def test_masked_rows_match_cartesian_mask(self):
         # an origin-centred ball straddling r_lo: rows inside it are zero
@@ -987,7 +1062,8 @@ class TestPolarGrid:
         (region,) = quad._regions(data, x, SPEC, 1.0, quad._kernel_decay(params, x))
         assert 1.0 in region.edges and not np.any(region.center)
         polar = quad._eval_region(g, 3, region, SPEC, 1)
-        assert polar == pytest.approx(_unblocked_grid_integral(g, 3, region, SPEC, 1, x),
+        reference = _cartesian_integrand(params, data, x, None, 1.0)
+        assert polar == pytest.approx(_unblocked_grid_integral(reference, 3, region, SPEC, 1, x),
                                       rel=1e-14, abs=0.0)
 
     def test_radial_data_are_called_once_per_radial_node(self):
@@ -1009,6 +1085,30 @@ class TestPolarGrid:
         # the same solve on data not declared radial evaluates every grid point
         plain = dataclasses.replace(base, radial_center=None)
         assert value == pytest.approx(neumann_N(plain, x, QuadratureSpec()), rel=1e-14, abs=0.0)
+
+
+class TestRadialDataOffTheOrigin:
+    def test_radial_data_are_called_once_per_radial_node(self):
+        # an M = 0 solve of the kink-cut bump at one of its benchmark points:
+        # the ball about the bump's centre is uncut, so the data are called
+        # at c + rho e1 once per radial node, never at the grid
+        base = bump(3, center=[2.0, 0.0], radius=1.0)
+        calls = []
+
+        def counted(pts):
+            calls.append(np.array(pts))
+            return base.evaluator(pts)
+
+        f = dataclasses.replace(base, evaluator=counted)
+        x = HalfSpacePoint.from_cartesian([-0.6813235273535158, -0.543179150532535,
+                                           0.858716595707719])
+        value = solution_u(f, 0, x, SPEC)
+        assert calls
+        for pts in calls:
+            assert np.all(pts[:, 1] == 0.0) and np.all(pts[:, 0] >= 2.0)  # on c + rho e1
+            assert len(np.unique(pts[:, 0])) == len(pts)  # one point per radius
+        plain = dataclasses.replace(base, radial_center=None)
+        assert value == pytest.approx(solution_u(plain, 0, x, SPEC), rel=1e-14, abs=0.0)
 
 
 def _kink_bump(n, center):
@@ -1071,8 +1171,7 @@ class TestOffCentreZonal:
                 g = quad._KernelIntegrand(params, data, x, ramp, r_lo)
 
                 def spheres(rule):
-                    pts = c + rho[:, None, None] * rule[0][None, :, :]
-                    return g(pts.reshape(-1, n - 1)).reshape(rho.size, -1) @ rule[1]
+                    return rule[1] @ g(c, rule[0], rho)
 
                 for level in (0, 1):
                     order = _order(spec, level)
