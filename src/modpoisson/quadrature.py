@@ -12,6 +12,12 @@ Error control is by whole-grid refinement comparison, with angular order
 angular_order * 1.5^level in every dimension; evaluations never sample
 randomly, so results are reproducible bit for bit.
 
+A level's grid costs a few whole-array operations: `_split_panels` splits
+every radial panel at once, the angular factors (`_polar_factor` and the
+subsphere rule) are cached by (dimension, order, pole angles) as read-only
+arrays, and the frame that turns them toward a pole is a closed-form
+Householder reflection (`_orthonormal_frame`).
+
 Every integrand is called on a block of rays u of one region about its
 centre c, with their radii rho, so the solution maps' integrand
 (`_KernelIntegrand`) works in the region's own polar variables, and data
@@ -62,6 +68,7 @@ disk's centre resolve the peak in every dimension and at any tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -152,14 +159,18 @@ class QuadratureSpec:
 
 
 def _orthonormal_frame(pole: np.ndarray) -> np.ndarray:
-    """Rows: pole followed by an orthonormal completion."""
-    d = pole.size
-    frame = np.eye(d)
+    """Rows: the unit pole followed by an orthonormal completion.
+
+    The rows of the Householder reflection H = I - 2 v v^T / |v|^2 with
+    v = p + sign(p_0) e1 are orthonormal, and its row 0 is -sign(p_0) p, so
+    setting row 0 to p keeps them so.  That sign makes |v|^2 = 2 (1 + |p_0|)
+    at least 2, where the other sign would cancel for a pole next to +-e1.
+    """
+    v = pole.copy()
+    v[0] += 1.0 if pole[0] >= 0.0 else -1.0
+    frame = np.eye(pole.size) - (2.0 / (v @ v)) * np.outer(v, v)
     frame[0] = pole
-    q, _ = np.linalg.qr(frame.T)
-    if np.dot(q[:, 0], pole) < 0:
-        q[:, 0] = -q[:, 0]
-    return q.T
+    return frame
 
 
 def _gl_on(a: float, b: float, npts: int):
@@ -168,10 +179,19 @@ def _gl_on(a: float, b: float, npts: int):
     return a + half * (x + 1.0), half * w
 
 
-def _polar_factor(d: int, order: int, pole_angles=()):
+def _read_only(*arrays):
+    """The arrays, made read-only so that a cache can share them."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache
+def _polar_factor(d: int, order: int, pole_angles: tuple = ()):
     """Polar factor of the sphere rule on S^(d-1), d >= 2: nodes phi in
     [0, pi] measured from the pole, and their Gauss-Legendre weights times
-    sin(phi)^(d-2), the measure the subsphere S^(d-2) leaves behind.
+    sin(phi)^(d-2), the measure the subsphere S^(d-2) leaves behind.  Cached
+    and shared by every caller, so both arrays are read-only.
 
     pole_angles are polar panel edges: graded toward the pole for integrands
     concentrated there, or where an integrand has a kink.  No panel gets
@@ -190,7 +210,14 @@ def _polar_factor(d: int, order: int, pole_angles=()):
         phi_nodes.append(xs)
         phi_weights.append(ws)
     phi = np.concatenate(phi_nodes)
-    return phi, np.sin(phi) ** (d - 2) * np.concatenate(phi_weights)
+    return _read_only(phi, np.sin(phi) ** (d - 2) * np.concatenate(phi_weights))
+
+
+@functools.lru_cache
+def _subsphere_rule(dim_ambient: int, order: int):
+    """`sphere_rule` about the default pole, cached and shared by every
+    caller, so both arrays are read-only."""
+    return _read_only(*sphere_rule(dim_ambient, order))
 
 
 def sphere_rule(dim_ambient: int, order: int, pole=None, pole_angles=()):
@@ -202,6 +229,7 @@ def sphere_rule(dim_ambient: int, order: int, pole=None, pole_angles=()):
     subsphere S^(d-2) (for d = 2 the two points of S^0, so the circle is
     the mirrored half-circle).  An integrand that depends on the direction
     only through its polar angle needs no subsphere rule: see `_zonal_rule`.
+    Both factors are cached; the arrays returned are the caller's own.
     """
     d = dim_ambient - 1
     if pole is None:
@@ -213,8 +241,8 @@ def sphere_rule(dim_ambient: int, order: int, pole=None, pole_angles=()):
 
     # integrating in the polar angle keeps the sin^(d-2) weight analytic
     frame = _orthonormal_frame(pole)
-    phi, meas = _polar_factor(d, order, pole_angles)
-    sub_pts, sub_w = sphere_rule(d, max(8, (2 * order) // 3))
+    phi, meas = _polar_factor(d, order, tuple(pole_angles))
+    sub_pts, sub_w = _subsphere_rule(d, max(8, (2 * order) // 3))
     sint = np.sin(phi)
     pts = (
         np.cos(phi)[:, None, None] * frame[0][None, None, :]
@@ -286,19 +314,28 @@ def _dedupe(edges, lo, hi, min_gap=1e-13):
     return out
 
 
-def _split_panels(edges, level: int):
+def _split_panels(edges, level: int) -> np.ndarray:
+    """The edges with every panel split into 2^level: geometrically where
+    its ends a > 0 and b have b / a > 1.5, evenly otherwise.
+
+    All panels at once, in the arithmetic of `np.linspace` and
+    `np.geomspace` (10^(log10 a + j step)), so the nodes are theirs bit for
+    bit without their per-call cost.
+    """
+    edges = np.asarray(edges, dtype=float)
     if level == 0:
-        return list(edges)
-    out = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        ratio = b / a if a > 0 else None
-        k = 2**level
-        if ratio is not None and ratio > 1.5:
-            out.extend(np.geomspace(a, b, k + 1)[:-1])
-        else:
-            out.extend(np.linspace(a, b, k + 1)[:-1])
-    out.append(edges[-1])
-    return out
+        return edges
+    a, b = edges[:-1], edges[1:]
+    geo = a > 0.0
+    geo[geo] = b[geo] / a[geo] > 1.5
+    k = 2**level
+    j = np.arange(k)
+    out = j * ((b - a) / k)[:, None] + a[:, None]
+    if geo.any():
+        log_a, log_b = np.log10(a[geo]), np.log10(b[geo])
+        out[geo] = 10.0 ** (j * ((log_b - log_a) / k)[:, None] + log_a[:, None])
+        out[geo, 0] = a[geo]
+    return np.append(out.ravel(), edges[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +575,7 @@ def _eval_region(g, n: int, region: _Region, spec, level: int) -> float:
     else:
         pts_ang, w_ang = sphere_rule(n, order, pole=region.pole,
                                      pole_angles=region.pole_angles)
-    edges = np.asarray(_split_panels(region.edges, level))
+    edges = _split_panels(region.edges, level)
     rho, wr = _radial_nodes(edges, n)
     f_rho = g.data(center + rho[:, None] * np.eye(n - 1)[0]) if radial else None
     live = None
@@ -652,7 +689,8 @@ class _KernelIntegrand:
     (rho - d)^2 + rho d |u - a|^2, with |u - a|^2 once per ray: rho^2
     exactly on a region about y.  About the origin the tail reads
     |y'| = rho and Theta per ray, with each ray's C_m^lam(Theta) once when
-    the rays share their radii; elsewhere both come from the nodes c + rho u.
+    the rays share their radii, and the clip circle |y'| = r_lo drops whole
+    radii there; elsewhere both come from the nodes c + rho u.
     """
 
     params: KernelParams
@@ -678,6 +716,11 @@ class _KernelIntegrand:
             keep = inside if keep is None else keep & inside
         if keep is not None and keep.all():
             keep = None
+        elif keep is not None and keep.ndim == 1:  # the same radii on every ray
+            out = np.zeros((len(units), rho.size))
+            out[:, keep] = self(center, units, rho[keep], None,
+                                None if f_rho is None else f_rho[keep])
+            return out
         if keep is None:  # one row per radius, one column per ray
             radii = rho.T if rho.ndim == 2 else rho[:, None]
             f = None if f_rho is None else f_rho[:, None]

@@ -672,6 +672,76 @@ class TestGaussLegendreCache:
         assert quad1d.gauss_legendre(12)[0][0] == pytest.approx(-0.9815606342467192)
 
 
+def _split_per_panel(edges, level):
+    """The reference split: np.geomspace or np.linspace on each panel."""
+    if level == 0:
+        return np.asarray(edges, dtype=float)
+    out = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        split = np.geomspace if a > 0 and b / a > 1.5 else np.linspace
+        out.extend(split(a, b, 2**level + 1)[:-1])
+    return np.array(out + [edges[-1]])
+
+
+class TestGridConstruction:
+    @pytest.mark.parametrize("level", range(5))
+    def test_split_panels_matches_the_per_panel_split(self, level):
+        rng = np.random.default_rng(23)
+        # a 0 left edge; ratios 1.67, 2.4, 3.3 and 1.03; exactly 1.5, split
+        # evenly; an annulus from a tiny inner radius; the annulus edges
+        edge_sets = [(0.0, 0.3, 0.5, 1.2, 4.0, 4.1), (2.0, 3.0, 3.5, 100.0),
+                     (1e-300, 1e-12, 1.0), tuple(quad._geometric_edges(0.5, 80.0, 24))]
+        for start in (0.0, 1e-3, 2.0):
+            for scale in (0.05, 1.0, 30.0):
+                widths = rng.exponential(scale, size=rng.integers(1, 30))
+                edge_sets.append(tuple(start + np.concatenate([[0.0], np.cumsum(widths)])))
+        ratios = np.concatenate([np.divide(e[1:], e[:-1]) for e in edge_sets if e[0] > 0])
+        assert np.any(ratios > 1.5) and np.any(ratios <= 1.5)
+        for edges in edge_sets:
+            np.testing.assert_array_equal(quad._split_panels(edges, level),
+                                          _split_per_panel(edges, level), err_msg=str(edges))
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_orthonormal_frame_rows(self, d):
+        # random poles, +-e1, and poles within 1e-9 of +-e1, where the
+        # reflection with the other sign loses the digits of the tilt
+        rng = np.random.default_rng(d)
+        e1 = np.eye(d)[0]
+        poles = [e1, -e1]
+        for sign in (1.0, -1.0):
+            tilt = np.concatenate([[0.0], 1e-9 * rng.uniform(-1.0, 1.0, d - 1)])
+            poles.append((sign * e1 + tilt) / np.linalg.norm(sign * e1 + tilt))
+        for _ in range(8):
+            pole = rng.normal(size=d)
+            poles.append(pole / np.linalg.norm(pole))
+        for pole in poles:
+            frame = quad._orthonormal_frame(pole)
+            np.testing.assert_array_equal(frame[0], pole)
+            np.testing.assert_allclose(frame @ frame.T, np.eye(d), rtol=0.0, atol=1e-14,
+                                       err_msg=str(pole))
+
+    def test_angular_factors_are_cached_read_only(self):
+        polar = quad._polar_factor(4, 48, (0.1, 0.4))
+        subsphere = quad._subsphere_rule(4, 32)
+        for arr in (*polar, *subsphere):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert all(a is b for a, b in zip(quad._polar_factor(4, 48, (0.1, 0.4)), polar))
+        assert all(a is b for a, b in zip(quad._subsphere_rule(4, 32), subsphere))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_sphere_rule_returns_fresh_writable_arrays(self, n):
+        def rule():
+            return sphere_rule(n, 48, pole=np.ones(n - 1), pole_angles=(0.1, 0.4))
+
+        first, second = rule(), rule()
+        for a, b in zip(first, second):
+            assert a is not b
+            a[...] = 0.0
+        for a, b in zip(rule(), second):
+            np.testing.assert_array_equal(a, b)
+
+
 def _on_rays(g):
     """A function of Cartesian points as an integrand of `_eval_region`,
     called on the live nodes c + rho u of each block of rays."""
