@@ -65,7 +65,7 @@ def _float_list(text: str) -> list[float]:
 
 def _parse_data_args(text: str | None) -> dict:
     """key=value pairs for the data factory: integers, floats, or true/false
-    in any case; any other value is a usage error."""
+    in any case; any other value, or a key given twice, is a usage error."""
     out = {}
     if not text:
         return out
@@ -75,6 +75,8 @@ def _parse_data_args(text: str | None) -> dict:
         key, _, value = piece.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in out:
+            raise ModPoissonError(f"--data-args gives {key!r} twice")
         if value.lower() in ("true", "false"):
             out[key] = value.lower() == "true"
             continue

@@ -57,23 +57,26 @@ def value(lam: float, m: int, t):
 def weighted_sum(lam: float, terms: int, t, z) -> np.ndarray:
     """Partial sum over m < terms of z^m C_m^lam(t), broadcasting t and z.
 
+    The recurrence runs on t's own shape and the powers on z's; only the sum
+    takes their broadcast shape.  A row of angles against a column of ratios
+    thus costs one recurrence per angle, and each element gets the same
+    arithmetic as on broadcast arrays.
+
     No convergence check: callers use this for finite kernel tails where
     z may exceed 1.
     """
     _check_lambda(lam)
     t = np.asarray(t, dtype=float)
     z = np.asarray(z, dtype=float)
-    t, z = np.broadcast_arrays(t, z)
-    acc = np.zeros_like(t)
+    shape = np.broadcast_shapes(t.shape, z.shape)
     if terms <= 0:
-        return acc
-    c_prev = np.ones_like(t)
-    acc = acc + c_prev
+        return np.zeros(shape)
     if terms == 1:
-        return acc
-    zp = z.copy()
+        return np.ones(shape)
+    c_prev = np.ones_like(t)
+    zp = z
     c = 2.0 * lam * t
-    acc = acc + zp * c
+    acc = 1.0 + zp * c
     for k in range(2, terms):
         c, c_prev = (2.0 * (k + lam - 1.0) * t * c - (k + 2.0 * lam - 2.0) * c_prev) / k, c
         zp = zp * z

@@ -101,7 +101,7 @@ def _at_points(params: KernelParams, x: HalfSpacePoint, yp):
 
 
 def _kernel_minus_tail(params: KernelParams, x: HalfSpacePoint, gap2, rho=None,
-                       theta_big=None, c=1.0, cm=None):
+                       theta_big=None, c=1.0):
     """K - c b^(-2 lam) sum over m < M of (a/b)^m C_m^lam(Theta), the one
     kernel formula of both kinds: K = (gap2 + x_n^2)^(-lam) from the squared
     gap gap2 = |y' - y|^2, and the tail in the polar variables rho = |y'|
@@ -113,13 +113,9 @@ def _kernel_minus_tail(params: KernelParams, x: HalfSpacePoint, gap2, rho=None,
     c = 1 gives K_M and K~_M (the base kernel at M = 0); the cutoff's ramp
     at rho gives the kernel of the assembled solutions, which is K on the
     unit ball and K_M outside radius 2.  Only the first kind is singular at
-    rho = 0.
-
-    cm, when given, is the stack of C_m^lam(t) for m < M, shape (M, cols),
-    at the angles t of a row theta_big of shape (1, cols), and rho is a
-    column of shape (rows, 1): the sum is then one matrix product
-    (rows x M) @ (M x cols), with each C_m computed once per angular node
-    rather than once per point.
+    rho = 0.  The sum is `gegenbauer.weighted_sum`, whose recurrence runs on
+    theta_big's own shape: a row of angles against a column of radii costs
+    one recurrence per angle.
     """
     lam, big_m = params.lam, params.big_m
     out = (gap2 + x.x_n * x.x_n) ** (-lam)
@@ -130,13 +126,7 @@ def _kernel_minus_tail(params: KernelParams, x: HalfSpacePoint, gap2, rho=None,
             a, b = x.r, rho
         else:
             a, b = rho, x.r
-        z = a / b
-        if cm is None:
-            tail = gegenbauer.weighted_sum(lam, big_m, theta_big, z)
-        else:
-            powers = np.ones((np.size(z), big_m))
-            powers[:, 1:] = np.reshape(z, (-1, 1))
-            tail = np.cumprod(powers, axis=1) @ cm
+        tail = gegenbauer.weighted_sum(lam, big_m, theta_big, a / b)
         out = out - c * b ** (-2.0 * lam) * tail
     return out
 

@@ -44,14 +44,19 @@ centre, and the cones of rays where a crossing leaves the ball or two
 crossings merge are angular panel edges, so the angular integrand is smooth
 on every panel.
 
+F's clip |y'| > 1 is region geometry (`_ball_region`): a ball about the
+origin that the circle crosses starts at radius 1, and on any other ball
+it is a cut whose panels inside it are skipped.
+
 D, N, D_M, N_M, F, F~, u and v are each a prefactor times the integral of
 f times a kernel, and all run through one driver, `_solve`; `_regions`
 builds the regions for it and for `integrate_weighted`, cutting global data
 off where `_data_reach`'s tail bound meets the tolerance.  Every kernel is
 K - c T_M, with T_M the Gegenbauer tail that K_M (or K~_M, for F~) subtracts
-from the base kernel K: c = 1 for D_M, N_M, F and F~, and c = w, the
-cutoff, for the assembled solutions, so u = D_M[w f] + D[(1 - w) f] and
-v likewise are one integral each.  For M >= 1 the cutoff's circles
+from the base kernel K, one `gegenbauer.weighted_sum` in every region:
+c = 1 for D_M, N_M, F and F~, and c = w, the cutoff, for the assembled
+solutions, so u = D_M[w f] + D[(1 - w) f] and v likewise are one integral
+each.  For M >= 1 the cutoff's circles
 |y'| = 1, 2 are kink edges of their regions.
 
 Near the boundary K peaks at the projection point y with width x_n, and the
@@ -74,7 +79,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import gegenbauer, quad1d
+from . import quad1d
 from .data import BoundaryData, Support
 from .errors import AccuracyError, DomainError
 from .geometry import HalfSpacePoint, cos_theta_prime_array, row_norms
@@ -349,6 +354,7 @@ class _Region:
     pole: np.ndarray | None = None
     pole_angles: tuple = ()
     cuts: tuple = ()  # foreign kink circles as (center, radius) pairs
+    clip: float = 0.0  # panels inside the cut |y'| = clip are dead
 
 
 def _kernel_window_edges(x: HalfSpacePoint, lo: float, hi: float) -> list[float]:
@@ -387,9 +393,12 @@ def _annulus_region(x, origin: np.ndarray, support: Support, lo: float, hi: floa
 
 def _ball_region(x, center: np.ndarray, radius: float, spec, support: Support,
                  r_lo: float = 0.0) -> _Region:
-    """Ball-local region; the support's kink circles about the origin, and
-    the clip circle |y'| = r_lo, become panel edges when the ball is centred
-    at the origin and per-ray cuts otherwise.
+    """Ball-local region outside the clip circle |y'| = r_lo.  The support's
+    kink circles about the origin, and the clip circle, become panel edges
+    when the ball is centred at the origin and per-ray cuts otherwise.  A
+    ball about the origin that the clip circle crosses starts at r_lo; on
+    any other ball it crosses, the clip is a cut, and the region's `clip`
+    marks the panels inside it dead.
 
     A close field point grades the radial edges toward the kernel peak at
     |y - center| and puts the pole on the peak, with graded polar edges.
@@ -400,15 +409,15 @@ def _ball_region(x, center: np.ndarray, radius: float, spec, support: Support,
     """
     center = np.asarray(center, dtype=float)
     edges = list(np.linspace(0.0, radius, max(4, spec.radial_panels // 4) + 1))
-    cuts = []
     cnorm = float(np.linalg.norm(center))
-    origin = np.zeros_like(center)
-    for e in (*support.radial_edges, r_lo):
-        if e > 0.0 and abs(e - cnorm) < radius - 1e-12:
-            if cnorm < 1e-12:
-                edges.append(float(e))
-            else:
-                cuts.append((origin, float(e)))
+    crossed = [float(e) for e in (*support.radial_edges, r_lo)
+               if e > 0.0 and abs(e - cnorm) < radius - 1e-12]
+    inner = r_lo if r_lo in crossed else 0.0
+    if cnorm < 1e-12:
+        lo, clip, cuts = inner, 0.0, []
+        edges += crossed
+    else:
+        lo, clip, cuts = 0.0, inner, [(np.zeros_like(center), e) for e in crossed]
     for q, rad_q in support.balls or ():
         q = np.asarray(q, dtype=float)
         dist = float(np.linalg.norm(center - q))
@@ -434,8 +443,8 @@ def _ball_region(x, center: np.ndarray, radius: float, spec, support: Support,
         if peak is not None:
             phi = math.acos(min(1.0, max(-1.0, float(peak @ pole))))
             pole_angles += tuple(phi + side * a for a in graded for side in (-1.0, 1.0))
-    return _Region(center, tuple(_dedupe(edges, 0.0, radius)), pole, pole_angles,
-                   tuple(cuts))
+    return _Region(center, tuple(_dedupe(edges, lo, radius)), pole, pole_angles,
+                   tuple(cuts), clip)
 
 
 def _cut_pole(center: np.ndarray, radius: float, cuts) -> tuple:
@@ -504,7 +513,7 @@ def _regions(data: BoundaryData, x, spec, r_lo: float, decay, kinks=()) -> list:
     if sup.balls:
         return [_ball_region(x, *_peak_disk(x, i, sup.balls), spec, sup, r_lo)
                 for i, (c, rad) in enumerate(sup.balls)
-                if float(np.linalg.norm(np.asarray(c))) + rad > r_lo]
+                if float(np.linalg.norm(np.asarray(c))) + rad > r_lo + 1e-12]
     hi = _data_reach(data, decay, spec, x)
     lo = max(r_lo, sup.inner_radius)
     regions, origin = [], np.zeros(data.n - 1)
@@ -564,7 +573,8 @@ def _eval_region(g, n: int, region: _Region, spec, level: int) -> float:
     cuts each ray gets its own edges where the foreign kink circles cross
     it (`_cut_edges`), which restores spectral panel convergence, and
     `live` marks the nodes of panels of nonzero width, the only ones g
-    evaluates.
+    evaluates; on a region with a clip, only of those whose midpoint lies
+    outside the clip circle.
     """
     order = int(spec.angular_order * 1.5**level)
     center = region.center
@@ -586,7 +596,12 @@ def _eval_region(g, n: int, region: _Region, spec, level: int) -> float:
         if region.cuts:
             ray_edges = _cut_edges(region, edges, u)
             rho, wr = _radial_nodes(ray_edges, n)
-            live = np.repeat(np.diff(ray_edges, axis=1) > 0.0, 12, axis=1)
+            live = np.diff(ray_edges, axis=1) > 0.0
+            if region.clip:  # |y'|^2 = m (m + 2 c.u) + |c|^2 at a panel's midpoint m
+                mid = 0.5 * (ray_edges[:, :-1] + ray_edges[:, 1:])
+                live &= (mid * (mid + 2.0 * (u @ center)[:, None]) + center @ center
+                         > region.clip**2)
+            live = np.repeat(live, 12, axis=1)
         vals = g(center, u, rho, live, f_rho)
         ray[start:start + rays] = np.einsum("...j,...j->...", wr, vals)
     return float(w_ang @ ray)
@@ -682,76 +697,60 @@ def _ramp(rho):
 @dataclass(frozen=True)
 class _KernelIntegrand:
     """f times the kernel K - c T_M of `_solve` (see
-    `kernels._kernel_minus_tail`) on |y'| > r_lo, zero inside.
+    `kernels._kernel_minus_tail`).
 
     It works in the polar variables of its region, about the centre c.
     With y - c = d a and |a| = 1, K takes |c + rho u - y|^2 =
     (rho - d)^2 + rho d |u - a|^2, with |u - a|^2 once per ray: rho^2
     exactly on a region about y.  About the origin the tail reads
-    |y'| = rho and Theta per ray, with each ray's C_m^lam(Theta) once when
-    the rays share their radii, and the clip circle |y'| = r_lo drops whole
-    radii there; elsewhere both come from the nodes c + rho u.
+    |y'| = rho and Theta per ray, so a row of Theta meets a column of radii;
+    elsewhere both come from the nodes c + rho u.  The clip |y'| > r_lo of
+    F is the regions' geometry (`_ball_region`), not the integrand's.
     """
 
     params: KernelParams
     data: BoundaryData
     x: HalfSpacePoint
     ramp: object = None
-    r_lo: float = 0.0
 
     def __call__(self, center, units, rho, live=None, f_rho=None):
         """f * kernel at c + rho u, shape (len(units), radii), for rho one
-        row shared by the rays or one row per ray; zero where live (of that
-        shape) is False.  f_rho, the data along a shared row, serves data
-        radial about c."""
+        row shared by the rays or one row per ray; zero where live (one row
+        per ray, from a cut region) is False.  f_rho, the data along the
+        shared row of an uncut region, serves data radial about c."""
         x, params = self.x, self.params
         origin = not center.any()
         off = x.y - center
         d = math.sqrt(off @ off)
         apart = _squared_gap(units, off / (d or 1.0))[None, :]  # |u - a|^2 per ray
-        keep = live
-        if self.r_lo > self.data.support.inner_radius:  # |y'|^2 = rho^2 + 2 rho c.u + |c|^2
-            cu = 0.0 if origin else 2.0 * (units @ center)[:, None]
-            inside = rho * (rho + cu) + center @ center > self.r_lo**2
-            keep = inside if keep is None else keep & inside
-        if keep is not None and keep.all():
-            keep = None
-        elif keep is not None and keep.ndim == 1:  # the same radii on every ray
-            out = np.zeros((len(units), rho.size))
-            out[:, keep] = self(center, units, rho[keep], None,
-                                None if f_rho is None else f_rho[keep])
-            return out
-        if keep is None:  # one row per radius, one column per ray
+        if live is not None and live.all():
+            live = None
+        f = None if f_rho is None else f_rho[:, None]
+        if live is None:  # one row per radius, one column per ray
             radii = rho.T if rho.ndim == 2 else rho[:, None]
-            f = None if f_rho is None else f_rho[:, None]
-        else:  # the kept nodes alone, each as a ray of one radius
-            keep = np.broadcast_to(keep, (len(units), rho.shape[-1]))
-            counts = keep.sum(axis=1)
-            radii = np.broadcast_to(rho, keep.shape)[keep][None, :]
+        else:  # the live nodes alone, each as a ray of one radius
+            radii = rho[live][None, :]
+            counts = live.sum(axis=1)
             units, apart = np.repeat(units, counts, axis=0), np.repeat(apart, counts)
-            f = None if f_rho is None else np.broadcast_to(f_rho, keep.shape)[keep]
-        pts = norms = theta_big = cm = None
+        pts = norms = theta_big = None
         if f is None or params.big_m and not origin:
             pts = center + radii[..., None] * units
         if params.big_m and origin:  # |y'| = rho, and Theta per ray
             norms = radii
             theta_big = x.sin_theta * cos_theta_prime_array(x, units)[None, :]
-            if radii.shape[1] == 1:
-                cm = np.array([gegenbauer.value(params.lam, m, theta_big[0])
-                               for m in range(params.big_m)])
         elif params.big_m:
             norms = row_norms(pts)
             theta_big = x.sin_theta * cos_theta_prime_array(x, pts, norms=norms)
         # c multiplies the tail alone, which M = 0 does not have
         c = self.ramp(norms) if self.ramp is not None and params.big_m else 1.0
         vals = _kernel_minus_tail(params, x, (radii - d) ** 2 + radii * d * apart,
-                                  norms, theta_big, c, cm)
+                                  norms, theta_big, c)
         if f is None:
             f = self.data(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape[:-1])
-        if keep is None:
+        if live is None:
             return (f * vals).T
-        out = np.zeros(keep.shape)
-        out[keep] = (f * vals)[0]
+        out = np.zeros(live.shape)
+        out[live] = (f * vals)[0]
         return out
 
 
@@ -766,7 +765,7 @@ def _solve(params: KernelParams, data: BoundaryData, x: HalfSpacePoint,
     One call of `_integrate_regions` over `_regions` integrates all of it,
     the peak of K near the boundary included.
     """
-    g = _KernelIntegrand(params, data, x, ramp, r_lo)
+    g = _KernelIntegrand(params, data, x, ramp)
     kinks = (1.0, 2.0) if ramp is not None and params.big_m else ()
     regions = _regions(data, x, spec, r_lo, _kernel_decay(params, x), kinks)
     value, est = _integrate_regions(g, data.n, regions, spec)

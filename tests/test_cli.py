@@ -206,6 +206,8 @@ class TestEval:
                   "centers=nan,psi=1", "--r", "1.5"]),
         ("eval", ["--solution", "D", "--data", "sharpness_super_balls", "--data-args",
                   "a=nan,b=1.5,amps=1", "--r", "1.5"]),
+        # a key given twice would drop one of its values
+        ("eval", ["--solution", "D", "--data", "bump", "--data-args", "radius=1,radius=3"]),
     ])
     def test_malformed_values_are_usage_errors(self, command, args, capsys):
         assert run_cli([command, *args]) == 64

@@ -101,6 +101,17 @@ class TestGeneratingSeries:
         rhs = gg.generating_closed_form(lam, TGRID, z)
         np.testing.assert_allclose(lhs, rhs, atol=1e-8, rtol=1e-8)
 
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    @pytest.mark.parametrize("terms", [0, 1, 2, 3, 7])
+    def test_row_against_column_matches_each_scalar(self, lam, terms):
+        # the recurrence runs on the row alone; the sum broadcasts
+        t = np.linspace(-1.0, 1.0, 9)[None, :]
+        z = np.array([0.1, 0.7, 1.0, 2.5, 13.0])[:, None]
+        got = gg.weighted_sum(lam, terms, t, z)
+        assert got.shape == (5, 9)
+        want = [[gg.weighted_sum(lam, terms, tj, zi) for tj in t[0]] for zi in z[:, 0]]
+        np.testing.assert_array_equal(got, want)
+
 
 class TestRoots:
     def test_single_root_at_origin(self):

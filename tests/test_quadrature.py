@@ -1049,7 +1049,7 @@ class TestPolarGrid:
         data = _POLAR_DATA[data_name](n)
         x = HalfSpacePoint.from_cartesian([0.7, -0.4, 0.3, 0.2][:n - 1] + [1.1])
         spec = QuadratureSpec(radial_panels=8, angular_order=16)
-        g = quad._KernelIntegrand(params, data, x, ramp, r_lo)
+        g = quad._KernelIntegrand(params, data, x, ramp)
         reference = _cartesian_integrand(params, data, x, ramp, r_lo)
         for level in (0, 1):
             for region in _origin_regions(x, r_lo):
@@ -1074,7 +1074,7 @@ class TestPolarGrid:
             data = family(n)
             np.testing.assert_array_equal(data.radial_center, np.zeros(n - 1), data_name)
             for x in points:
-                g = quad._KernelIntegrand(params, data, x, ramp, r_lo)
+                g = quad._KernelIntegrand(params, data, x, ramp)
                 for level in (0, 1):
                     order = _order(spec, level)
                     zonal = quad._zonal_rule(n, order, x, (0.1, 0.4), np.zeros(n - 1))
@@ -1124,17 +1124,34 @@ class TestPolarGrid:
         np.testing.assert_allclose(polar, cartesian, rtol=1e-14, atol=0.0)
 
     def test_masked_rows_match_cartesian_mask(self):
-        # an origin-centred ball straddling r_lo: rows inside it are zero
+        # an origin-centred ball straddling r_lo starts at r_lo
         data = bump(3, radius=3.0)
         x = HalfSpacePoint.from_cartesian([0.5, 0.3, 0.8])
         params = KernelParams(1.5, 1)
-        g = quad._KernelIntegrand(params, data, x, None, 1.0)
+        g = quad._KernelIntegrand(params, data, x, None)
         (region,) = quad._regions(data, x, SPEC, 1.0, quad._kernel_decay(params, x))
-        assert 1.0 in region.edges and not np.any(region.center)
+        assert region.edges[0] == 1.0 and not np.any(region.center)
         polar = quad._eval_region(g, 3, region, SPEC, 1)
         reference = _cartesian_integrand(params, data, x, None, 1.0)
         assert polar == pytest.approx(_unblocked_grid_integral(reference, 3, region, SPEC, 1, x),
                                       rel=1e-14, abs=0.0)
+        # an off-centre ball that the circle |y'| = r_lo crosses: the circle
+        # is a cut, and the panels inside it are dead
+        for n in (3, 4):
+            data = bump(n, center=[1.2] + [0.0] * (n - 2), radius=0.8)
+            x = HalfSpacePoint.from_cartesian([1.1, 0.3, 0.2][:n - 1] + [0.5])
+            params = KernelParams(n / 2.0, 1)
+            g = quad._KernelIntegrand(params, data, x, None)
+            (region,) = quad._regions(data, x, SPEC, 1.0, quad._kernel_decay(params, x))
+            assert region.clip == 1.0 and any(rad == 1.0 for _, rad in region.cuts)
+            polar = quad._eval_region(g, n, region, SPEC, 1)
+            reference = _cartesian_integrand(params, data, x, None, 1.0)
+            assert polar == pytest.approx(_per_ray_cut_integral(reference, n, region, 1),
+                                          rel=1e-14, abs=0.0)
+        # a ball inside the circle but for rounding, too close for a cut, is dropped
+        data = bump(3, center=[0.6, 0.2], radius=1.0 - math.hypot(0.6, 0.2) + 4.4e-16)
+        x = HalfSpacePoint.from_cartesian([0.5, 0.3, 0.8])
+        assert quad._regions(data, x, SPEC, 1.0, quad._kernel_decay(params, x)) == []
 
     def test_radial_data_are_called_once_per_radial_node(self):
         base = exp_decay(4)
@@ -1238,7 +1255,7 @@ class TestOffCentreZonal:
                 off = x.y - c
                 # the single node needs y = c exactly, as over the first axis
                 assert (case == "over" and not np.any(c[1:])) == (not np.any(off))
-                g = quad._KernelIntegrand(params, data, x, ramp, r_lo)
+                g = quad._KernelIntegrand(params, data, x, ramp)
 
                 def spheres(rule):
                     return rule[1] @ g(c, rule[0], rho)
