@@ -5,7 +5,9 @@ of every kernel and expansion in the package: the three-term recurrence is
 the production evaluator, its z-weighted partial sums are the kernels'
 Gegenbauer tails, and the roots feed the sharpness constants.  The values
 at 1 (the binomial binom(2 lam + m - 1, m)) and the roots (Golub-Welsch
-nodes) come from `scipy.special`.
+nodes) come from `scipy.special`.  Every evaluator keeps its argument's
+dtype (integers become float), so a complex argument carries its imaginary
+part through, as complex-step differentiation needs.
 """
 
 from __future__ import annotations
@@ -30,8 +32,14 @@ def _check_lambda(lam: float) -> None:
         raise DomainError(f"Gegenbauer superscript must be positive, got {lam}")
 
 
+def _inexact(t) -> np.ndarray:
+    """t as an array of its own float or complex dtype; integers become float."""
+    t = np.asarray(t)
+    return t if np.issubdtype(t.dtype, np.inexact) else t.astype(float)
+
+
 def _maybe_scalar(out: np.ndarray):
-    return float(out) if out.ndim == 0 else out
+    return out.item() if out.ndim == 0 else out
 
 
 def value(lam: float, m: int, t):
@@ -42,7 +50,7 @@ def value(lam: float, m: int, t):
     are permitted (polynomial extrapolation).
     """
     _check_lambda(lam)
-    t = np.asarray(t, dtype=float)
+    t = _inexact(t)
     if m < 0:
         return _maybe_scalar(np.zeros_like(t))
     if m == 0:
@@ -66,13 +74,12 @@ def weighted_sum(lam: float, terms: int, t, z) -> np.ndarray:
     z may exceed 1.
     """
     _check_lambda(lam)
-    t = np.asarray(t, dtype=float)
-    z = np.asarray(z, dtype=float)
-    shape = np.broadcast_shapes(t.shape, z.shape)
+    t, z = _inexact(t), _inexact(z)
+    shape, dtype = np.broadcast_shapes(t.shape, z.shape), np.result_type(t, z)
     if terms <= 0:
-        return np.zeros(shape)
+        return np.zeros(shape, dtype)
     if terms == 1:
-        return np.ones(shape)
+        return np.ones(shape, dtype)
     c_prev = np.ones_like(t)
     zp = z
     c = 2.0 * lam * t
@@ -95,7 +102,7 @@ def value_at_one(lam: float, m: int) -> float:
 def generating_closed_form(lam: float, t, z):
     """(1 - 2*t*z + z^2) ** (-lam), the closed-form side of the generating identity."""
     _check_lambda(lam)
-    t = np.asarray(t, dtype=float)
+    t, z = _inexact(t), _inexact(z)
     base = 1.0 - 2.0 * t * z + z * z
     return _maybe_scalar(base ** (-lam))
 
@@ -118,8 +125,7 @@ def phi_minus(lam: float, big_m: int, big_theta, zeta):
     _check_lambda(lam)
     if big_m < 1:
         raise DomainError("phi_minus requires M >= 1 (the M = 0 kernel bypasses it)")
-    big_theta = np.asarray(big_theta, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
+    big_theta, zeta = _inexact(big_theta), _inexact(zeta)
     out = big_m * value(lam, big_m, big_theta) - (
         2.0 * lam + big_m - 1.0
     ) * value(lam, big_m - 1, big_theta) * zeta

@@ -1,8 +1,8 @@
 """Points of the upper half space and its boundary hyperplane.
 
 All kernel formulas are expressed in the polar variables (r, theta, y_hat),
-so field points are stored that way; Cartesian conversion exists for the
-finite difference stencils.  Boundary points y' are plain arrays of shape
+so field points are stored that way; Cartesian conversion serves the
+stencils and paths of the certification.  Boundary points y' are plain arrays of shape
 (..., n-1).  Angle conventions:
 
 * theta is the angle between x and the inward normal, so x_n = r*cos(theta)
@@ -30,12 +30,6 @@ __all__ = [
 ]
 
 
-def _unit_first_axis(boundary_dim: int) -> np.ndarray:
-    e1 = np.zeros(boundary_dim)
-    e1[0] = 1.0
-    return e1
-
-
 @dataclass(frozen=True)
 class HalfSpacePoint:
     """A point of the open half space, stored as (n, r, theta, y_hat).
@@ -58,7 +52,7 @@ class HalfSpacePoint:
             raise DomainError(f"polar angle must lie in [0, pi/2), got {self.theta}")
         y_hat = self.y_hat
         if y_hat is None:
-            y_hat = _unit_first_axis(self.n - 1)
+            y_hat = np.eye(self.n - 1)[0]
         y_hat = np.asarray(y_hat, dtype=float)
         if y_hat.shape != (self.n - 1,):
             raise DomainError(f"y_hat must have shape ({self.n - 1},)")
@@ -86,10 +80,7 @@ class HalfSpacePoint:
         return cls(n=n, r=r, theta=theta, y_hat=y_hat)
 
     def to_cartesian(self) -> np.ndarray:
-        out = np.empty(self.n)
-        out[:-1] = self.y
-        out[-1] = self.x_n
-        return out
+        return np.append(self.y, self.x_n)
 
     @property
     def x_n(self) -> float:
@@ -113,9 +104,10 @@ def row_norms(pts) -> np.ndarray:
 
     Bit-identical to np.linalg.norm(pts, axis=-1) (the same squares summed
     in the same order) and several times faster on the short rows of
-    boundary points.
+    boundary points.  A complex input keeps its dtype, and the root is
+    then the analytic continuation of the norm, not its modulus.
     """
-    pts = np.asarray(pts, dtype=float)
+    pts = np.asarray(pts)
     return np.sqrt(sum(pts[..., k] * pts[..., k] for k in range(pts.shape[-1])))
 
 

@@ -5,9 +5,9 @@ squared gap |y' - y|^2 itself, never from |y'|^2 - 2|y'||x|Theta + |x|^2,
 which cancels near the peak (up to 1.4e-9 relative at x_n = 1e-3).  Both
 modified kinds subtract a Gegenbauer tail from K through one formula,
 `_kernel_minus_tail`, in powers of |x|/|y'| (first kind, for growing data)
-or |y'|/|x| (second kind, for decaying data and expansions).  It takes the
-gap, |y'| and Theta as broadcastable arrays, which the quadrature forms in
-its regions' polar variables and the public kernels from boundary points.
+or |y'|/|x| (second kind, for decaying data and expansions).  It takes |x|,
+x_n, the gap, |y'| and Theta as broadcastable arrays, which the quadrature
+forms in its regions' polar variables and `_at_points` from Cartesian points.
 The one-dimensional integral form of the first kind exists for
 cross-verification.
 """
@@ -21,7 +21,7 @@ from scipy.special import binom
 
 from . import gegenbauer, quad1d
 from .errors import DomainError, SingularityError
-from .geometry import HalfSpacePoint, cos_theta_prime_array, row_norms
+from .geometry import HalfSpacePoint, row_norms
 
 __all__ = [
     "KernelParams",
@@ -52,11 +52,12 @@ class KernelParams:
             raise DomainError("second-kind kernels require M >= 1")
 
 
-def _rows(x: HalfSpacePoint, yp):
-    """Boundary points as rows of shape (k, n-1), and whether one was given."""
-    pts = np.asarray(yp, dtype=float)
+def _rows(n: int, yp):
+    """Boundary points of R^n as rows of shape (k, n-1), of their own dtype,
+    and whether one was given."""
+    pts = np.asarray(yp)
     scalar = pts.ndim == 1
-    return (pts.reshape(-1, x.n - 1) if scalar else pts), scalar
+    return (pts.reshape(-1, n - 1) if scalar else pts), scalar
 
 
 def _squared_gap(pts, y):
@@ -66,12 +67,12 @@ def _squared_gap(pts, y):
 
 
 def _out(vals: np.ndarray, scalar: bool):
-    return float(vals[0]) if scalar else vals
+    return vals[0].item() if scalar else vals
 
 
 def kernel_K(lam: float, x: HalfSpacePoint, yp):
     """Base kernel [|y' - y|^2 + x_n^2] ** (-lam), from the Cartesian gap."""
-    return _at_points(KernelParams(lam, 0), x, yp)
+    return _at_points(KernelParams(lam, 0), x.y, x.x_n, yp)
 
 
 def kernel_KM_direct(params: KernelParams, x: HalfSpacePoint, yp):
@@ -79,7 +80,7 @@ def kernel_KM_direct(params: KernelParams, x: HalfSpacePoint, yp):
     of |x|^m |y'|^-(m+2*lam) C_m^lam(Theta); M = 0 is the base kernel."""
     if params.kind != "first":
         raise DomainError("kernel_KM_direct takes first-kind parameters")
-    return _at_points(params, x, yp)
+    return _at_points(params, x.y, x.x_n, yp)
 
 
 def kernel_KM_second(params: KernelParams, x: HalfSpacePoint, yp):
@@ -87,26 +88,32 @@ def kernel_KM_second(params: KernelParams, x: HalfSpacePoint, yp):
     |y'|^m |x|^-(m+2*lam) C_m^lam(Theta)."""
     if params.kind != "second":
         raise DomainError("kernel_KM_second takes second-kind parameters")
-    return _at_points(params, x, yp)
+    return _at_points(params, x.y, x.x_n, yp)
 
 
-def _at_points(params: KernelParams, x: HalfSpacePoint, yp):
-    """`_kernel_minus_tail` at Cartesian boundary points; a float for one point."""
-    pts, scalar = _rows(x, yp)
+def _at_points(params: KernelParams, y, x_n, yp):
+    """`_kernel_minus_tail` at the Cartesian field point (y, x_n) and boundary
+    points y'; a scalar for one point.  |x|, |y' - y|^2, |y'| and Theta =
+    y.y' / (|x| |y'|) (0 at y' = 0) take arithmetic and square roots alone,
+    so complex coordinates give the kernel's analytic continuation."""
+    y = np.asarray(y)
+    pts, scalar = _rows(y.size + 1, yp)
+    r = np.sqrt(y @ y + x_n * x_n)
     rho = theta_big = None
     if params.big_m:
         rho = row_norms(pts)
-        theta_big = x.sin_theta * cos_theta_prime_array(x, pts, norms=rho)
-    return _out(_kernel_minus_tail(params, x, _squared_gap(pts, x.y), rho, theta_big), scalar)
+        theta_big = (pts @ y) / (r * np.where(rho == 0.0, 1.0, rho))
+    return _out(_kernel_minus_tail(params, r, x_n, _squared_gap(pts, y), rho, theta_big),
+                scalar)
 
 
-def _kernel_minus_tail(params: KernelParams, x: HalfSpacePoint, gap2, rho=None,
-                       theta_big=None, c=1.0):
+def _kernel_minus_tail(params: KernelParams, r, x_n, gap2, rho=None, theta_big=None,
+                       c=1.0):
     """K - c b^(-2 lam) sum over m < M of (a/b)^m C_m^lam(Theta), the one
     kernel formula of both kinds: K = (gap2 + x_n^2)^(-lam) from the squared
     gap gap2 = |y' - y|^2, and the tail in the polar variables rho = |y'|
-    and Theta, with (a, b) = (|x|, rho) for the first kind and (rho, |x|)
-    for the second.  rho and Theta serve the tail alone, so M = 0 needs
+    and Theta, with (a, b) = (r, rho) for the first kind and (rho, r) for
+    the second, r = |x|.  rho and Theta serve the tail alone, so M = 0 needs
     neither.
 
     gap2, rho and theta_big broadcast against each other, and so does c.
@@ -118,14 +125,14 @@ def _kernel_minus_tail(params: KernelParams, x: HalfSpacePoint, gap2, rho=None,
     one recurrence per angle.
     """
     lam, big_m = params.lam, params.big_m
-    out = (gap2 + x.x_n * x.x_n) ** (-lam)
+    out = (gap2 + x_n * x_n) ** (-lam)
     if big_m and np.any(c):
         if params.kind == "first":
             if np.any(rho == 0.0):
                 raise SingularityError("modified kernel is singular at the boundary origin")
-            a, b = x.r, rho
+            a, b = r, rho
         else:
-            a, b = rho, x.r
+            a, b = rho, r
         tail = gegenbauer.weighted_sum(lam, big_m, theta_big, a / b)
         out = out - c * b ** (-2.0 * lam) * tail
     return out
@@ -151,10 +158,7 @@ def kernel_KM_integral(params: KernelParams, x: HalfSpacePoint, yp) -> float:
     if norm == 0.0:
         raise SingularityError("modified kernel is singular at the boundary origin")
     s = x.r / norm
-    if s == 0.0:
-        return 0.0
-    cosp = float(cos_theta_prime_array(x, pts.reshape(1, -1))[0])
-    theta_big = x.sin_theta * cosp
+    theta_big = float(pts @ x.y) / (x.r * norm)
 
     def integrand(zeta):
         weight = (1.0 - 2.0 * theta_big * zeta + zeta * zeta) ** (lam - 1.0)
@@ -187,7 +191,7 @@ def kernel_bound_first(params: KernelParams, x: HalfSpacePoint, yp):
     if params.kind != "first" or params.big_m < 1:
         raise DomainError("bound applies to first-kind parameters with M >= 1")
     lam, big_m = params.lam, params.big_m
-    pts, scalar = _rows(x, yp)
+    pts, scalar = _rows(x.n, yp)
     norms = row_norms(pts)
     if np.any(norms == 0.0):
         raise SingularityError("bound undefined at the boundary origin")

@@ -289,8 +289,7 @@ def _zonal_rule(dim_ambient: int, order: int, x: HalfSpacePoint, pole_angles, ce
 
 
 def _geometric_edges(a: float, b: float, count: int) -> list[float]:
-    if a <= 0:
-        raise ValueError("geometric edges need a positive left endpoint")
+    """max(count, 2) edges from a > 0 to b in geometric progression."""
     return list(np.geomspace(a, b, max(count, 2)))
 
 
@@ -375,12 +374,16 @@ def _peak_angles(w: float, cap: float) -> tuple:
     return tuple(angles)
 
 
-def _annulus_region(x, origin: np.ndarray, support: Support, lo: float, hi: float,
-                    spec) -> _Region | None:
-    lo = max(lo, 1e-300)
+def _origin_region(x, origin: np.ndarray, support: Support, lo: float, hi: float,
+                   spec) -> _Region | None:
+    """The region lo < |y'| < hi about the origin: geometric radial panels,
+    and from lo = 0 a ball's linear panels on [0, min(1, hi)] before them."""
     if hi <= lo:
         return None
-    edges = _geometric_edges(lo, hi, spec.radial_panels)
+    start = lo or min(1.0, hi)
+    edges = _geometric_edges(start, hi, spec.radial_panels)
+    if not lo:
+        edges += list(np.linspace(0.0, start, max(4, spec.radial_panels // 4) + 1))
     edges += [e for e in support.radial_edges if lo < e < hi]
     pole, pole_angles = None, ()
     if x is not None:
@@ -501,11 +504,10 @@ def _regions(data: BoundaryData, x, spec, r_lo: float, decay, kinks=()) -> list:
     """Regions covering the support of data outside the disk |y'| <= r_lo.
 
     Union-of-balls supports are integrated ball by ball; other supports as
-    an annulus out to the support or truncation radius, plus a ball about
-    the origin when the support reaches it.  `decay(R)` bounds the weight's
-    magnitude at radius R, for truncation of global data.  `kinks` are radii
-    of circles about the origin where the weight kinks; they join the
-    support's radial edges.
+    one region about the origin out to the support or truncation radius.
+    `decay(R)` bounds the weight's magnitude at radius R, for truncation of
+    global data.  `kinks` are radii of circles about the origin where the
+    weight kinks; they join the support's radial edges.
     """
     sup = data.support
     if kinks:
@@ -515,13 +517,8 @@ def _regions(data: BoundaryData, x, spec, r_lo: float, decay, kinks=()) -> list:
                 for i, (c, rad) in enumerate(sup.balls)
                 if float(np.linalg.norm(np.asarray(c))) + rad > r_lo + 1e-12]
     hi = _data_reach(data, decay, spec, x)
-    lo = max(r_lo, sup.inner_radius)
-    regions, origin = [], np.zeros(data.n - 1)
-    if lo == 0.0:
-        regions.append(_ball_region(x, origin, min(1.0, hi), spec, sup))
-        lo = min(1.0, hi)
-    regions.append(_annulus_region(x, origin, sup, lo, hi, spec))
-    return regions
+    return [_origin_region(x, np.zeros(data.n - 1), sup, max(r_lo, sup.inner_radius), hi,
+                           spec)]
 
 
 # nodes per data call; keeps a block's temporaries in cache, so the
@@ -743,7 +740,7 @@ class _KernelIntegrand:
             theta_big = x.sin_theta * cos_theta_prime_array(x, pts, norms=norms)
         # c multiplies the tail alone, which M = 0 does not have
         c = self.ramp(norms) if self.ramp is not None and params.big_m else 1.0
-        vals = _kernel_minus_tail(params, x, (radii - d) ** 2 + radii * d * apart,
+        vals = _kernel_minus_tail(params, x.r, x.x_n, (radii - d) ** 2 + radii * d * apart,
                                   norms, theta_big, c)
         if f is None:
             f = self.data(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape[:-1])

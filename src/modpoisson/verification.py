@@ -1,5 +1,5 @@
-"""Numerical certification measurements: finite differences, identities,
-boundary gaps, growth sweeps.
+"""Numerical certification measurements: harmonicity stencils, kernel
+identities, boundary gaps, growth sweeps.
 
 The measurements here return the number they measure: a harmonicity
 residual, the relative residual of a kernel identity or of a Neumann
@@ -7,32 +7,36 @@ representation, the gaps of a boundary limit, the weighted sequence of a
 growth sweep.  Their verdicts, and every tolerance they are judged against,
 live in `modpoisson.suites`, which builds the one `CheckReport` of each
 check; `check_harmonicity` is the one verdict kept here, for callers that
-judge a single field.  Quadrature tolerances feeding a finite difference are
-kept at least two orders tighter than the difference tolerance.  The
-harmonicity measurement uses a fourth-order stencil, so its own truncation
-error sits far below the suites' tolerances and a residual above them means
-the field is not harmonic (or the quadrature feeding it is too coarse), not
-that the stencil is; `suites.harmonicity_stencil_order` measures that order.
+judge a single field.
+
+The harmonicity stencil is the one difference step: a solve's rule
+depends on x, so a complex step through it would measure the rule.  Its
+fourth-order truncation sits far below the suites' tolerances, and
+`suites.harmonicity_stencil_order` measures that order.  The kernel
+identities differentiate the kernels' one formula along the Cartesian
+paths of `_PATHS` by a complex step, whose error is rounding alone, and
+the Neumann boundary gap's normal derivative is a Dirichlet integral.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import BoundaryData
 from .errors import DomainError
 from .geometry import HalfSpacePoint
-from .kernels import KernelParams, kernel_KM_direct
+from .kernels import KernelParams, _at_points, kernel_KM_direct
 from .quadrature import (
     QuadratureSpec,
+    _orthonormal_frame,
     _problem,
+    dirichlet_D,
     dirichlet_DM,
     neumann_NM,
     solution_u,
-    solution_v,
 )
 from . import quad1d
 
@@ -140,90 +144,73 @@ def check_harmonicity(fn, points, h: float, tol: float, name: str) -> CheckRepor
 def check_boundary(problem: str, data: BoundaryData, y, xn_sequence) -> list[float]:
     """Boundary recovery gaps: at each height of xn_sequence above the
     boundary point y, |u - f(y)| for the Dirichlet problem and
-    |dv/dx_n + f(y)| for the Neumann one, with u and v (M = 1) solved to
-    1e-10 and the normal derivative a central difference of step x_n / 2.
-    """
+    |-dv/dx_n - f(y)| for the Neumann one, u and v at M = 1, one solve to
+    1e-10 per height.  The tail w |y'|^(2 - n) of v's kernel is free of x,
+    so by identity (v) -dv/dx_n is the Dirichlet integral D[f]."""
     _problem(problem, data.n)
     spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
     y = np.asarray(y, dtype=float)
     f_at_y = float(data(y[None, :])[0])
-    gaps = []
-    for xn in xn_sequence:
-        x = HalfSpacePoint.from_cartesian(np.append(y, xn))
-        if problem == "dirichlet":
-            val = solution_u(data, 1, x, spec)
-            gaps.append(abs(val - f_at_y))
-        else:
-            h = xn / 2.0
-            above = HalfSpacePoint.from_cartesian(np.append(y, xn + h))
-            below = HalfSpacePoint.from_cartesian(np.append(y, xn - h))
-            dv = (solution_v(data, 1, above, spec) - solution_v(data, 1, below, spec)) / (2 * h)
-            gaps.append(abs(dv + f_at_y))
-    return gaps
+    points = (HalfSpacePoint.from_cartesian(np.append(y, xn)) for xn in xn_sequence)
+    if problem == "dirichlet":
+        return [abs(solution_u(data, 1, x, spec) - f_at_y) for x in points]
+    return [abs(dirichlet_D(data, x, spec) - f_at_y) for x in points]
+
+
+# ---------------------------------------------------------------------------
+# paths through a field point and a boundary point
+
+
+def _norm(v) -> float:
+    return float(np.linalg.norm(v))
+
+
+def _rotation_path(x: HalfSpacePoint, yp: np.ndarray):
+    """Path (viii): y' turns by its angle theta' to y_hat, within the plane
+    spanned by the two (any plane through y_hat when they are aligned)."""
+    along = float(x.y_hat @ yp)
+    residual = yp - along * x.y_hat
+    res_norm = _norm(residual)
+    perp = residual / res_norm if res_norm > 1e-12 else _orthonormal_frame(x.y_hat)[1]
+    norm = _norm(yp)
+    return math.atan2(res_norm, along), lambda t: (
+        x.y, x.x_n, norm * (np.cos(t) * x.y_hat + np.sin(t) * perp))
+
+
+# name -> (x, y') -> (t0, t -> (y, x_n, y')): a path through (x, y') at t0 in
+# Cartesian coordinates, analytic in t, so a complex t continues it.  (i)
+# theta, (ii) r, (iii) the first coordinate of y, (iv) |y| and (v) x_n move
+# x; (vi) |y'|, (vii) the first coordinate of y' and (viii) the angle theta'
+# move y'.  The kernel identities take all eight, the Neumann representations
+# (i)-(v), which ignore y'.
+_PATHS = {
+    "i": lambda x, yp: (x.theta, lambda t: (x.r * np.sin(t) * x.y_hat, x.r * np.cos(t), yp)),
+    "ii": lambda x, yp: (x.r, lambda t: (t * x.sin_theta * x.y_hat, t * np.cos(x.theta), yp)),
+    "iii": lambda x, yp: (x.y[0], lambda t: (np.append(t, x.y[1:]), x.x_n, yp)),
+    "iv": lambda x, yp: (x.r * x.sin_theta, lambda t: (t * x.y_hat, x.x_n, yp)),
+    "v": lambda x, yp: (x.x_n, lambda t: (x.y, t, yp)),
+    "vi": lambda x, yp: (_norm(yp), lambda t: (x.y, x.x_n, t * yp / _norm(yp))),
+    "vii": lambda x, yp: (yp[0], lambda t: (x.y, x.x_n, np.append(t, yp[1:]))),
+    "viii": _rotation_path,
+}
 
 
 # ---------------------------------------------------------------------------
 # differential-difference identities of the modified kernel
 
 
-def _moved(x: HalfSpacePoint, axis: int, t: float) -> HalfSpacePoint:
-    """x with its Cartesian coordinate `axis` set to t (axis n - 1 is x_n)."""
-    cart = x.to_cartesian()
-    cart[axis] = t
-    return HalfSpacePoint.from_cartesian(cart)
-
-
-def _along_projection(x: HalfSpacePoint, t: float) -> HalfSpacePoint:
-    """x with its projection y scaled to length t."""
-    return HalfSpacePoint.from_cartesian(np.append(t * x.y_hat, x.x_n))
-
-
-def _ray_path(x: HalfSpacePoint, yp: np.ndarray):
-    """Identity (vi): y' moves along its own ray."""
-    norm = float(np.linalg.norm(yp))
-    unit = yp / norm
-    return norm, lambda t: (x, t * unit), (float(np.dot(x.y, unit)), 0.0, norm)
-
-
-def _rotation_path(x: HalfSpacePoint, yp: np.ndarray):
-    """Identity (viii): y' turns by its angle to the projection direction,
-    within the plane spanned by the two."""
-    norm = float(np.linalg.norm(yp))
-    yhat = x.y_hat
-    cosp = float(np.dot(yhat, yp)) / norm
-    residual = yp - np.dot(yhat, yp) * yhat
-    res_norm = float(np.linalg.norm(residual))
-    if res_norm < 1e-12:
-        perp = np.zeros_like(yp)
-        perp[1 if abs(yhat[0]) > 0.5 else 0] = 1.0
-        perp -= np.dot(yhat, perp) * yhat
-        perp /= np.linalg.norm(perp)
-    else:
-        perp = residual / res_norm
-    angle = math.acos(max(-1.0, min(1.0, cosp)))
-    a = -x.r * x.sin_theta * norm * math.sin(angle)
-    return angle, lambda t: (x, norm * (math.cos(t) * yhat + math.sin(t) * perp)), (a, 0.0, 0.0)
-
-
-# identity -> (x, y') -> (t0, t -> (x(t), y'(t)), (a, b, c)); see
-# kernel_identity_residual
-_IDENTITY_PATHS = {
-    "i": lambda x, yp: (x.theta, lambda t: (replace(x, theta=t), yp),
-                        (x.x_n * float(np.dot(x.y_hat, yp)), 0.0, 0.0)),
-    "ii": lambda x, yp: (x.r, lambda t: (replace(x, r=t), yp),
-                         (x.sin_theta * float(np.dot(x.y_hat, yp)), x.r, 0.0)),
-    "iii": lambda x, yp: (x.y[0], lambda t: (_moved(x, 0, t), yp), (yp[0], x.y[0], 0.0)),
-    "iv": lambda x, yp: (x.r * x.sin_theta, lambda t: (_along_projection(x, t), yp),
-                         (float(np.dot(x.y_hat, yp)), x.r * x.sin_theta, 0.0)),
-    "v": lambda x, yp: (x.x_n, lambda t: (_moved(x, x.n - 1, t), yp), (0.0, x.x_n, 0.0)),
-    "vi": _ray_path,
-    "vii": lambda x, yp: (yp[0], lambda t: (x, np.append(t, yp[1:])), (x.y[0], 0.0, yp[0])),
-    "viii": _rotation_path,
+# identity -> (x, y') -> (a, b, c); see kernel_identity_residual
+_IDENTITY_COEFFICIENTS = {
+    "i": lambda x, yp: (x.x_n * float(x.y_hat @ yp), 0.0, 0.0),
+    "ii": lambda x, yp: (x.sin_theta * float(x.y_hat @ yp), x.r, 0.0),
+    "iii": lambda x, yp: (yp[0], x.y[0], 0.0),
+    "iv": lambda x, yp: (float(x.y_hat @ yp), x.r * x.sin_theta, 0.0),
+    "v": lambda x, yp: (0.0, x.x_n, 0.0),
+    "vi": lambda x, yp: (float(x.y @ yp) / _norm(yp), 0.0, _norm(yp)),
+    "vii": lambda x, yp: (x.y[0], 0.0, yp[0]),
+    "viii": lambda x, yp: (-x.r * x.sin_theta * _norm(yp - (x.y_hat @ yp) * x.y_hat),
+                           0.0, 0.0),
 }
-
-
-# step of the central difference in `kernel_identity_residual`
-_IDENTITY_STEP = 1e-4
 
 
 def kernel_identity_residual(identity: str, lam: float, big_m: int, x: HalfSpacePoint,
@@ -231,27 +218,24 @@ def kernel_identity_residual(identity: str, lam: float, big_m: int, x: HalfSpace
     """Relative residual of one differential-difference identity of the
     modified kernel: |lhs - rhs| / max(1, |lhs|, |rhs|).
 
-    Each identity is a path t -> (x(t), y'(t)) through (x, y') at t0 and
-    three coefficients (a, b, c), from the table `_IDENTITY_PATHS`: (i)
-    theta, (ii) r, (iii) the first coordinate of y, (iv) |y| and (v) x_n
-    move x; (vi) |y'|, (vii) the first coordinate of y' and (viii) the
-    angle theta' move y'.  The left side is the central difference of
-    K_M(lam) along the path at t0, with step 1e-4; the right side is
+    The left side is the derivative of K_M(lam) along the identity's path
+    of `_PATHS` at t0 by a complex step, Im K_M(path(t0 + ih)) / h with
+    h = 1e-30: no subtraction and no truncation above rounding, so the
+    residual measures the kernel, not a step.  The right side is
     2 lam (a K_(M-1) - b K_(M-2) - c K_M) at exponent lam + 1 and (x, y'),
-    with the convention that non-positive orders mean the unmodified kernel.
+    with the identity's coefficients (a, b, c) and the convention that
+    non-positive orders mean the unmodified kernel.
     """
-    if identity not in _IDENTITY_PATHS:
+    if identity not in _IDENTITY_COEFFICIENTS:
         raise DomainError(f"unknown identity {identity!r}")
     yp = np.asarray(yp, dtype=float)
-    t0, path, (a, b, c) = _IDENTITY_PATHS[identity](x, yp)
-    params = KernelParams(lam, big_m)
-    h = _IDENTITY_STEP
-    lhs = (kernel_KM_direct(params, *path(t0 + h))
-           - kernel_KM_direct(params, *path(t0 - h))) / (2.0 * h)
+    t0, path = _PATHS[identity](x, yp)
+    h = 1e-30
+    lhs = _at_points(KernelParams(lam, big_m), *path(t0 + 1j * h)).imag / h
+    a, b, c = _IDENTITY_COEFFICIENTS[identity](x, yp)
     km0, km1, km2 = (kernel_KM_direct(KernelParams(lam + 1.0, max(big_m - k, 0)), x, yp)
                      for k in range(3))
     rhs = 2.0 * lam * (a * km1 - b * km2 - c * km0)
-
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
@@ -259,24 +243,14 @@ def kernel_identity_residual(identity: str, lam: float, big_m: int, x: HalfSpace
 # representations of the modified Neumann integral
 
 
-def _directional_data(data: BoundaryData, vec: np.ndarray) -> BoundaryData:
-    vec = np.asarray(vec, dtype=float)
-    return data.scaled_by(lambda pts: pts @ vec, name_suffix="*dir", growth_shift=1.0)
-
-
-# representation -> x -> (end, t -> x(t), direction e, a(t), b(t)); see
-# neumann_representation_residual
-_REPRESENTATION_PATHS = {
-    "i": lambda x: (x.theta, lambda t: replace(x, theta=t), x.y_hat,
-                    lambda t: 1.0, lambda t: 0.0),
-    "ii": lambda x: (x.r, lambda t: replace(x, r=t), x.y_hat,
-                     lambda t: math.tan(x.theta) / t, lambda t: x.sec_theta),
-    "iii": lambda x: (x.y[0], lambda t: _moved(x, 0, t), np.eye(x.n - 1)[0],
-                      lambda t: 1.0 / x.x_n, lambda t: t / x.x_n),
-    "iv": lambda x: (x.r * x.sin_theta, lambda t: _along_projection(x, t), x.y_hat,
-                     lambda t: 1.0 / x.x_n, lambda t: t / x.x_n),
-    "v": lambda x: (x.x_n, lambda t: _moved(x, x.n - 1, t), x.y_hat,
-                    lambda t: 0.0, lambda t: 1.0),
+# representation -> x -> (direction e, a(t), b(t)) along the x-path of the
+# same name in _PATHS; see neumann_representation_residual
+_REPRESENTATIONS = {
+    "i": lambda x: (x.y_hat, lambda t: 1.0, lambda t: 0.0),
+    "ii": lambda x: (x.y_hat, lambda t: math.tan(x.theta) / t, lambda t: x.sec_theta),
+    "iii": lambda x: (np.eye(x.n - 1)[0], lambda t: 1.0 / x.x_n, lambda t: t / x.x_n),
+    "iv": lambda x: (x.y_hat, lambda t: 1.0 / x.x_n, lambda t: t / x.x_n),
+    "v": lambda x: (x.y_hat, lambda t: 0.0, lambda t: 1.0),
 }
 
 
@@ -287,25 +261,29 @@ def neumann_representation_residual(representation: str, data: BoundaryData, big
     representation of the modified Neumann solution through modified
     Dirichlet integrals against direct evaluation.
 
-    Each representation is a path t -> x(t) ending at x, a direction e and
-    two coefficients a(t), b(t), from the table `_REPRESENTATION_PATHS`: the
-    path moves (i) the polar angle, (ii) the radius, (iii) the first
-    boundary coordinate, (iv) the projection length along y_hat, or (v) the
-    height.  N_M[f](x) is N_M[f](x(anchor)) plus the 24-point Gauss-Legendre
-    integral from anchor to the path's end of
+    Each representation follows the x-path of its name in `_PATHS`, which
+    ends at x and moves (i) the polar angle, (ii) the radius, (iii) the
+    first boundary coordinate, (iv) the projection length along y_hat, or
+    (v) the height, with a direction e and two coefficients a(t), b(t) from
+    `_REPRESENTATIONS`.  N_M[f](x) is N_M[f](x(anchor)) plus the 24-point
+    Gauss-Legendre integral from anchor to the path's end of
     a(t) D_(M-1)[f e.y'](x(t)) - b(t) D_(M-2)[f](x(t)), orders below zero
     meaning the unmodified kernel; a zero coefficient skips its solve.  The
     data must be continuous with the origin outside the closure of its
     support.
     """
-    if representation not in _REPRESENTATION_PATHS:
+    if representation not in _REPRESENTATIONS:
         raise DomainError(f"unknown representation {representation!r}")
     spec = spec or QuadratureSpec()
     if data.support.inner_radius <= 0:
         raise DomainError("representations need data supported away from the origin")
-    end, path, direction, a, b = _REPRESENTATION_PATHS[representation](x)
-    f_dir = _directional_data(data, direction)
+    end, cartesian = _PATHS[representation](x, None)
+    direction, a, b = _REPRESENTATIONS[representation](x)
+    f_dir = data.scaled_by(lambda pts: pts @ direction, name_suffix="*dir", growth_shift=1.0)
     m1, m2 = max(big_m - 1, 0), max(big_m - 2, 0)
+
+    def path(t):
+        return HalfSpacePoint.from_cartesian(np.append(*cartesian(t)[:2]))
 
     def integrand(t):
         at, bt = a(t), b(t)

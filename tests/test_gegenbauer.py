@@ -113,6 +113,36 @@ class TestGeneratingSeries:
         np.testing.assert_array_equal(got, want)
 
 
+class TestComplexStep:
+    # Im f(t + ih) / h is f'(t), to rounding, for an evaluator that keeps
+    # the imaginary part of its argument; one that casts to float gives 0
+    H = 1e-30
+
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_value_derivative(self, lam):
+        # d/dt C_m^lam = 2 lam C_(m-1)^(lam+1) (DLMF 18.9.19)
+        for m in range(13):
+            got = gg.value(lam, m, TGRID + 1j * self.H).imag / self.H
+            want = 2 * lam * gg.value(lam + 1, m - 1, TGRID)
+            assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want))), m
+
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_weighted_sum_derivatives(self, lam):
+        z = 0.7
+        for terms in range(1, 8):
+            d_dt = gg.weighted_sum(lam, terms, TGRID + 1j * self.H, z).imag / self.H
+            d_dz = gg.weighted_sum(lam, terms, TGRID, z + 1j * self.H).imag / self.H
+            want_t = sum(z**m * 2 * lam * gg.value(lam + 1, m - 1, TGRID) for m in range(terms))
+            want_z = sum(m * z ** (m - 1) * gg.value(lam, m, TGRID) for m in range(1, terms))
+            for got, want in ((d_dt, want_t), (d_dz, want_z)):
+                assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+    def test_integer_arguments_become_float(self):
+        assert isinstance(gg.value(1.5, 3, 1), float)
+        assert gg.weighted_sum(1.5, 3, np.arange(3), 2).dtype == np.float64
+        assert gg.weighted_sum(1.5, 0, 0.5 + 0j, 2).dtype == np.complex128
+
+
 class TestRoots:
     def test_single_root_at_origin(self):
         np.testing.assert_allclose(gg.roots(0.7, 1), [0.0], atol=1e-15)

@@ -929,13 +929,14 @@ _GRID_SPECS = {3: SPEC, 4: SPEC, 5: QuadratureSpec(angular_order=12)}
 
 
 def _far_dirichlet_grid(n):
-    """Integrand and uncut regions (origin ball, truncated annulus) of the
-    Dirichlet integral of exp_decay at a far point, |x| = 51."""
+    """Integrand and uncut region (one region about the origin, out to the
+    truncation radius) of the Dirichlet integral of exp_decay at a far
+    point, |x| = 51."""
     data = exp_decay(n)
     x = HalfSpacePoint.from_cartesian([30.0] + [0.0] * (n - 3) + [10.0, 40.0])
     regions = quad._regions(data, x, _GRID_SPECS[n], 0.0,
                             quad._kernel_decay(KernelParams(n / 2.0, 0), x))
-    assert len(regions) == 2 and not any(r.cuts for r in regions)
+    assert len(regions) == 1 and not regions[0].cuts and regions[0].edges[0] == 0.0
     return (lambda pts: data(pts) * kernel_K(n / 2.0, x, pts)), regions
 
 
@@ -969,8 +970,8 @@ class TestGridBlocks:
 
     def test_rule_larger_than_a_block_goes_ray_block_by_ray_block(self, monkeypatch):
         g, regions = _far_dirichlet_grid(4)
-        rule_size = len(sphere_rule(4, _order(SPEC, 0))[1])
-        monkeypatch.setattr(quad, "_BLOCK_POINTS", rule_size // 3)
+        # four rays of the region's radial nodes a block
+        monkeypatch.setattr(quad, "_BLOCK_POINTS", 4 * 12 * (len(regions[0].edges) - 1))
         sizes = []
 
         def counted(pts):
@@ -1095,7 +1096,7 @@ class TestPolarGrid:
 
     @pytest.mark.parametrize("coords", [[30.0, 10.0, 0.0, 40.0], [0.5, 0.0, 0.2, 0.3]])
     def test_radial_solve_on_origin_regions_builds_no_product_rule(self, coords, monkeypatch):
-        # global radial data give an origin ball and an annulus; each
+        # global radial data give one region about the origin; each
         # solve runs on the zonal rule alone, while data not declared radial
         # build the product rule
         def no_product_rule(*args, **kwargs):

@@ -1,8 +1,9 @@
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
-from modpoisson import suites
+from modpoisson import gegenbauer, suites
 
 
 def test_kernel_identity_check_is_order_independent():
@@ -55,3 +56,21 @@ def test_a_nan_residual_fails_its_check(monkeypatch):
     assert len(calls) > 3
     assert np.isnan(report.residual)
     assert not report.passed
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_a_planted_tail_coefficient_error_fails_every_kernel_identity(monkeypatch, seed):
+    # a 1e-9 relative error in the C_2 term of the Gegenbauer tails lifts
+    # every identity's residual to 1.1e-9 or more, above its tolerance; a
+    # central difference of step 1e-4 left residuals of 1.6e-8 to 3.1e-7
+    # without it, and so could not see it
+    real = gegenbauer.weighted_sum
+
+    def planted(lam, terms, t, z):
+        out = real(lam, terms, t, z)
+        return out + 1e-9 * z**2 * gegenbauer.value(lam, 2, t) if terms > 2 else out
+
+    monkeypatch.setattr(gegenbauer, "weighted_sum", planted)
+    for identity in suites.KERNEL_IDENTITIES:
+        report = suites.kernel_identity(identity, seed)
+        assert not report.passed and report.residual > 1e-9, (identity, report.residual)
