@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -261,6 +260,8 @@ def cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     seeds = [args.seed] * len(names)
     if args.jobs > 1 and len(names) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             per_suite = list(pool.map(_suite_records, names, seeds))
     else:

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import gegenbauer
 from .data import BoundaryData
@@ -175,6 +174,8 @@ def gamma_addition(n: int, m: int, ell: int, theta: float) -> float:
     Evaluated in log space with sign tracking; the power-of-four factor uses
     the corrected transcription 2^(2m) / 16^ell.
     """
+    from scipy.special import gammaln
+
     if not 0 <= ell <= m // 2:
         raise DomainError("need 0 <= ell <= floor(m/2)")
     log_mag = (
@@ -224,6 +225,8 @@ def addition_separation(m: int, data: BoundaryData, theta: float) -> float:
 def _exp_data_log_mean_factor(n: int, k: int) -> float:
     """log of the positive factor c with zonal average (-1)^k c
     C_(2k)^((n-2)/2)(cos theta); see `_exp_data_log_mean`."""
+    from scipy.special import gammaln
+
     return ((n - 3.0) * math.log(2.0)
             + gammaln(n / 2.0 - 1.0)
             + gammaln(2.0 * k + 1.0)
@@ -249,6 +252,8 @@ def _exp_data_log_mean(n: int, order: int, theta: float) -> tuple[float, float]:
 def _exp_data_log_neumann(n: int, order: int, theta: float) -> tuple[float, float]:
     """(sign, log magnitude) of `exp_data_neumann_coefficient`; sign 0 where
     it vanishes."""
+    from scipy.special import gammaln
+
     k = order // 2
     sign, log_mean = _exp_data_log_mean(n, order, theta)
     return sign, (log_mean + math.log(2.0 / math.pi * (k + n / 2.0 - 1.0))
@@ -289,6 +294,8 @@ def divergence_demo(n: int, r: float, theta: float, k_max: int,
     theta = 0.  Each magnitude is summed in log space before one
     exponential, so a term beyond the float range reads inf.
     """
+    from scipy.special import gammaln
+
     if k_max < 0:
         raise DomainError("k_max must be non-negative")
     _problem(problem, n)

@@ -5,15 +5,15 @@ of every kernel and expansion in the package: the three-term recurrence is
 the production evaluator, its z-weighted partial sums are the kernels'
 Gegenbauer tails, and the roots feed the sharpness constants.  The values
 at 1 (the binomial binom(2 lam + m - 1, m)) and the roots (Golub-Welsch
-nodes) come from `scipy.special`.  Every evaluator keeps its argument's
-dtype (integers become float), so a complex argument carries its imaginary
-part through, as complex-step differentiation needs.
+nodes) come from `scipy.special`, imported on their first call so that no
+solve loads SciPy.  Every evaluator keeps its argument's dtype (integers
+become float), so a complex argument carries its imaginary part through, as
+complex-step differentiation needs.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import binom, roots_gegenbauer
 
 from .errors import DomainError
 
@@ -93,6 +93,8 @@ def weighted_sum(lam: float, terms: int, t, z) -> np.ndarray:
 
 def value_at_one(lam: float, m: int) -> float:
     """C_m^lam(1) = binom(2*lam + m - 1, m)."""
+    from scipy.special import binom
+
     _check_lambda(lam)
     if m < 0:
         return 0.0
@@ -110,6 +112,8 @@ def generating_closed_form(lam: float, t, z):
 def roots(lam: float, m: int) -> np.ndarray:
     """All m simple roots of C_m^lam in (-1, 1), ascending: the nodes of
     m-point Gauss-Gegenbauer quadrature."""
+    from scipy.special import roots_gegenbauer
+
     _check_lambda(lam)
     if m <= 0:
         return np.array([])

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import binom
 
 from . import gegenbauer, quad1d
 from .errors import DomainError, SingularityError
@@ -188,6 +187,8 @@ def kernel_bound_first(params: KernelParams, x: HalfSpacePoint, yp):
     and for lam < 1/2 the factor s*(1+s)^(2*lam-1) is replaced by
     min(s, s^(2*lam)) / lam, absorbing the singular weight.
     """
+    from scipy.special import binom
+
     if params.kind != "first" or params.big_m < 1:
         raise DomainError("bound applies to first-kind parameters with M >= 1")
     lam, big_m = params.lam, params.big_m

@@ -288,9 +288,20 @@ def _zonal_rule(dim_ambient: int, order: int, x: HalfSpacePoint, pole_angles, ce
 # radial panel construction
 
 
+def _geometric_steps(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """Per pair of ends a > 0 and b, the k points a (b / a)^(j / k) for
+    j < k, in the arithmetic of `np.geomspace` (10^(log10 a + j step), left
+    end kept), so they are its points bit for bit without its per-call cost."""
+    log_a = np.log10(a)
+    out = 10.0 ** (np.arange(k) * ((np.log10(b) - log_a) / k)[:, None] + log_a[:, None])
+    out[:, 0] = a
+    return out
+
+
 def _geometric_edges(a: float, b: float, count: int) -> list[float]:
     """max(count, 2) edges from a > 0 to b in geometric progression."""
-    return list(np.geomspace(a, b, max(count, 2)))
+    steps = _geometric_steps(np.array([a]), np.array([b]), max(count, 2) - 1)
+    return [*steps[0].tolist(), float(b)]
 
 
 def _graded_edges(center: float, scale: float, lo: float, hi: float) -> list[float]:
@@ -322,8 +333,8 @@ def _split_panels(edges, level: int) -> np.ndarray:
     """The edges with every panel split into 2^level: geometrically where
     its ends a > 0 and b have b / a > 1.5, evenly otherwise.
 
-    All panels at once, in the arithmetic of `np.linspace` and
-    `np.geomspace` (10^(log10 a + j step)), so the nodes are theirs bit for
+    All panels at once, in the arithmetic of `np.linspace` and, through
+    `_geometric_steps`, of `np.geomspace`, so the nodes are theirs bit for
     bit without their per-call cost.
     """
     edges = np.asarray(edges, dtype=float)
@@ -336,9 +347,7 @@ def _split_panels(edges, level: int) -> np.ndarray:
     j = np.arange(k)
     out = j * ((b - a) / k)[:, None] + a[:, None]
     if geo.any():
-        log_a, log_b = np.log10(a[geo]), np.log10(b[geo])
-        out[geo] = 10.0 ** (j * ((log_b - log_a) / k)[:, None] + log_a[:, None])
-        out[geo, 0] = a[geo]
+        out[geo] = _geometric_steps(a[geo], b[geo], k)
     return np.append(out.ravel(), edges[-1])
 
 
@@ -525,6 +534,14 @@ def _regions(data: BoundaryData, x, spec, r_lo: float, decay, kinks=()) -> list:
 # allocator does not hand their pages back between blocks
 _BLOCK_POINTS = 2**13
 
+# A level of a cut region holds about 1 MB of block temporaries.  glibc's
+# malloc gives free heap above its trim threshold, 128 KB at start, back to
+# the OS, so each solve would fault those pages in again (about 60 faults
+# per n = 3 kink-cut solve at M >= 1).  Freeing one memory-mapped block
+# raises that threshold to twice the block's size for the life of the
+# process; this 2 MB array is that block.
+np.empty(32 * _BLOCK_POINTS)
+
 
 def _radial_nodes(edges, n: int):
     """12-point Gauss-Legendre nodes rho on the panels between successive
@@ -583,7 +600,8 @@ def _eval_region(g, n: int, region: _Region, spec, level: int) -> float:
         pts_ang, w_ang = sphere_rule(n, order, pole=region.pole,
                                      pole_angles=region.pole_angles)
     edges = _split_panels(region.edges, level)
-    rho, wr = _radial_nodes(edges, n)
+    if not region.cuts:  # one row of radial nodes serves every ray
+        rho, wr = _radial_nodes(edges, n)
     f_rho = g.data(center + rho[:, None] * np.eye(n - 1)[0]) if radial else None
     live = None
     rays = max(1, _BLOCK_POINTS // (12 * (edges.size - 1 + 2 * len(region.cuts))))

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import binom
 
 from . import gegenbauer
 from .data import BoundaryData, Support, _require_finite
@@ -118,6 +117,8 @@ def _min_on_interval(lam: float, m: int, lo: float, hi: float) -> float:
 
 
 def _reflection_amplitude(lam: float, big_m: int, a_ratio: float) -> float:
+    from scipy.special import binom
+
     base = ((a_ratio + 1.0) / (a_ratio - 1.0)) ** (2.0 * lam)
     cmin = _min_on_interval(lam, big_m - 1, 1.0 / a_ratio, 1.0)
     if cmin <= 0:

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -519,3 +523,38 @@ class TestConfigFile:
         err_text = capsys.readouterr().err
         assert "error: cannot read --config file" in err_text
         assert "missing.cfg" in err_text
+
+
+# Run in a fresh interpreter: every solution map once at n = 3, then an eval
+# through the CLI.  None of them needs SciPy, so none may import it.
+_COLD_START = """
+import sys
+import modpoisson as mp
+from modpoisson.cli import main
+
+x = mp.HalfSpacePoint(n=3, r=1.5, theta=0.6)
+spec = mp.QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6)
+decay, growth, shell = mp.exp_decay(3), mp.poly_growth(3, 1.0), mp.shell_bump(3, 1.0, 3.0)
+mp.dirichlet_D(decay, x, spec)
+mp.neumann_N(decay, x, spec)
+mp.dirichlet_DM(2, shell, x, spec)
+mp.neumann_NM(2, shell, x, spec)
+mp.integral_F(mp.KernelParams(1.5, 1), growth, x, spec)
+mp.integral_F_second(mp.KernelParams(1.5, 2, "second"), decay, x, spec)
+mp.solution_u(growth, 1, x, spec)
+mp.solution_v(decay, 1, x, spec)
+code = main(["eval", "--solution", "D", "--data", "bump", "--data-args",
+             "center=2.0,radius=1.0", "--n", "3", "--r", "1.5", "--theta", "0.7"])
+print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")[:3])
+"""
+
+
+class TestColdStart:
+    def test_solves_and_eval_never_import_scipy(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _COLD_START], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "0 []"

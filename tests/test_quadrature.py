@@ -701,6 +701,18 @@ class TestGridConstruction:
             np.testing.assert_array_equal(quad._split_panels(edges, level),
                                           _split_per_panel(edges, level), err_msg=str(edges))
 
+    def test_geometric_edges_match_geomspace(self):
+        rng = np.random.default_rng(26)
+        # equal ends, a tiny inner end, fewer than two edges asked for
+        cases = [(2.0, 2.0, 24), (1e-300, 1.0, 24), (0.5, 80.0, 0), (0.5, 80.0, 1)]
+        for _ in range(2000):
+            a = 10.0 ** rng.uniform(-8.0, 3.0)
+            cases.append((a, a * 10.0 ** rng.uniform(0.0, 8.0), int(rng.integers(2, 40))))
+        for a, b, count in cases:
+            np.testing.assert_array_equal(quad._geometric_edges(a, b, count),
+                                          np.geomspace(a, b, max(count, 2)),
+                                          err_msg=str((a, b, count)))
+
     @pytest.mark.parametrize("d", range(1, 7))
     def test_orthonormal_frame_rows(self, d):
         # random poles, +-e1, and poles within 1e-9 of +-e1, where the
