@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -121,6 +122,16 @@ def _emit(rows: list[dict], out: str | None, fmt: str):
     finally:
         if out:
             target.close()
+
+
+def _check_out(path: str):
+    """A usage error unless --out names a file that can be written: an
+    existing writable file, or a new name in a writable directory.  Checked
+    before any solve or suite runs, and nothing is created."""
+    folder = os.path.dirname(os.path.abspath(path))
+    target = path if os.path.exists(path) else folder
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(target, os.W_OK):
+        raise ModPoissonError(f"--out {path!r} cannot be written")
 
 
 def _spec_from_args(args) -> QuadratureSpec:
@@ -386,6 +397,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"cannot read --config file: {exc}")
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "eval" and bool(args.kernel) == bool(args.solution):

@@ -201,9 +201,7 @@ def _profile_mass(n: int, mid: float, half: float) -> float:
     from .quadrature import sphere_surface_area
 
     lo, hi = max(0.0, mid - half), mid + half
-    xg, wg = quad1d.gauss_legendre(64)
-    rho = 0.5 * (hi - lo) * (xg + 1.0) + lo
-    w = 0.5 * (hi - lo) * wg
+    rho, w = quad1d.panels((lo, hi), 64)
     vals = _smooth_profile(np.abs(rho - mid), half) * rho ** (n - 2)
     return float(sphere_surface_area(n - 2) * np.dot(w, vals))
 

@@ -20,8 +20,10 @@ class ConstructionError(ModPoissonError, ValueError):
 class AccuracyError(ModPoissonError, RuntimeError):
     """A quadrature failed to reach the requested tolerance.
 
-    Carries the best value obtained, the achieved error estimate and, for
-    refinement-level quadrature, the number of levels used.
+    Every quadrature raises it from `quad1d.refine`, so it carries the best
+    value obtained, the achieved error estimate, the tolerance and the
+    number of levels run; a truncation radius that cannot meet its tail
+    budget raises it with none of these.
     """
 
     def __init__(self, message, value=None, estimate=None, tolerance=None, levels=None):

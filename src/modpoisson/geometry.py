@@ -79,9 +79,6 @@ class HalfSpacePoint:
         y_hat = y / ynorm if ynorm > 0 else None
         return cls(n=n, r=r, theta=theta, y_hat=y_hat)
 
-    def to_cartesian(self) -> np.ndarray:
-        return np.append(self.y, self.x_n)
-
     @property
     def x_n(self) -> float:
         return self.r * np.cos(self.theta)

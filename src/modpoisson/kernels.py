@@ -8,8 +8,11 @@ modified kinds subtract a Gegenbauer tail from K through one formula,
 or |y'|/|x| (second kind, for decaying data and expansions).  It takes |x|,
 x_n, the gap, |y'| and Theta as broadcastable arrays, which the quadrature
 forms in its regions' polar variables and `_at_points` from Cartesian points.
-The one-dimensional integral form of the first kind exists for
-cross-verification.
+The one-dimensional integral form of the first kind, `kernel_KM_integral`,
+exists for cross-verification: panels graded toward zeta = Theta, where its
+weight has its complex singularity, at 12 * 2^k points per panel on level k
+of `quad1d.refine`, stopping when two levels differ by at most
+max(1e-10, 1e-10 |integral|).
 """
 
 from __future__ import annotations
@@ -142,10 +145,12 @@ def kernel_KM_integral(params: KernelParams, x: HalfSpacePoint, yp) -> float:
 
     K_M = K * integral over zeta in (0, s) of
     (1 - 2*Theta*zeta + zeta^2)^(lam-1) * Phi_-(Theta, zeta) * zeta^(M-1),
-    with s = |x| / |y'| and Phi_- from `gegenbauer.phi_minus`.  Adaptive
-    quadrature to absolute tolerance 1e-10; for lam < 1 the weight can be
-    near-singular where zeta and Theta both approach 1, which is handled by
-    graded panel edges there.
+    with s = |x| / |y'| and Phi_- from `gegenbauer.phi_minus`.  The weight
+    has its complex singularity at zeta = Theta +- i sqrt(1 - Theta^2), so
+    the panel edges, 0, s and 1 when s > 1, are graded toward zeta = Theta
+    at scale sqrt(1 - Theta^2).  Level k of `quad1d.refine` puts 12 * 2^k
+    Gauss-Legendre points on every panel, and the levels stop when two
+    differ by at most max(1e-10, 1e-10 |integral|).
     """
     if params.kind != "first" or params.big_m < 1:
         raise DomainError("integral form needs first-kind parameters with M >= 1")
@@ -164,17 +169,18 @@ def kernel_KM_integral(params: KernelParams, x: HalfSpacePoint, yp) -> float:
         phi = gegenbauer.phi_minus(lam, big_m, theta_big, zeta)
         return weight * phi * zeta ** (big_m - 1)
 
-    edges = [0.0, s]
-    if lam < 1.0 and theta_big > 0.9 and s > 0.5:
-        # graded edges toward the near-contact point zeta = 1
-        graded = [1.0 - 1e-2 * 4.0**-j for j in range(12)]
-        if s > 1.0:
-            graded += [1.0, min(s, 1.0 + 1e-2)]
-        edges += [e for e in graded if 0.0 < e < s]
-    elif s > 1.0:
-        edges.append(1.0)
-    edges = sorted(set(edges))
-    integral, _ = quad1d.adaptive(integrand, edges, 1e-10)
+    # Theta rounds to 1 when x_n < eps |x|, and a zero scale would grade forever
+    scale = np.sqrt(max(1.0 - theta_big * theta_big, 1e-24))
+    edges = {0.0, s, *quad1d.graded_edges(theta_big, scale, 0.0, s)}
+    if s > 1.0:
+        edges.add(1.0)
+    edges = sorted(edges)
+
+    def level_value(level):
+        zeta, w = quad1d.panels(edges, 12 * 2**level)
+        return float(w @ integrand(zeta))
+
+    integral, _ = quad1d.refine(level_value, 1e-10, 1e-10)
     return kernel_K(lam, x, yp) * integral
 
 

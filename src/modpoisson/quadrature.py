@@ -8,9 +8,9 @@ polar angle times the rule of the subsphere, or the polar rule alone for
 zonal integrands).  One evaluator, `_eval_region`, walks every region's
 angular rule in cache-sized blocks of rays of at most `_BLOCK_POINTS` nodes,
 each ray carrying the level's radial panels, so memory stays O(block).
-Error control is by whole-grid refinement comparison, with angular order
-angular_order * 1.5^level in every dimension; evaluations never sample
-randomly, so results are reproducible bit for bit.
+Error control is `quad1d.refine`'s comparison of successive whole-grid
+levels, with angular order angular_order * 1.5^level in every dimension;
+evaluations never sample randomly, so results are reproducible bit for bit.
 
 A level's grid costs a few whole-array operations: `_split_panels` splits
 every radial panel at once, the angular factors (`_polar_factor` and the
@@ -178,12 +178,6 @@ def _orthonormal_frame(pole: np.ndarray) -> np.ndarray:
     return frame
 
 
-def _gl_on(a: float, b: float, npts: int):
-    x, w = quad1d.gauss_legendre(npts)
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w
-
-
 def _read_only(*arrays):
     """The arrays, made read-only so that a cache can share them."""
     for a in arrays:
@@ -211,7 +205,7 @@ def _polar_factor(d: int, order: int, pole_angles: tuple = ()):
     polar_order = max(10, order // 2)
     for a, b in zip(phi_edges[:-1], phi_edges[1:]):
         npts = max(6, polar_order // 4, int(polar_order * (b - a) / math.pi) + 1)
-        xs, ws = _gl_on(a, b, npts)
+        xs, ws = quad1d.panels((a, b), npts)
         phi_nodes.append(xs)
         phi_weights.append(ws)
     phi = np.concatenate(phi_nodes)
@@ -304,20 +298,6 @@ def _geometric_edges(a: float, b: float, count: int) -> list[float]:
     return [*steps[0].tolist(), float(b)]
 
 
-def _graded_edges(center: float, scale: float, lo: float, hi: float) -> list[float]:
-    """Dyadic edges accumulating at `center` from distance `scale` outward."""
-    edges = []
-    dist = scale
-    while dist < (hi - lo):
-        for side in (center - dist, center + dist):
-            if lo < side < hi:
-                edges.append(side)
-        dist *= 4.0
-    if lo < center < hi:
-        edges.append(center)
-    return edges
-
-
 def _dedupe(edges, lo, hi, min_gap=1e-13):
     edges = sorted(set([lo, hi] + [e for e in edges if lo < e < hi]))
     out = [edges[0]]
@@ -369,7 +349,7 @@ def _kernel_window_edges(x: HalfSpacePoint, lo: float, hi: float) -> list[float]
     edges = [e for e in (0.5 * x.r, x.r, 2.0 * x.r) if lo < e < hi]
     ynorm = x.r * x.sin_theta
     if x.x_n < 0.5 * ynorm:
-        edges += _graded_edges(ynorm, x.x_n, lo, hi)
+        edges += quad1d.graded_edges(ynorm, x.x_n, lo, hi)
     return edges
 
 
@@ -443,7 +423,7 @@ def _ball_region(x, center: np.ndarray, radius: float, spec, support: Support,
         off = x.y - center
         dist = float(np.linalg.norm(off))
         if dist < 2.0 * radius and x.x_n < radius:
-            edges += _graded_edges(dist, max(x.x_n, 1e-12), 0.0, radius)
+            edges += quad1d.graded_edges(dist, max(x.x_n, 1e-12), 0.0, radius)
             if dist > 4.0 * x.x_n:
                 peak = pole = off / dist
                 pole_angles = _peak_angles(x.x_n / dist, math.pi / 2)
@@ -547,10 +527,8 @@ def _radial_nodes(edges, n: int):
     """12-point Gauss-Legendre nodes rho on the panels between successive
     edges (along the last axis, one row of edges per ray or one for all),
     and their weights times rho^(n-2)."""
-    x12, w12 = quad1d.gauss_legendre(12)
-    half = 0.5 * np.diff(edges, axis=-1)[..., None]
-    rho = (edges[..., :-1, None] + half * (x12 + 1.0)).reshape(*edges.shape[:-1], -1)
-    return rho, (half * w12).reshape(rho.shape) * rho ** (n - 2)
+    rho, w = quad1d.panels(edges, 12)
+    return rho, w * rho ** (n - 2)
 
 
 def _cut_edges(region: _Region, edges, units):
@@ -622,30 +600,13 @@ def _eval_region(g, n: int, region: _Region, spec, level: int) -> float:
     return float(w_ang @ ray)
 
 
-# refinement levels of `_integrate_regions` before it gives up
-_MAX_LEVELS = 5
-
-
 def _integrate_regions(g, n: int, regions, spec: QuadratureSpec):
     regions = [r for r in regions if r is not None]
     if not regions:
         return 0.0, 0.0
-    prev = None
-    est = math.inf
-    for level in range(_MAX_LEVELS):
-        cur = sum(_eval_region(g, n, r, spec, level) for r in regions)
-        if prev is not None:
-            est = abs(cur - prev)
-            if est <= max(spec.abs_tol, spec.rel_tol * abs(cur)):
-                return cur, est
-        prev = cur
-    raise AccuracyError(
-        f"boundary quadrature stalled with estimate {est:.3e} after {_MAX_LEVELS} levels",
-        value=prev,
-        estimate=est,
-        tolerance=max(spec.abs_tol, spec.rel_tol * abs(prev)),
-        levels=_MAX_LEVELS,
-    )
+    return quad1d.refine(lambda level: sum(_eval_region(g, n, r, spec, level)
+                                           for r in regions),
+                         spec.abs_tol, spec.rel_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -291,9 +291,8 @@ def neumann_representation_residual(representation: str, data: BoundaryData, big
         return value - bt * dirichlet_DM(m2, data, path(t), spec) if bt else value
 
     direct = neumann_NM(big_m, data, x, spec)
-    glx, glw = quad1d.gauss_legendre(24)
-    half, mid = 0.5 * (end - anchor), 0.5 * (end + anchor)
-    contrib = half * sum(w * integrand(mid + half * t) for t, w in zip(glx, glw))
+    nodes, weights = quad1d.panels((anchor, end), 24)
+    contrib = sum(w * integrand(t) for t, w in zip(nodes, weights))
     value = contrib + neumann_NM(big_m, data, path(anchor), spec)
     return abs(value - direct) / max(1.0, abs(direct))
 

@@ -260,6 +260,27 @@ class TestEval:
         assert run_cli(["eval", "--kernel", "K", "--yprime", "1.0,0.0"]) == 0
         capsys.readouterr()
 
+    def test_unwritable_out_is_usage_error_before_any_solve(self, monkeypatch, tmp_path,
+                                                            capsys):
+        from modpoisson import cli
+
+        solves = []
+        monkeypatch.setattr(cli, "dirichlet_D", lambda *a, **k: solves.append(a))
+        for out in (tmp_path / "missing" / "x.csv", tmp_path):
+            assert run_cli(["eval", "--solution", "D", "--data", "bump",
+                            "--out", str(out)]) == 64
+            assert_one_error_line(capsys)
+        assert solves == []
+
+
+def assert_one_error_line(capsys):
+    """A usage error prints nothing on stdout and one error line, with no
+    traceback, on stderr."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1 and "Traceback" not in captured.err
+    assert "--out" in captured.err
+
 
 class TestExpand:
     def test_closed_form_column(self, capsys):
@@ -379,6 +400,12 @@ class TestExpand:
         assert err.value.code == 64
         assert "--closed-form" in capsys.readouterr().err
 
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        assert run_cli(["expand", "--M", "1", "--radii", "20",
+                        "--out", str(tmp_path / "missing" / "x.csv")]) == 64
+        assert_one_error_line(capsys)
+        assert not (tmp_path / "missing").exists()
+
 
 class TestVerify:
     def test_single_suite_report(self, tmp_path, capsys):
@@ -438,6 +465,19 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == "" and "--seed" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_unwritable_out_is_usage_error_before_any_suite(self, monkeypatch, tmp_path,
+                                                            capsys):
+        # 1 means a check failed, so an output path that cannot be written
+        # must not reach the suites and report through it
+        from modpoisson import suites
+
+        runs = []
+        monkeypatch.setitem(suites.SUITES, "gegenbauer", lambda seed=42: runs.append(seed))
+        assert run_cli(["verify", "--suite", "gegenbauer",
+                        "--out", str(tmp_path / "missing" / "r.jsonl")]) == 64
+        assert_one_error_line(capsys)
+        assert runs == []
 
     def test_exit_code_for_failure(self, monkeypatch, capsys):
         from modpoisson import suites

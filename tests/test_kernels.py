@@ -161,6 +161,44 @@ class TestIntegralRepresentation:
             integral = kernel_KM_integral(params, x, yp)
             assert integral == pytest.approx(direct, abs=1e-8)
 
+    @pytest.mark.parametrize("lam", [0.25, 0.4, 0.75])
+    def test_near_singular_weight_settles_early(self, lam, monkeypatch):
+        # Theta close to 1 puts the weight's complex singularity, Theta +-
+        # i sqrt(1 - Theta^2), next to the interval; the edges graded toward
+        # Theta must meet the suite's 1e-8 with refinement levels to spare
+        from modpoisson import quad1d
+
+        levels = []
+        real_refine = quad1d.refine
+
+        def counting_refine(value_at, abs_tol, rel_tol):
+            def at(level):
+                levels.append(level)
+                return value_at(level)
+            return real_refine(at, abs_tol, rel_tol)
+
+        monkeypatch.setattr(quad1d, "refine", counting_refine)
+        for big_m in (1, 2, 3):
+            params = KernelParams(lam, big_m)
+            for tb in (0.99, 0.999):
+                for s in (0.99, 1.01, 3.0):
+                    x, yp = point_with(s, tb, sin_theta=0.9999)
+                    direct = kernel_KM_direct(params, x, yp)
+                    integral = kernel_KM_integral(params, x, yp)
+                    assert integral == pytest.approx(direct, abs=1e-8), (big_m, tb, s)
+        assert levels and max(levels) < 4
+
+    def test_theta_rounding_to_one(self):
+        # sin(theta) rounds to 1 for x_n below eps |x|, so Theta = 1 and the
+        # grading scale sqrt(1 - Theta^2) is 0
+        x = HalfSpacePoint(n=3, r=1.0, theta=np.pi / 2 - 1e-10, y_hat=np.array([1.0, 0.0]))
+        assert x.sin_theta == 1.0
+        params = KernelParams(1.5, 1)
+        for yp in ([0.5, 0.0], [2.0, 0.0]):
+            yp = np.array(yp)
+            assert kernel_KM_integral(params, x, yp) == pytest.approx(
+                kernel_KM_direct(params, x, yp), abs=1e-8)
+
     def test_small_s_limit(self):
         params = KernelParams(1.5, 2)
         x, yp = point_with(1e-8, 0.5)

@@ -665,11 +665,32 @@ class TestToleranceHonesty:
 
 class TestGaussLegendreCache:
     def test_cached_arrays_are_read_only(self):
-        nodes, weights = quad1d.gauss_legendre(12)
+        nodes, weights = quad1d._gauss_legendre(12)
         for arr in (nodes, weights):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-        assert quad1d.gauss_legendre(12)[0][0] == pytest.approx(-0.9815606342467192)
+        assert quad1d._gauss_legendre(12)[0][0] == pytest.approx(-0.9815606342467192)
+
+
+class TestRefine:
+    def test_unsettled_levels_raise_with_value_estimate_and_levels(self):
+        calls = []
+
+        def value_at(level):  # 1, -1, 1, ...: no two levels ever agree
+            calls.append(level)
+            return (-1.0) ** level
+
+        with pytest.raises(AccuracyError, match="after 5 levels") as info:
+            quad1d.refine(value_at, 1e-9, 1e-9)
+        assert calls == [0, 1, 2, 3, 4]
+        assert info.value.levels == 5
+        assert info.value.value == 1.0
+        assert info.value.estimate == 2.0
+        assert info.value.tolerance == 1e-9
+
+    def test_stops_at_the_first_level_that_agrees(self):
+        value, est = quad1d.refine(lambda level: 16.0**-level, 0.01, 0.0)
+        assert (value, est) == (16.0**-3, 15 * 16.0**-3)
 
 
 def _split_per_panel(edges, level):
@@ -921,9 +942,7 @@ def _unblocked_grid_integral(g, n, region, spec, level, zonal_about=None):
     """The whole grid as one array and one data call: on the region's
     product rule, or on the zonal rule about a field point's y_hat."""
     edges = quad._split_panels(region.edges, level)
-    nodes = [quad._gl_on(a, b, 12) for a, b in zip(edges[:-1], edges[1:])]
-    rho = np.concatenate([xs for xs, _ in nodes])
-    wr = np.concatenate([ws for _, ws in nodes])
+    rho, wr = quad1d.panels(edges, 12)
     order = _order(spec, level)
     if zonal_about is None:
         pts_ang, w_ang = sphere_rule(n, order, pole=region.pole,
@@ -1324,7 +1343,7 @@ class TestOffCentreZonal:
         tol = 1e-12
         data = _kink_bump(5, [2.0])
         x = _off_centre_points(5, data.radial_center)["close"]
-        np.testing.assert_allclose(x.to_cartesian(), [2.3, 0.25, -0.2, 0.1, 0.08], atol=1e-15)
+        np.testing.assert_allclose(np.append(x.y, x.x_n), [2.3, 0.25, -0.2, 0.1, 0.08], atol=1e-15)
         got = solve(data, x, QuadratureSpec(abs_tol=tol, rel_tol=tol))
         assert abs(got - want) <= max(tol, tol * abs(want))
 
