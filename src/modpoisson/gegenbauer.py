@@ -87,7 +87,7 @@ def weighted_sum(lam: float, terms: int, t, z) -> np.ndarray:
     for k in range(2, terms):
         c, c_prev = (2.0 * (k + lam - 1.0) * t * c - (k + 2.0 * lam - 2.0) * c_prev) / k, c
         zp = zp * z
-        acc = acc + zp * c
+        acc += zp * c
     return acc
 
 

@@ -118,16 +118,18 @@ def _kernel_minus_tail(params: KernelParams, r, x_n, gap2, rho=None, theta_big=N
     the second, r = |x|.  rho and Theta serve the tail alone, so M = 0 needs
     neither.
 
-    gap2, rho and theta_big broadcast against each other, and so does c.
-    c = 1 gives K_M and K~_M (the base kernel at M = 0); the cutoff's ramp
-    at rho gives the kernel of the assembled solutions, which is K on the
-    unit ball and K_M outside radius 2.  Only the first kind is singular at
-    rho = 0.  The sum is `gegenbauer.weighted_sum`, whose recurrence runs on
-    theta_big's own shape: a row of angles against a column of radii costs
-    one recurrence per angle.
+    rho, theta_big and c broadcast to gap2's shape, the result's, and no
+    argument is written to.  c = 1 gives K_M and K~_M (the base kernel at
+    M = 0); the cutoff's ramp at rho gives the kernel of the assembled
+    solutions, which is K on the unit ball and K_M outside radius 2.  Only
+    the first kind is singular at rho = 0.  The sum is
+    `gegenbauer.weighted_sum`, whose recurrence runs on theta_big's own
+    shape: a row of angles against a column of radii costs one recurrence
+    per angle.
     """
     lam, big_m = params.lam, params.big_m
-    out = (gap2 + x_n * x_n) ** (-lam)
+    out = gap2 + x_n * x_n
+    out **= -lam
     if big_m and np.any(c):
         if params.kind == "first":
             if np.any(rho == 0.0):
@@ -136,7 +138,8 @@ def _kernel_minus_tail(params: KernelParams, r, x_n, gap2, rho=None, theta_big=N
         else:
             a, b = rho, r
         tail = gegenbauer.weighted_sum(lam, big_m, theta_big, a / b)
-        out = out - c * b ** (-2.0 * lam) * tail
+        tail *= c * b ** (-2.0 * lam)
+        out -= tail
     return out
 
 
@@ -145,9 +148,10 @@ def kernel_KM_integral(params: KernelParams, x: HalfSpacePoint, yp) -> float:
 
     K_M = K * integral over zeta in (0, s) of
     (1 - 2*Theta*zeta + zeta^2)^(lam-1) * Phi_-(Theta, zeta) * zeta^(M-1),
-    with s = |x| / |y'| and Phi_- from `gegenbauer.phi_minus`.  The weight
-    has its complex singularity at zeta = Theta +- i sqrt(1 - Theta^2), so
-    the panel edges, 0, s and 1 when s > 1, are graded toward zeta = Theta
+    with s = |x| / |y'| and Phi_- from `gegenbauer.phi_minus`, and the base
+    formed as (zeta - Theta)^2 + (1 - Theta)(1 + Theta), never below 0.  The
+    weight has its complex singularity at zeta = Theta +- i sqrt(1 - Theta^2),
+    so the panel edges, 0, s and 1 when s > 1, are graded toward zeta = Theta
     at scale sqrt(1 - Theta^2).  Level k of `quad1d.refine` puts 12 * 2^k
     Gauss-Legendre points on every panel, and the levels stop when two
     differ by at most max(1e-10, 1e-10 |integral|).
@@ -165,7 +169,7 @@ def kernel_KM_integral(params: KernelParams, x: HalfSpacePoint, yp) -> float:
     theta_big = float(pts @ x.y) / (x.r * norm)
 
     def integrand(zeta):
-        weight = (1.0 - 2.0 * theta_big * zeta + zeta * zeta) ** (lam - 1.0)
+        weight = ((zeta - theta_big) ** 2 + (1.0 - theta_big) * (1.0 + theta_big)) ** (lam - 1.0)
         phi = gegenbauer.phi_minus(lam, big_m, theta_big, zeta)
         return weight * phi * zeta ** (big_m - 1)
 

@@ -6,8 +6,10 @@ refinement near kernel peaks) and a sphere rule in the angular variables
 (two points for boundary dimension one; above, panelled Gauss rules in the
 polar angle times the rule of the subsphere, or the polar rule alone for
 zonal integrands).  One evaluator, `_eval_region`, walks every region's
-angular rule in cache-sized blocks of rays of at most `_BLOCK_POINTS` nodes,
-each ray carrying the level's radial panels, so memory stays O(block).
+angular rule in blocks of rays of at most `_BLOCK_POINTS` nodes, each ray
+carrying the level's radial panels, so memory stays O(block); a call costs
+about 30 us before it touches a node, so most uncut levels are one call, and
+a cut region, whose integrand copies its live nodes, takes a quarter of that.
 Error control is `quad1d.refine`'s comparison of successive whole-grid
 levels, with angular order angular_order * 1.5^level in every dimension;
 evaluations never sample randomly, so results are reproducible bit for bit.
@@ -510,17 +512,21 @@ def _regions(data: BoundaryData, x, spec, r_lo: float, decay, kinks=()) -> list:
                            spec)]
 
 
-# nodes per data call; keeps a block's temporaries in cache, so the
-# allocator does not hand their pages back between blocks
-_BLOCK_POINTS = 2**13
+# nodes per integrand call on an uncut region.  A call costs about 30 us
+# before it touches a node (a far n = 4 N call: 36 us at 768 nodes, 181 us at
+# 29,184), so the budget holds a whole level of most uncut solves, whose
+# temporaries then reach 1.3 MB.  A cut region's integrand gathers its live
+# nodes into radius, ray and point arrays of its own, which at this budget
+# would reach 3.5 MB, so its blocks take a quarter of it, about 1 MB.
+_BLOCK_POINTS = 2**15
 
-# A level of a cut region holds about 1 MB of block temporaries.  glibc's
-# malloc gives free heap above its trim threshold, 128 KB at start, back to
-# the OS, so each solve would fault those pages in again (about 60 faults
-# per n = 3 kink-cut solve at M >= 1).  Freeing one memory-mapped block
-# raises that threshold to twice the block's size for the life of the
-# process; this 2 MB array is that block.
-np.empty(32 * _BLOCK_POINTS)
+# glibc's malloc maps allocations above its mmap threshold, 128 KB at start,
+# afresh, and gives free heap above its trim threshold back to the OS, so
+# each solve would fault a block's pages in again (about 40 faults per
+# plain-grid solve without this; an n = 5 block's points alone are 1 MB).
+# Freeing one memory-mapped block raises the thresholds to its size and
+# twice that for the life of the process; this 2 MB array is that block.
+np.empty(8 * _BLOCK_POINTS)
 
 
 def _radial_nodes(edges, n: int):
@@ -561,12 +567,14 @@ def _eval_region(g, n: int, region: _Region, spec, level: int) -> float:
 
     The rule is walked in blocks of rays of at most _BLOCK_POINTS nodes (one
     ray when a ray has more), so memory is O(block), not O(grid), with one
-    call g(centre, rays, radii, live, f_rho) per block.  On a region with
-    cuts each ray gets its own edges where the foreign kink circles cross
-    it (`_cut_edges`), which restores spectral panel convergence, and
-    `live` marks the nodes of panels of nonzero width, the only ones g
-    evaluates; on a region with a clip, only of those whose midpoint lies
-    outside the clip circle.
+    call g(centre, rays, radii, live, f_rho) per block.  A call costs about
+    30 us before it touches a node, so most levels of an uncut region, whose
+    rays share one row of radii, are one call.  On a region with cuts each
+    ray gets its own edges where the foreign kink circles cross it
+    (`_cut_edges`), which restores spectral panel convergence, and `live`
+    marks the nodes of panels of nonzero width, the only ones g evaluates
+    (on a region with a clip, only those whose midpoint lies outside it); g
+    copies them, so a cut block takes a quarter of the budget.
     """
     order = int(spec.angular_order * 1.5**level)
     center = region.center
@@ -582,7 +590,8 @@ def _eval_region(g, n: int, region: _Region, spec, level: int) -> float:
         rho, wr = _radial_nodes(edges, n)
     f_rho = g.data(center + rho[:, None] * np.eye(n - 1)[0]) if radial else None
     live = None
-    rays = max(1, _BLOCK_POINTS // (12 * (edges.size - 1 + 2 * len(region.cuts))))
+    budget = _BLOCK_POINTS // 4 if region.cuts else _BLOCK_POINTS
+    rays = max(1, budget // (12 * (edges.size - 1 + 2 * len(region.cuts))))
     ray = np.empty(len(w_ang))
     for start in range(0, len(w_ang), rays):
         u = pts_ang[start:start + rays]
@@ -719,14 +728,16 @@ class _KernelIntegrand:
             theta_big = x.sin_theta * cos_theta_prime_array(x, pts, norms=norms)
         # c multiplies the tail alone, which M = 0 does not have
         c = self.ramp(norms) if self.ramp is not None and params.big_m else 1.0
-        vals = _kernel_minus_tail(params, x.r, x.x_n, (radii - d) ** 2 + radii * d * apart,
-                                  norms, theta_big, c)
+        gap = radii * d * apart
+        gap += (radii - d) ** 2
+        vals = _kernel_minus_tail(params, x.r, x.x_n, gap, norms, theta_big, c)
         if f is None:
             f = self.data(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape[:-1])
+        vals *= f
         if live is None:
-            return (f * vals).T
+            return vals.T
         out = np.zeros(live.shape)
-        out[live] = (f * vals)[0]
+        out[live] = vals[0]
         return out
 
 

@@ -8,6 +8,7 @@ from modpoisson.errors import DomainError, SingularityError
 from modpoisson.geometry import HalfSpacePoint
 from modpoisson.kernels import (
     KernelParams,
+    _kernel_minus_tail,
     kernel_K,
     kernel_KM_direct,
     kernel_KM_integral,
@@ -199,6 +200,17 @@ class TestIntegralRepresentation:
             assert kernel_KM_integral(params, x, yp) == pytest.approx(
                 kernel_KM_direct(params, x, yp), abs=1e-8)
 
+    @pytest.mark.parametrize("lam", [0.6, 0.75])
+    def test_theta_at_one_with_a_singular_weight(self, lam):
+        # at Theta = 1 and s = 2 > 1 the weight |zeta - 1|^(2 lam - 2) is
+        # singular inside the interval, and 1 - 2 Theta zeta + zeta^2 formed
+        # by subtraction rounds to 0 or below there, which gave nan
+        x = HalfSpacePoint(n=3, r=1.0, theta=np.pi / 2 - 1e-10, y_hat=np.array([1.0, 0.0]))
+        yp = np.array([0.5, 0.0])
+        params = KernelParams(lam, 1)
+        assert kernel_KM_integral(params, x, yp) == pytest.approx(
+            kernel_KM_direct(params, x, yp), abs=1e-12)
+
     def test_small_s_limit(self):
         params = KernelParams(1.5, 2)
         x, yp = point_with(1e-8, 0.5)
@@ -213,6 +225,33 @@ class TestIntegralRepresentation:
                 quad = kernel_KM_integral(params, x, yp)
                 assert quad == pytest.approx(poly, abs=1e-12)
                 assert poly == pytest.approx(kernel_KM_direct(params, x, yp), abs=1e-11)
+
+
+class TestKernelMinusTail:
+    @pytest.mark.parametrize("kind", ["first", "second"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_leaves_its_arguments_unchanged(self, kind, dtype):
+        # a column of radii against a row of angles, as the quadrature's
+        # regions about the origin pass them, and a ramp per radius
+        rho = np.linspace(0.5, 3.0, 7)[:, None].astype(dtype)
+        theta_big = np.linspace(-0.9, 0.9, 5)[None, :].astype(dtype)
+        if dtype is complex:
+            theta_big += 1e-20j
+        gap2 = rho * rho - 2.4 * rho * theta_big + 1.44
+        c = np.linspace(0.0, 1.0, 7)[:, None]
+        args = (gap2, rho, theta_big, c)
+        before = [a.copy() for a in args]
+        params = KernelParams(1.5, 2, kind)
+        out = _kernel_minus_tail(params, 1.3, 0.4, *args[:3], c)
+        for a, b in zip(args, before):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        assert out.dtype == np.dtype(dtype) and out.shape == gap2.shape
+        # the same value, bit for bit, as the out-of-place formula
+        a_, b_ = (1.3, rho) if kind == "first" else (rho, 1.3)
+        tail = gg.weighted_sum(1.5, 2, theta_big, a_ / b_)
+        want = (gap2 + 0.4 * 0.4) ** -1.5 - c * b_ ** -3.0 * tail
+        np.testing.assert_array_equal(out, want)
 
 
 class TestSecondKind:

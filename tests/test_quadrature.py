@@ -1026,6 +1026,83 @@ class TestGridBlocks:
         assert peak < 64 * 2**20
 
 
+def _far_n4_region():
+    """The region of F at a far n = 4 point on exp_decay: uncut, about the
+    origin from |y'| = 1 out to the truncation radius, on the zonal rule."""
+    data = exp_decay(4)
+    x = HalfSpacePoint.from_cartesian([25.0, 25.0, 25.0, 25.0])
+    decay = quad._kernel_decay(KernelParams(2.0, 2), x)
+    [region] = quad._regions(data, x, SPEC, 1.0, decay)
+    assert not region.cuts
+    return data, x, region
+
+
+def _block_region(kind):
+    """(integrand, dimension, region) of the budget tests: one uncut origin
+    region at M = 2 under a first- and a second-kind kernel, and the
+    kink-cut region of u at M = 2 on the bump crossed by |y'| = 2."""
+    if kind == "cut":
+        data = bump(3, center=[2.0, 0.0], radius=1.0)
+        x = HalfSpacePoint.from_cartesian([0.5, 0.3, 0.8])
+        params = KernelParams(1.5, 2)
+        [region] = quad._regions(data, x, SPEC, 0.0, None, kinks=(1.0, 2.0))
+        assert region.cuts
+        return quad._KernelIntegrand(params, data, x, quad._ramp), 3, region
+    data, x, region = _far_n4_region()
+    params = KernelParams(2.0, 2, "second" if kind == "second" else "first")
+    return quad._KernelIntegrand(params, data, x), 4, region
+
+
+def _calls(monkeypatch):
+    """The number of rays of every call of the solution maps' integrand."""
+    rays = []
+    real = quad._KernelIntegrand.__call__
+
+    def counted(self, center, units, *args):
+        rays.append(len(units))
+        return real(self, center, units, *args)
+
+    monkeypatch.setattr(quad._KernelIntegrand, "__call__", counted)
+    return rays
+
+
+class TestBlockBudget:
+    # level 1 of the uncut region is 38 rays of 624 nodes, 23,712 in all,
+    # three times the 2^13 nodes the budget once held
+    @pytest.mark.parametrize("kind, level", [("first", 1), ("second", 1), ("cut", 0),
+                                             ("cut", 1)])
+    def test_value_does_not_depend_on_the_block_size(self, kind, level, monkeypatch):
+        g, n, region = _block_region(kind)
+        rays = _calls(monkeypatch)
+        whole = quad._eval_region(g, n, region, SPEC, level)
+        budget = quad._BLOCK_POINTS // 4 if region.cuts else quad._BLOCK_POINTS
+        if not region.cuts:
+            assert len(rays) == 1
+        edges = quad._split_panels(region.edges, level)
+        per_ray = 12 * (edges.size - 1 + 2 * len(region.cuts))
+        assert max(rays) * per_ray <= budget
+        # a few rays a block; a block of one ray is a contiguous row, which
+        # numpy's einsum sums in another order, so no block is left with one
+        total = sum(rays)
+        few = next(k for k in (3, 4, 5) if total % k != 1)
+        rays.clear()
+        monkeypatch.setattr(quad, "_BLOCK_POINTS", quad._BLOCK_POINTS * few * per_ray // budget)
+        blocked = quad._eval_region(g, n, region, SPEC, level)
+        assert len(rays) > 3 and max(rays) == few and min(rays) >= 2
+        assert blocked == whole
+
+    def test_far_n4_solve_is_one_call_a_level(self, monkeypatch):
+        data, x, _ = _far_n4_region()
+        rays = _calls(monkeypatch)
+        levels = []
+        real_eval = quad._eval_region
+        monkeypatch.setattr(quad, "_eval_region",
+                            lambda g, n, region, spec, level: levels.append(level)
+                            or real_eval(g, n, region, spec, level))
+        neumann_N(data, x, QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9))
+        assert levels == [0, 1] and len(rays) == 2
+
+
 # (kernel parameters, ramp, r_lo) of each solution map's integrand at
 # dimension n; the maps whose kernels are singular at the origin take
 # r_lo = 1, as F does, so no region reaches it

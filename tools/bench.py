@@ -10,6 +10,9 @@ It records, for the checkout at --root:
 - the tier-1 pytest run over --tests: wall time and test counts;
 - the cold start of a fixed grid of `modpoisson eval` / `expand` commands,
   each in its own fresh interpreter, as the median of --repeats runs;
+- the wall time of `modpoisson verify --suite <suite> --seed 42` for every
+  suite in the checkout's `modpoisson.suites.SUITES`, each run once in its
+  own fresh interpreter;
 - the commit (and whether the tree differs from it), the core count, and
   the Python, numpy and SciPy versions.
 
@@ -19,16 +22,16 @@ The file is written to the root of the repository that holds this script.
 Each metric is printed with its ratio to the same metric in the previous
 BENCH file there: the one whose label sorts last before this label, numbers
 first and in numeric order.  Exit status 1 if a workload op
-failed, a test failed or a CLI command exited non-zero; the file is written
-either way.
+failed, a test failed or a CLI or verify command exited non-zero; the file
+is written either way.
 
 File layout: {"label", "commit", "dirty", "machine": {"nproc", "python",
 "numpy", "scipy"}, "settings": {"seconds", "seed", "repeats", "tests"},
 "workloads": {name: {"correct", "attempted", "failed"}}, "metrics": {name:
 {"value", "unit", "better"}}}.  Metric names are `<workload>.<metric>` for
 the benchmark's end-to-end metrics, `tier1.wall_s`, `tier1.passed`,
-`tier1.failed`, `cli.<command>.s` per grid command and `cli.total_s`, their
-sum.
+`tier1.failed`, `cli.<command>.s` per grid command, `cli.total_s`, their
+sum, and `verify.<suite>.s` per suite (`verify.harmonicity.s`, ...).
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ CLI_GRID = {
     "expand_divergence": "expand --divergence 14 --n 3 --r 10 --theta-at 0.0",
 }
 CLI_MAIN = "import sys; from modpoisson.cli import main; sys.exit(main())"
+VERIFY_SEED = 42
 
 
 def _env(root: str) -> dict:
@@ -129,6 +133,26 @@ def cli_metrics(root: str, repeats: int) -> tuple[dict, list[str]]:
     return metrics, failures
 
 
+def verify_metrics(root: str) -> tuple[dict, list[str]]:
+    """Wall time of one `verify` run per suite of the checkout, each in a
+    fresh interpreter, and the suites whose run exited non-zero."""
+    env = _env(root)
+    listing = subprocess.run(
+        [sys.executable, "-c", "from modpoisson.suites import SUITES; print(*sorted(SUITES))"],
+        cwd=root, env=env, stdout=subprocess.PIPE, text=True, check=True)
+    metrics, failures = {}, []
+    for suite in listing.stdout.split():
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", CLI_MAIN, "verify", "--suite", suite,
+                               "--seed", str(VERIFY_SEED)], cwd=root, env=env,
+                              stdout=subprocess.DEVNULL)
+        metrics[f"verify.{suite}.s"] = {"value": time.perf_counter() - start, "unit": "s",
+                                        "better": "lower"}
+        if proc.returncode != 0:
+            failures.append(f"verify --suite {suite} exited with {proc.returncode}")
+    return metrics, failures
+
+
 def _label_key(label: str):
     return (0, int(label), "") if label.isdigit() else (1, 0, label)
 
@@ -184,6 +208,9 @@ def main() -> int:
     bench["metrics"].update(tier1_metrics(root, args.tests))
     cli, failures = cli_metrics(root, args.repeats)
     bench["metrics"].update(cli)
+    verify, verify_failures = verify_metrics(root)
+    bench["metrics"].update(verify)
+    failures += verify_failures
 
     out = os.path.join(REPO, f"BENCH_{args.label}.json")
     with open(out, "w") as fh:
