@@ -8,8 +8,7 @@ polar angle times the rule of the subsphere, or the polar rule alone for
 zonal integrands).  One evaluator, `_eval_region`, walks every region's
 angular rule in blocks of rays of at most `_BLOCK_POINTS` nodes, each ray
 carrying the level's radial panels, so memory stays O(block); a call costs
-about 30 us before it touches a node, so most uncut levels are one call, and
-a cut region, whose integrand copies its live nodes, takes a quarter of that.
+about 30 us before it touches a node, so most levels are one call.
 Error control is `quad1d.refine`'s comparison of successive whole-grid
 levels, with angular order angular_order * 1.5^level in every dimension;
 evaluations never sample randomly, so results are reproducible bit for bit.
@@ -512,12 +511,10 @@ def _regions(data: BoundaryData, x, spec, r_lo: float, decay, kinks=()) -> list:
                            spec)]
 
 
-# nodes per integrand call on an uncut region.  A call costs about 30 us
-# before it touches a node (a far n = 4 N call: 36 us at 768 nodes, 181 us at
-# 29,184), so the budget holds a whole level of most uncut solves, whose
-# temporaries then reach 1.3 MB.  A cut region's integrand gathers its live
-# nodes into radius, ray and point arrays of its own, which at this budget
-# would reach 3.5 MB, so its blocks take a quarter of it, about 1 MB.
+# nodes per block of rays, dead nodes of a cut region counted.  A call costs
+# about 30 us before it touches a node (a far n = 4 N call: 36 us at 768
+# nodes, 181 us at 29,184), so the budget holds a whole level of most solves,
+# whose temporaries then reach 1.3 MB uncut and about 2 MB cut.
 _BLOCK_POINTS = 2**15
 
 # glibc's malloc maps allocations above its mmap threshold, 128 KB at start,
@@ -567,14 +564,15 @@ def _eval_region(g, n: int, region: _Region, spec, level: int) -> float:
 
     The rule is walked in blocks of rays of at most _BLOCK_POINTS nodes (one
     ray when a ray has more), so memory is O(block), not O(grid), with one
-    call g(centre, rays, radii, live, f_rho) per block.  A call costs about
-    30 us before it touches a node, so most levels of an uncut region, whose
-    rays share one row of radii, are one call.  On a region with cuts each
-    ray gets its own edges where the foreign kink circles cross it
-    (`_cut_edges`), which restores spectral panel convergence, and `live`
-    marks the nodes of panels of nonzero width, the only ones g evaluates
-    (on a region with a clip, only those whose midpoint lies outside it); g
-    copies them, so a cut block takes a quarter of the budget.
+    call g(centre, rays, radii, f_rho) per block, which returns one row per
+    ray; a call costs about 30 us before it touches a node, so most levels
+    are one call.  On an uncut region the rays share one row of radii.  On
+    a region with cuts each ray gets its own edges where the foreign kink
+    circles cross it (`_cut_edges`), which restores spectral panel
+    convergence; only the nodes of panels of nonzero width (on a region
+    with a clip, whose midpoint lies outside it) are live, and g gets them
+    alone, each as a ray of one radius, its values scattered back here
+    with zeros at the dead nodes.
     """
     order = int(spec.angular_order * 1.5**level)
     center = region.center
@@ -589,13 +587,13 @@ def _eval_region(g, n: int, region: _Region, spec, level: int) -> float:
     if not region.cuts:  # one row of radial nodes serves every ray
         rho, wr = _radial_nodes(edges, n)
     f_rho = g.data(center + rho[:, None] * np.eye(n - 1)[0]) if radial else None
-    live = None
-    budget = _BLOCK_POINTS // 4 if region.cuts else _BLOCK_POINTS
-    rays = max(1, budget // (12 * (edges.size - 1 + 2 * len(region.cuts))))
+    rays = max(1, _BLOCK_POINTS // (12 * (edges.size - 1 + 2 * len(region.cuts))))
     ray = np.empty(len(w_ang))
     for start in range(0, len(w_ang), rays):
         u = pts_ang[start:start + rays]
-        if region.cuts:
+        if not region.cuts:
+            vals = g(center, u, rho, f_rho)
+        else:
             ray_edges = _cut_edges(region, edges, u)
             rho, wr = _radial_nodes(ray_edges, n)
             live = np.diff(ray_edges, axis=1) > 0.0
@@ -604,7 +602,10 @@ def _eval_region(g, n: int, region: _Region, spec, level: int) -> float:
                 live &= (mid * (mid + 2.0 * (u @ center)[:, None]) + center @ center
                          > region.clip**2)
             live = np.repeat(live, 12, axis=1)
-        vals = g(center, u, rho, live, f_rho)
+            # the live nodes alone, each as a ray of one radius
+            vals = np.zeros(live.shape)
+            vals[live] = g(center, np.repeat(u, live.sum(axis=1), axis=0),
+                           rho[live][:, None], None)[:, 0]
         ray[start:start + rays] = np.einsum("...j,...j->...", wr, vals)
     return float(w_ang @ ray)
 
@@ -698,25 +699,18 @@ class _KernelIntegrand:
     x: HalfSpacePoint
     ramp: object = None
 
-    def __call__(self, center, units, rho, live=None, f_rho=None):
+    def __call__(self, center, units, rho, f_rho=None):
         """f * kernel at c + rho u, shape (len(units), radii), for rho one
-        row shared by the rays or one row per ray; zero where live (one row
-        per ray, from a cut region) is False.  f_rho, the data along the
-        shared row of an uncut region, serves data radial about c."""
+        row shared by the rays or one column, a radius per ray.  f_rho, the
+        data along the shared row of an uncut region, serves data radial
+        about c."""
         x, params = self.x, self.params
         origin = not center.any()
         off = x.y - center
         d = math.sqrt(off @ off)
         apart = _squared_gap(units, off / (d or 1.0))[None, :]  # |u - a|^2 per ray
-        if live is not None and live.all():
-            live = None
         f = None if f_rho is None else f_rho[:, None]
-        if live is None:  # one row per radius, one column per ray
-            radii = rho.T if rho.ndim == 2 else rho[:, None]
-        else:  # the live nodes alone, each as a ray of one radius
-            radii = rho[live][None, :]
-            counts = live.sum(axis=1)
-            units, apart = np.repeat(units, counts, axis=0), np.repeat(apart, counts)
+        radii = rho.T if rho.ndim == 2 else rho[:, None]  # a column per ray
         pts = norms = theta_big = None
         if f is None or params.big_m and not origin:
             pts = center + radii[..., None] * units
@@ -734,11 +728,7 @@ class _KernelIntegrand:
         if f is None:
             f = self.data(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape[:-1])
         vals *= f
-        if live is None:
-            return vals.T
-        out = np.zeros(live.shape)
-        out[live] = vals[0]
-        return out
+        return vals.T
 
 
 def _solve(params: KernelParams, data: BoundaryData, x: HalfSpacePoint,
@@ -799,12 +789,9 @@ def integrate_weighted(data: BoundaryData, weight, spec: QuadratureSpec | None =
     spec = spec or QuadratureSpec()
     regions = _regions(data, None, spec, 0.0, lambda radius: radius**weight_growth)
 
-    def g(center, units, rho, live, f_rho):
-        pts = center + rho[..., None] * units[:, None, :]
-        live = np.ones(pts.shape[:-1], dtype=bool) if live is None else live
-        out = np.zeros(live.shape)
-        out[live] = data(pts[live]) * weight(pts[live])
-        return out
+    def g(center, units, rho, f_rho):
+        pts = (center + rho[..., None] * units[:, None, :]).reshape(-1, data.n - 1)
+        return (data(pts) * weight(pts)).reshape(len(units), -1)
 
     return _integrate_regions(g, data.n, regions, spec)[0]
 

@@ -777,13 +777,11 @@ class TestGridConstruction:
 
 def _on_rays(g):
     """A function of Cartesian points as an integrand of `_eval_region`,
-    called on the live nodes c + rho u of each block of rays."""
-    def block(center, units, rho, live, f_rho):
+    called once a block on its nodes c + rho u, the live ones of a cut
+    region."""
+    def block(center, units, rho, f_rho):
         pts = center + rho[..., None] * units[:, None, :]
-        live = np.ones(pts.shape[:-1], dtype=bool) if live is None else live
-        out = np.zeros(live.shape)
-        out[live] = g(pts[live])
-        return out
+        return g(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape[:-1])
     return block
 
 
@@ -807,6 +805,20 @@ def _cartesian_integrand(params, data, x, ramp=None, r_lo=0.0):
     return g
 
 
+def _ray_edges(region, base, u):
+    """One ray's radial edges: the level's edges merged with the ray's
+    crossings of each cut inside the region."""
+    edges = list(base)
+    for q, rad_q in region.cuts:
+        delta = region.center - q
+        b = float(u @ delta)
+        disc = b * b + rad_q**2 - float(delta @ delta)
+        if disc > 0.0:
+            edges += [r for r in (-b + disc**0.5, -b - disc**0.5)
+                      if region.edges[0] + 1e-13 < r < region.edges[-1] - 1e-13]
+    return np.array(sorted(edges))
+
+
 def _per_ray_cut_integral(g, n, region, level):
     """One ray at a time: radial edges merged with each cut's crossings.
     The rays' contributions are summed exactly: a running float sum over
@@ -817,15 +829,7 @@ def _per_ray_cut_integral(g, n, region, level):
     x12, w12 = np.polynomial.legendre.leggauss(12)
     rays = []
     for u, w_u in zip(dirs, w_dirs):
-        edges = list(base)
-        for q, rad_q in region.cuts:
-            delta = region.center - q
-            b = float(u @ delta)
-            disc = b * b + rad_q**2 - float(delta @ delta)
-            if disc > 0.0:
-                edges += [r for r in (-b + disc**0.5, -b - disc**0.5)
-                          if 1e-13 < r < region.edges[-1] - 1e-13]
-        edges = np.array(sorted(edges))
+        edges = _ray_edges(region, base, u)
         half = 0.5 * np.diff(edges)[:, None]
         rho = (edges[:-1, None] + half * (x12 + 1.0)).ravel()
         w_rho = (half * w12).ravel() * rho ** (n - 2)
@@ -1054,16 +1058,86 @@ def _block_region(kind):
 
 
 def _calls(monkeypatch):
-    """The number of rays of every call of the solution maps' integrand."""
+    """The number of rays of every call of the solution maps' integrand.  A
+    cut region hands it each live node as a ray of one radius, so there the
+    rays are counted as the runs of equal units."""
     rays = []
     real = quad._KernelIntegrand.__call__
 
-    def counted(self, center, units, *args):
-        rays.append(len(units))
-        return real(self, center, units, *args)
+    def counted(self, center, units, rho, f_rho=None):
+        if rho.ndim == 1:
+            rays.append(len(units))
+        else:
+            runs = np.count_nonzero(np.any(units[1:] != units[:-1], axis=1))
+            rays.append(int(runs) + (len(units) > 0))
+        return real(self, center, units, rho, f_rho)
 
     monkeypatch.setattr(quad._KernelIntegrand, "__call__", counted)
     return rays
+
+
+def _live_nodes(region, n, level):
+    """The nodes c + rho u of a cut region's level, ray by ray, that lie on
+    a panel of nonzero width with its midpoint outside the clip, from each
+    ray's radial edges merged with its crossings of the cuts."""
+    base = quad._split_panels(region.edges, level)
+    dirs, _ = sphere_rule(n, _order(SPEC, level), pole=region.pole,
+                          pole_angles=region.pole_angles)
+    nodes = []
+    for u in dirs:
+        edges = _ray_edges(region, base, u)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        keep = (np.diff(edges) > 0.0) & (
+            np.linalg.norm(region.center + mid[:, None] * u, axis=-1) > region.clip)
+        for a, b in zip(edges[:-1][keep], edges[1:][keep]):
+            rho, _ = quad1d.panels(np.array([a, b]), 12)
+            nodes.append(region.center + rho[:, None] * u)
+    return np.concatenate(nodes), len(dirs)
+
+
+def _cut_case(name):
+    """(integrand, dimension, region) of a cut region: the kink-cut region
+    of u at M = 2, cut by |y'| = 2, or F's ball about (1.2, 0, ...) of
+    radius 0.8 at M = 1, crossed by its clip circle |y'| = 1."""
+    if name == "kink-cut":
+        return _block_region("cut")
+    n = int(name[-1])
+    data = bump(n, center=[1.2] + [0.0] * (n - 2), radius=0.8)
+    x = HalfSpacePoint.from_cartesian([1.1, 0.3, 0.2][:n - 1] + [0.5])
+    params = KernelParams(n / 2.0, 1)
+    (region,) = quad._regions(data, x, SPEC, 1.0, quad._kernel_decay(params, x))
+    assert region.clip == 1.0
+    return quad._KernelIntegrand(params, data, x, None), n, region
+
+
+class TestCutNodeLayout:
+    @pytest.mark.parametrize("name", ["kink-cut", "F-n3", "F-n4"])
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_integrand_gets_the_live_nodes_alone(self, name, level, monkeypatch):
+        g, n, region = _cut_case(name)
+        assert region.cuts
+        got = []
+        real = quad._KernelIntegrand.__call__
+
+        def recorded(self, center, units, rho, f_rho=None):
+            # each node a ray of one radius, and no data along a shared row
+            assert rho.shape == (len(units), 1) and f_rho is None
+            got.append(center + rho * units)
+            return real(self, center, units, rho, f_rho)
+
+        monkeypatch.setattr(quad._KernelIntegrand, "__call__", recorded)
+        quad._eval_region(g, n, region, SPEC, level)
+        want, rays = _live_nodes(region, n, level)
+        nodes = np.concatenate(got)
+        assert nodes.shape == want.shape
+        np.testing.assert_allclose(nodes, want, rtol=0.0, atol=1e-13)
+        assert np.linalg.norm(nodes, axis=-1).min() >= 1.0 - 1e-12
+        # one call a block of rays: the whole level at n = 3, while the
+        # n = 4 ball's padded nodes outgrow the budget
+        per_ray = 12 * (quad._split_panels(region.edges, level).size - 1
+                        + 2 * len(region.cuts))
+        assert len(got) == -(-rays // max(1, quad._BLOCK_POINTS // per_ray))
+        assert (len(got) == 1) == (n == 3)
 
 
 class TestBlockBudget:
@@ -1075,20 +1149,19 @@ class TestBlockBudget:
         g, n, region = _block_region(kind)
         rays = _calls(monkeypatch)
         whole = quad._eval_region(g, n, region, SPEC, level)
-        budget = quad._BLOCK_POINTS // 4 if region.cuts else quad._BLOCK_POINTS
-        if not region.cuts:
-            assert len(rays) == 1
+        assert len(rays) == 1
         edges = quad._split_panels(region.edges, level)
         per_ray = 12 * (edges.size - 1 + 2 * len(region.cuts))
-        assert max(rays) * per_ray <= budget
+        [total] = rays
+        assert total * per_ray <= quad._BLOCK_POINTS
         # a few rays a block; a block of one ray is a contiguous row, which
         # numpy's einsum sums in another order, so no block is left with one
-        total = sum(rays)
         few = next(k for k in (3, 4, 5) if total % k != 1)
         rays.clear()
-        monkeypatch.setattr(quad, "_BLOCK_POINTS", quad._BLOCK_POINTS * few * per_ray // budget)
+        monkeypatch.setattr(quad, "_BLOCK_POINTS", few * per_ray)
         blocked = quad._eval_region(g, n, region, SPEC, level)
         assert len(rays) > 3 and max(rays) == few and min(rays) >= 2
+        assert sum(rays) == total
         assert blocked == whole
 
     def test_far_n4_solve_is_one_call_a_level(self, monkeypatch):

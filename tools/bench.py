@@ -11,8 +11,8 @@ It records, for the checkout at --root:
 - the cold start of a fixed grid of `modpoisson eval` / `expand` commands,
   each in its own fresh interpreter, as the median of --repeats runs;
 - the wall time of `modpoisson verify --suite <suite> --seed 42` for every
-  suite in the checkout's `modpoisson.suites.SUITES`, each run once in its
-  own fresh interpreter;
+  suite in the checkout's `modpoisson.suites.SUITES`, each in its own fresh
+  interpreter, as the median of --repeats runs;
 - the commit (and whether the tree differs from it), the core count, and
   the Python, numpy and SciPy versions.
 
@@ -113,43 +113,45 @@ def tier1_metrics(root: str, tests: str) -> dict:
     }
 
 
+def _cold_median(root: str, args: list[str], repeats: int) -> tuple[float, list[int]]:
+    """Median wall time of `repeats` runs of the CLI with args, each in a
+    fresh interpreter, and the non-zero exit codes among them."""
+    times, codes = [], []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", CLI_MAIN, *args], cwd=root,
+                              env=_env(root), stdout=subprocess.DEVNULL)
+        times.append(time.perf_counter() - start)
+        if proc.returncode != 0:
+            codes.append(proc.returncode)
+    return statistics.median(times), codes
+
+
 def cli_metrics(root: str, repeats: int) -> tuple[dict, list[str]]:
     """Median wall time of each grid command in a fresh interpreter, and
     the commands that exited non-zero."""
     metrics, failures, total = {}, [], 0.0
     for name, args in CLI_GRID.items():
-        times = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            proc = subprocess.run([sys.executable, "-c", CLI_MAIN, *args.split()], cwd=root,
-                                  env=_env(root), stdout=subprocess.DEVNULL)
-            times.append(time.perf_counter() - start)
-            if proc.returncode != 0:
-                failures.append(f"{name} exited with {proc.returncode}")
-        median = statistics.median(times)
+        median, codes = _cold_median(root, args.split(), repeats)
+        failures += [f"{name} exited with {code}" for code in codes]
         total += median
         metrics[f"cli.{name}.s"] = {"value": median, "unit": "s", "better": "lower"}
     metrics["cli.total_s"] = {"value": total, "unit": "s", "better": "lower"}
     return metrics, failures
 
 
-def verify_metrics(root: str) -> tuple[dict, list[str]]:
-    """Wall time of one `verify` run per suite of the checkout, each in a
-    fresh interpreter, and the suites whose run exited non-zero."""
-    env = _env(root)
+def verify_metrics(root: str, repeats: int) -> tuple[dict, list[str]]:
+    """Median wall time of `verify` per suite of the checkout, each run in
+    a fresh interpreter, and the suites whose run exited non-zero."""
     listing = subprocess.run(
         [sys.executable, "-c", "from modpoisson.suites import SUITES; print(*sorted(SUITES))"],
-        cwd=root, env=env, stdout=subprocess.PIPE, text=True, check=True)
+        cwd=root, env=_env(root), stdout=subprocess.PIPE, text=True, check=True)
     metrics, failures = {}, []
     for suite in listing.stdout.split():
-        start = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-c", CLI_MAIN, "verify", "--suite", suite,
-                               "--seed", str(VERIFY_SEED)], cwd=root, env=env,
-                              stdout=subprocess.DEVNULL)
-        metrics[f"verify.{suite}.s"] = {"value": time.perf_counter() - start, "unit": "s",
-                                        "better": "lower"}
-        if proc.returncode != 0:
-            failures.append(f"verify --suite {suite} exited with {proc.returncode}")
+        median, codes = _cold_median(
+            root, ["verify", "--suite", suite, "--seed", str(VERIFY_SEED)], repeats)
+        failures += [f"verify --suite {suite} exited with {code}" for code in codes]
+        metrics[f"verify.{suite}.s"] = {"value": median, "unit": "s", "better": "lower"}
     return metrics, failures
 
 
@@ -184,7 +186,8 @@ def main() -> int:
     parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
     parser.add_argument("--root", default=REPO, help="checkout to measure")
     parser.add_argument("--seconds", type=int, default=45, help="per workload run")
-    parser.add_argument("--repeats", type=int, default=5, help="cold starts per CLI command")
+    parser.add_argument("--repeats", type=int, default=5,
+                        help="cold starts per CLI command and per verify suite")
     parser.add_argument("--tests", default="tests", help="pytest target, relative to --root")
     args = parser.parse_args()
     root = os.path.abspath(args.root)
@@ -208,7 +211,7 @@ def main() -> int:
     bench["metrics"].update(tier1_metrics(root, args.tests))
     cli, failures = cli_metrics(root, args.repeats)
     bench["metrics"].update(cli)
-    verify, verify_failures = verify_metrics(root)
+    verify, verify_failures = verify_metrics(root, args.repeats)
     bench["metrics"].update(verify)
     failures += verify_failures
 
